@@ -18,9 +18,12 @@ archive for the current PR lives at the repo root as
 ``BENCH_*.json`` (this format and the earlier single-benchmark
 ``BENCH_7.json`` shape) as the perf trajectory across PRs.
 
-Writes are idempotent per benchmark name: re-running a benchmark
-replaces its block rather than appending duplicates, so a local pytest
-run converges to one row set per benchmark.
+Archiving is opt-in: rows are written only when the environment sets
+``REPRO_BENCH_ARCHIVE=1`` (the CI jobs that upload ``BENCH_*.json``
+do), so a plain test run never rewrites the tracked archives.  Writes
+are idempotent per benchmark name: re-running a benchmark replaces its
+block rather than appending duplicates, so repeated archiving runs
+converge to one row set per benchmark.
 """
 
 import json
@@ -33,6 +36,9 @@ from pathlib import Path
 CURRENT_PR = 10
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Environment switch that turns archive writes on (value ``"1"``).
+ARCHIVE_ENV = "REPRO_BENCH_ARCHIVE"
 
 
 def bench_archive_path(pr=CURRENT_PR):
@@ -70,9 +76,13 @@ def write_bench_rows(benchmark, rows, meta=None, pr=CURRENT_PR):
     pr:
         Archive to target; defaults to the current PR's.
 
-    Returns the archive path.  A corrupt archive is rebuilt from
-    scratch rather than crashing the benchmark that reports into it.
+    Returns the archive path, or ``None`` without writing anything
+    unless :data:`ARCHIVE_ENV` is ``"1"``.  A corrupt archive is rebuilt
+    from scratch rather than crashing the benchmark that reports into
+    it.
     """
+    if os.environ.get(ARCHIVE_ENV) != "1":
+        return None
     path = bench_archive_path(pr)
     data = {"pr": pr, "benchmarks": []}
     if path.is_file():

@@ -1,16 +1,19 @@
-"""`WorldTimeline`: advance a whole fleet through time in one pass.
+"""`WorldTimeline`: advance a whole fleet through time in batched passes.
 
 The dynamic-world executor: given a :class:`~repro.api.fleet.FleetSpec`
 and per-station mobility/rotation traces, the timeline samples every
 trace onto one epoch grid and evaluates the **entire (timestep x
-station) plane as a single aligned**
-:class:`~repro.channel.grid.ProbeGrid` — distance, transmit power and
-transmit orientation co-vary as ``(T, N)`` arrays against the bias
-voltages, so a 200-epoch, 12-station world costs one pass of the budget
-engine, not 2400 scalar probes.  :meth:`WorldTimeline.evaluate_reference`
-is the per-station-per-timestep scalar loop kept as the parity/bench
-baseline (``benchmarks/test_bench_world.py`` gates the batched path at
->= 3x).
+station) plane as one aligned** :class:`~repro.channel.grid.ProbeGrid`
+— distance, transmit power and transmit orientation co-vary as
+``(T, N)`` arrays against the bias voltages, so a 200-epoch, 12-station
+world costs one pass of the budget engine, not 2400 scalar probes.
+Retuning (:meth:`WorldTimeline.best_bias_planes`) crosses that plane
+with every candidate bias pair; the resulting ``(candidate, T, N)``
+cube is streamed through the engine in slices of the plane, so its
+peak memory is bounded by the slice size rather than the timeline
+length.  :meth:`WorldTimeline.evaluate_reference` is the
+per-station-per-timestep scalar loop kept as the parity/bench baseline
+(``benchmarks/test_bench_world.py`` gates the batched path at >= 3x).
 
 Stations without a trace hold their spec values, so a timeline with no
 traces at all reproduces the static snapshot exactly — each epoch row
@@ -50,6 +53,11 @@ from repro.faults import StationChurn
 from repro.world.traces import MobilityTrace, RotationTrace, Trace
 
 __all__ = ["WorldTimeline", "WorldTimelineReport"]
+
+#: Cube cells (candidates x epochs x stations) probed per slice by
+#: :meth:`WorldTimeline.best_bias_planes`: a few tens of MB of budget
+#: temporaries, large enough that per-slice overhead stays negligible.
+_CUBE_SLICE_CELLS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -229,13 +237,18 @@ class WorldTimeline:
 
     def best_bias_planes(self, step_v: float = 10.0
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-epoch, per-station best bias from one candidate-cube pass.
+        """Per-epoch, per-station best bias from a streamed candidate cube.
 
-        The whole ``(candidate, epoch, station)`` cube — every bias pair
-        on the search lattice against every cell of the trace planes —
-        is one aligned probe; the reduction over the candidate axis
-        yields ``(vx, vy, power_dbm)`` planes shaped ``(T, N)``.  Same
-        lattice and first-maximum semantics as
+        The ``(candidate, epoch, station)`` cube — every bias pair on the
+        search lattice against every cell of the trace planes — is
+        probed in contiguous slices of the trace plane
+        (:meth:`~repro.channel.grid.ProbeGrid.split`, about
+        :data:`_CUBE_SLICE_CELLS` cube cells each), so peak memory
+        follows the slice size rather than the timeline length.  Every
+        slice carries the whole candidate axis, so its reduction is
+        already the final answer for its cells; the slices' ``(vx, vy,
+        power_dbm)`` planes concatenate to ``(T, N)``.  Same lattice and
+        first-maximum semantics (NaN never wins) as
         :meth:`~repro.network.deployment.DenseDeployment.best_bias_per_station`,
         so a static world reproduces the static plan at every epoch.
         """
@@ -246,17 +259,26 @@ class WorldTimeline:
         vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
         times = self.times()
         ensemble = self.fleet.deployment.ensemble_for(with_surface=True)
-        grid = ProbeGrid.aligned(
-            distance=self.distance_plane(times)[None, ...],
-            tx_orientation=self.orientation_plane(times)[None, ...],
-            tx_power=ensemble.parameter("tx_power_dbm"),
-            vx=vx_flat[:, None, None],
-            vy=vy_flat[:, None, None])
-        powers = np.asarray(ensemble.link.evaluate_grid(grid), dtype=float)
-        masked = np.where(np.isnan(powers), -np.inf, powers)
-        best = np.argmax(masked, axis=0)
-        rows, cols = np.indices(best.shape)
-        return vx_flat[best], vy_flat[best], powers[best, rows, cols]
+        plane = ProbeGrid.aligned(
+            distance=self.distance_plane(times),
+            tx_orientation=self.orientation_plane(times),
+            tx_power=ensemble.parameter("tx_power_dbm"))
+        parts = -(-vx_flat.size * plane.size // _CUBE_SLICE_CELLS)
+        pieces = []
+        for piece in plane.split(parts):
+            cube = ProbeGrid.aligned(
+                **{name: piece.shaped(name)[None, ...]
+                   for name in piece.names},
+                vx=vx_flat[:, None, None], vy=vy_flat[:, None, None])
+            powers = np.asarray(ensemble.link.evaluate_grid(cube),
+                                dtype=float)
+            best = np.argmax(np.where(np.isnan(powers), -np.inf, powers),
+                             axis=0)
+            pieces.append((vx_flat[best], vy_flat[best],
+                           np.take_along_axis(powers, best[None], 0)[0]))
+        axis = plane.split_dim() or 0  # unsplittable planes: one piece
+        return tuple(np.concatenate(planes, axis=axis)
+                     for planes in zip(*pieces))
 
     def run(self, bias_search_step_v: float = 10.0,
             retune: bool = True) -> WorldTimelineReport:
@@ -264,8 +286,8 @@ class WorldTimeline:
 
         With ``retune`` (the default) every epoch gets its own
         per-station bias pair from :meth:`best_bias_planes` — the
-        controller keeps up with the traces, and the search cube plus
-        baseline cost two batched passes total.  Without it the stacked
+        controller keeps up with the traces at the cost of the streamed
+        candidate cube plus one baseline pass.  Without it the stacked
         t=0 plan (:meth:`~repro.api.fleet.FleetSession.best_bias_plan`,
         optimized for the *spec* geometry) is held across the whole
         timeline — the stale-plan comparison case.

@@ -1,9 +1,13 @@
 """WorldTimeline: batched evaluation parity, plans, composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.api.fleet import FleetSession, FleetSpec
+from repro.channel.grid import ProbeGrid
+from repro.channel.link import WirelessLink
 from repro.faults import FaultSchedule, FaultSpec, StationChurn
 from repro.sensing import RespirationSensingLink, TracedBreathingSubject
 from repro.serve.loadgen import LoadProfile, generate_trace
@@ -12,6 +16,7 @@ from repro.world import (
     RespirationTrace,
     RotationTrace,
     WorldTimeline,
+    dynamics,
 )
 
 
@@ -113,6 +118,123 @@ class TestPlansAndRuns:
         report = moving_timeline.run_tracking(station)
         assert len(report.samples) == moving_timeline.epoch_count
         assert report.retune_count >= 1
+
+
+def _first_max_reference(cube, vx_flat, vy_flat):
+    """Per-cell first maximum over the candidate axis, one cell at a
+    time: NaN candidates never win, an all-NaN cell keeps candidate 0."""
+    _, epochs, stations = cube.shape
+    planes = [np.empty((epochs, stations)) for _ in range(3)]
+    for t in range(epochs):
+        for i in range(stations):
+            best = None
+            for k, value in enumerate(cube[:, t, i]):
+                if not np.isnan(value) and (best is None or
+                                            value > cube[best, t, i]):
+                    best = k
+            best = 0 if best is None else best
+            planes[0][t, i] = vx_flat[best]
+            planes[1][t, i] = vy_flat[best]
+            planes[2][t, i] = cube[best, t, i]
+    return tuple(planes)
+
+
+class TestStreamedCube:
+    """``best_bias_planes`` probes the cube in trace-plane slices."""
+
+    @pytest.fixture(scope="class", params=[(6, 5.0), (12, 2.0)],
+                    ids=["epoch-slices", "station-slices"])
+    def timeline(self, request):
+        """Slices run along the longer plane axis: 10 epochs x 6
+        stations splits epochs, 4 epochs x 12 stations splits stations."""
+        stations, duration_s = request.param
+        spec = FleetSpec.office(station_count=stations, seed=11)
+        names = spec.station_names
+        half = stations // 2
+        return WorldTimeline(
+            spec,
+            mobility={name: MobilityTrace.random_waypoint(
+                11, name, duration_s=duration_s) for name in names[:half]},
+            rotation={name: RotationTrace.random_walk(
+                11, name, duration_s=duration_s) for name in names[half:]},
+            duration_s=duration_s, time_step_s=0.5)
+
+    @pytest.fixture
+    def coarse_engine(self, monkeypatch, timeline):
+        """Quantize the engine to whole dB (exact ties between
+        candidates), make the vx = 30 V candidates NaN and every
+        candidate of the far half of the cells NaN — all decided by the
+        probed values, so any slicing sees the same cube."""
+        evaluate_grid = WirelessLink.evaluate_grid
+        far = float(np.median(timeline.distance_plane()))
+        calls = []
+
+        def coarse(link, grid):
+            calls.append(grid.shape)
+            powers = np.round(evaluate_grid(link, grid))
+            powers = np.where(grid.expand("vx") == 30.0, np.nan, powers)
+            return np.where(grid.expand("distance") > far, np.nan, powers)
+
+        monkeypatch.setattr(WirelessLink, "evaluate_grid", coarse)
+        return calls
+
+    def test_many_slices_equal_one_slice(self, monkeypatch, timeline,
+                                         coarse_engine):
+        step = 7.5
+        levels = np.arange(0.0, 30.0 + 0.5 * step, step)
+        vx_flat = np.repeat(levels, levels.size)
+        vy_flat = np.tile(levels, levels.size)
+        monkeypatch.setattr(dynamics, "_CUBE_SLICE_CELLS", 10 ** 9)
+        whole = timeline.best_bias_planes(step_v=step)
+        assert len(coarse_engine) == 1
+        cube_shape = coarse_engine[0]
+        # The unsliced cube, reduced one cell at a time.
+        ensemble = timeline.fleet.deployment.ensemble_for(with_surface=True)
+        cube = ensemble.link.evaluate_grid(ProbeGrid.aligned(
+            distance=timeline.distance_plane()[None],
+            tx_orientation=timeline.orientation_plane()[None],
+            tx_power=ensemble.parameter("tx_power_dbm"),
+            vx=vx_flat[:, None, None], vy=vy_flat[:, None, None]))
+        assert cube.shape == cube_shape
+        assert np.any(np.all(np.isnan(cube), axis=0))
+        top = np.max(np.where(np.isnan(cube), -np.inf, cube), axis=0)
+        assert np.any(np.sum(cube == top, axis=0) > 1)  # exact ties
+        reference = _first_max_reference(cube, vx_flat, vy_flat)
+        for expected, got in zip(reference, whole):
+            np.testing.assert_array_equal(got, expected)
+        for cells in (1, 7 * levels.size ** 2, 3 * levels.size ** 2 + 5):
+            del coarse_engine[:]
+            monkeypatch.setattr(dynamics, "_CUBE_SLICE_CELLS", cells)
+            sliced = timeline.best_bias_planes(step_v=step)
+            assert len(coarse_engine) > 1
+            for expected, got in zip(whole, sliced):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_fine_step_cube_peak_memory(self):
+        """A 961-candidate cube over 250 epochs x 8 stations (1.9M
+        cells) stays under 48 MB of traced allocations.  The unsliced
+        cube's final complex field array alone would be 61.5 MB; each
+        slice of about 2**18 cells peaks near 34 MB."""
+        spec = FleetSpec.office(station_count=8, seed=5)
+        names = spec.station_names
+        timeline = WorldTimeline(
+            spec,
+            mobility={names[0]: MobilityTrace.random_waypoint(
+                5, names[0], duration_s=25.0)},
+            rotation={names[1]: RotationTrace.random_walk(
+                5, names[1], duration_s=25.0)},
+            duration_s=25.0, time_step_s=0.1)
+        assert timeline.epoch_count == 250
+        timeline.best_bias_planes(step_v=15.0)  # fill the link caches
+        tracemalloc.start()
+        try:
+            vx, _, power = timeline.best_bias_planes(step_v=1.0)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vx.shape == power.shape == (250, 8)
+        assert np.all(np.isfinite(power))
+        assert peak_bytes < 48 * 2 ** 20, peak_bytes / 2 ** 20
 
 
 class TestComposition:
