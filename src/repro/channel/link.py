@@ -345,6 +345,14 @@ class WirelessLink:
         array of via-surface Jones fields, one per broadcast operating
         point.  ``tx_jones`` is an optional ``(..., 2)`` array of
         transmit Jones vectors (defaults to the configured antenna).
+
+        The surface's Jones matrices depend only on (frequency, Vx, Vy)
+        and are evaluated at the broadcast shape of those three alone:
+        a bias lattice shared by many operating points (the controller
+        hands it over as one ``(1, k)`` row) costs one Jones batch of
+        ``k`` elements, not one per cell.  The path phasor is folded
+        into the incident polarization before the contraction, so the
+        full-size work is the contraction itself.
         """
         config = self._configuration
         shape = np.broadcast_shapes(
@@ -376,19 +384,16 @@ class WirelessLink:
                                          tx_power_dbm=tx_power_dbm)
         phase = self._phase_for_distance(legs, frequency_hz=frequency_hz)
         if tx_jones is None:
-            incident = np.array([config.tx_antenna.jones.x,
+            tx_jones = np.array([config.tx_antenna.jones.x,
                                  config.tx_antenna.jones.y], dtype=complex)
-            transformed = jones @ incident
-        else:
-            # Per-point transmit polarizations: contract the (..., 2, 2)
-            # Jones matrices against the (..., 2) incident vectors with
-            # full leading-dimension broadcasting (written out: several
-            # times faster than the equivalent broadcast einsum).
-            tx_jones = np.asarray(tx_jones, dtype=complex)
-            transformed = (jones[..., 0] * tx_jones[..., None, 0] +
-                           jones[..., 1] * tx_jones[..., None, 1])
         phasor = np.asarray(amplitude) * np.exp(1j * np.asarray(phase))
-        return np.broadcast_to(phasor[..., None] * transformed, shape + (2,))
+        incident = phasor[..., None] * np.asarray(tx_jones, dtype=complex)
+        # Contract the (..., 2, 2) Jones matrices against the (..., 2)
+        # incident fields with full leading-dimension broadcasting
+        # (written out: several times faster than a broadcast einsum).
+        transformed = (jones[..., 0] * incident[..., None, 0] +
+                       jones[..., 1] * incident[..., None, 1])
+        return np.broadcast_to(transformed, shape + (2,))
 
     def _clutter_unit(self) -> np.ndarray:
         """Pattern-weighted unit clutter field (cached complex ``(2,)``).
@@ -465,17 +470,16 @@ class WirelessLink:
             jones_y = config.rx_antenna.jones.y
         else:
             jones_x, jones_y = rx_jones[..., 0], rx_jones[..., 1]
-        intensity = np.abs(ex) ** 2 + np.abs(ey) ** 2
+        intensity = ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2
         projected = np.conj(jones_x) * ex + np.conj(jones_y) * ey
-        with np.errstate(divide="ignore", invalid="ignore"):
-            matched_fraction = np.where(intensity > 0.0,
-                                        np.abs(projected) ** 2 / intensity,
-                                        0.0)
+        # |<rx|E>|^2 clamped into [floor, 1] x intensity: the matched
+        # fraction never exceeds one nor falls below the cross-polar
+        # isolation floor, and a zero field stays exactly zero.
         floor = 10.0 ** (-config.rx_antenna.cross_pol_isolation_db / 10.0)
-        coupling = np.where(intensity > 0.0,
-                            np.minimum(1.0, np.maximum(matched_fraction, floor)),
-                            0.0)
-        power_linear_mw = intensity * coupling
+        power_linear_mw = np.minimum(
+            np.maximum(projected.real ** 2 + projected.imag ** 2,
+                       floor * intensity),
+            intensity)
         return 10.0 * np.log10(np.maximum(power_linear_mw, 1e-20))
 
     # ------------------------------------------------------------------ #
@@ -633,9 +637,10 @@ class WirelessLink:
             vx, vy, frequency_hz=frequency, tx_power_dbm=tx_power,
             via_distance_m=via_distance, tx_jones=tx_jones)
 
-        # Keep the historical (direct + surface) + clutter summation
-        # order so every view agrees to floating-point round-off.
-        fields = np.broadcast_to((direct + surface) + clutter, shape + (2,))
+        # The voltage-independent direct and clutter fields sum first,
+        # at their own (small) shape; the surface field is the one
+        # full-size term, so the total costs a single full-size add.
+        fields = np.broadcast_to(surface + (direct + clutter), shape + (2,))
         return self._project_power_dbm(fields, rx_jones=rx_jones)
 
     def evaluate_grid(self, grid: ProbeGrid) -> np.ndarray:

@@ -361,15 +361,25 @@ class CentralizedController:
 
         ``point_values`` maps each link-parameter axis to its ``(n,)``
         flattened per-point values; ``grid_vx`` / ``grid_vy`` are
-        ``(n, k)`` vx-major grids (one row per point).  Dispatches to
-        the richest probe the backend offers — ``measure_grid`` (any
-        axes), ``measure_sweep`` (single axis, e.g. the noisy receiver
-        backend) or ``measure_batch`` (no link-parameter axes) — and
-        returns the per-point first-maximum ``(power, vx, vy)`` arrays
-        with NaN probes treated as ``-inf``, matching the scalar
+        vx-major voltage grids, ``(n, k)`` (one row per point) or one
+        ``(1, k)`` row shared by every point.  ``measure_grid`` backends
+        get a shared row as is, so the engine evaluates the metasurface
+        once per bias pair; the ``measure_sweep`` / ``measure_batch``
+        fallbacks and the selection see it broadcast to ``(n, k)``, in
+        the same probe order as per-point rows.  Dispatches to the
+        richest probe the backend offers — ``measure_grid`` (any axes),
+        ``measure_sweep`` (single axis, e.g. the noisy receiver backend)
+        or ``measure_batch`` (no link-parameter axes) — and returns the
+        per-point first-maximum ``(power, vx, vy)`` arrays with NaN
+        probes treated as ``-inf``, matching the scalar
         :meth:`_probe_grid` semantics row by row.
         """
         policy = self.probe_policy
+        shape = np.broadcast_shapes(
+            grid_vx.shape, grid_vy.shape,
+            *((values.size, 1) for values in point_values.values()))
+        full_vx = np.broadcast_to(grid_vx, shape)
+        full_vy = np.broadcast_to(grid_vy, shape)
         if hasattr(backend, "measure_grid"):
             probe = ProbeGrid.aligned(
                 vx=grid_vx, vy=grid_vy,
@@ -379,24 +389,24 @@ class CentralizedController:
         elif len(point_values) == 1 and hasattr(backend, "measure_sweep"):
             (axis, values), = point_values.items()
             powers = policy.measure(backend.measure_sweep, axis,
-                                    values.reshape(-1, 1), grid_vx, grid_vy)
+                                    values.reshape(-1, 1), full_vx, full_vy)
         elif not point_values and hasattr(backend, "measure_batch"):
-            powers = policy.measure(backend.measure_batch, grid_vx, grid_vy)
+            powers = policy.measure(backend.measure_batch, full_vx, full_vy)
         else:
             raise TypeError(
                 "backend cannot probe this grid: it must provide "
                 "measure_grid (any axes), measure_sweep (exactly one "
                 "axis) or measure_batch (no link-parameter axes)")
         powers = np.asarray(powers, dtype=float)
-        if powers.shape != grid_vx.shape:
+        if powers.shape != shape:
             raise ValueError(
                 f"batched sweep measurement returned shape {powers.shape} "
-                f"for {grid_vx.shape} probes")
+                f"for {shape} probes")
         masked = np.where(np.isnan(powers), -math.inf, powers)
         best_index = np.argmax(masked, axis=1)
-        rows = np.arange(grid_vx.shape[0])
-        return (masked[rows, best_index], grid_vx[rows, best_index],
-                grid_vy[rows, best_index])
+        rows = np.arange(shape[0])
+        return (masked[rows, best_index], full_vx[rows, best_index],
+                full_vy[rows, best_index])
 
     def full_sweep_grid(self, backend, grid: ProbeGrid,
                         step_v: float = 1.0) -> GridSweepResult:
@@ -404,21 +414,22 @@ class CentralizedController:
 
         One batched probe evaluates the full ``(grid point, Vx, Vy)``
         product; per cell the result equals :meth:`full_sweep` on a link
-        rebuilt at that cell's axis values.
+        rebuilt at that cell's axis values.  Every point scans the same
+        lattice, so it travels as one shared ``(1, k²)`` row: the
+        metasurface's Jones matrices depend only on (frequency, Vx, Vy),
+        and the engine then computes them once per lattice point rather
+        than once per (grid point, lattice point) cell.
         """
         if step_v <= 0:
             raise ValueError("step must be positive")
         self._validate_search_grid(grid)
         point_values = grid.point_values()
-        n = grid.size
         config = self.config
         levels = np.arange(config.min_voltage_v,
                            config.max_voltage_v + 0.5 * step_v, step_v)
         count = levels.size
-        grid_vx = np.broadcast_to(np.repeat(levels, count),
-                                  (n, count * count))
-        grid_vy = np.broadcast_to(np.tile(levels, count),
-                                  (n, count * count))
+        grid_vx = np.repeat(levels, count)[None, :]
+        grid_vy = np.tile(levels, count)[None, :]
         best_power, best_vx, best_vy = self._probe_grid_points(
             backend, point_values, grid_vx, grid_vy)
         probes = count * count
@@ -439,17 +450,20 @@ class CentralizedController:
         per-point ``T x T`` voltage grids; the per-point windows then
         shrink independently around each point's best probe.  Per cell
         the grids, first-maximum selection and NaN handling are
-        identical to the scalar :meth:`coarse_to_fine_sweep`.
+        identical to the scalar :meth:`coarse_to_fine_sweep`.  The first
+        iteration's window is the full range for every point, so it
+        starts as one shared ``(1,)`` window (one shared voltage row the
+        engine evaluates the metasurface over once); the windows become
+        per-point ``(n,)`` arrays once the first iteration's optima
+        shrink them.
         """
         self._validate_search_grid(grid)
         point_values = grid.point_values()
         n = grid.size
         config = self.config
         switches = config.switches_per_axis
-        low_x = np.full(n, config.min_voltage_v)
-        high_x = np.full(n, config.max_voltage_v)
-        low_y = np.full(n, config.min_voltage_v)
-        high_y = np.full(n, config.max_voltage_v)
+        low_x = low_y = np.full(1, config.min_voltage_v)
+        high_x = high_y = np.full(1, config.max_voltage_v)
         best_power = np.full(n, -math.inf)
         best_vx = np.full(n, config.min_voltage_v)
         best_vy = np.full(n, config.min_voltage_v)
