@@ -21,6 +21,7 @@ band-pass behaviour of the assembled cascade is handled by
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -28,7 +29,8 @@ import numpy as np
 
 from repro.core.jones import JonesMatrix, quarter_wave_plate
 from repro.metasurface.materials import SubstrateMaterial, FR4
-from repro.metasurface.phase_shifter import PhaseShifterLayer
+from repro.metasurface.phase_shifter import (PhaseShifterLayer,
+                                             _positive_frequency)
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,15 @@ class BirefringentLayer:
     def __post_init__(self) -> None:
         if not self.x_layers or not self.y_layers:
             raise ValueError("need at least one phase-shifter layer per axis")
+        # Stack constants of diagonal_batch: each axis's distinct layers
+        # with their repeat counts and their voltage-independent
+        # (dielectric) amplitude, grouped once here rather than hashed
+        # on every call.
+        object.__setattr__(self, "_axis_groups", tuple(
+            tuple((layer, count,
+                   10.0 ** (-count * layer.dielectric_insertion_loss_db / 20.0))
+                  for layer, count in Counter(layers).items())
+            for layers in (self.x_layers, self.y_layers)))
 
     @staticmethod
     def symmetric(layer: PhaseShifterLayer,
@@ -200,20 +211,28 @@ class BirefringentLayer:
         ``frequency_hz`` may be a scalar or an array that broadcasts
         against the voltage arrays, so a frequency axis sweeps in the
         same vectorized pass as a bias grid.
+
+        Written out per axis, with ``d = f/fr(V) - fr(V)/f`` the detuning
+        of each distinct layer repeated ``n`` times in the stack:
+        ``phi = -sum n arctan(k d)`` and
+        ``t = prod r^n (1 + (c d)^2)^(-n/2)``, where ``k`` is the loading
+        factor, ``c`` the detuning-loss coefficient and ``r`` the
+        dielectric amplitude.  The varactor capacitance and the
+        resonance are evaluated once per distinct layer per axis (twice
+        in all for the symmetric two-layer LLAMA stack); the grouping and
+        the ``r^n`` factors are hoisted to construction, and the
+        frequency is validated once per call.
         """
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        phase_x = sum(layer.transmission_phase_rad_batch(frequency_hz, vx)
-                      for layer in self.x_layers)
-        phase_y = sum(layer.transmission_phase_rad_batch(frequency_hz, vy)
-                      for layer in self.y_layers)
-        loss_x_db = sum(layer.insertion_loss_db_batch(frequency_hz, vx)
-                        for layer in self.x_layers)
-        loss_y_db = sum(layer.insertion_loss_db_batch(frequency_hz, vy)
-                        for layer in self.y_layers)
-        amp_x = 10.0 ** (-loss_x_db / 20.0)
-        amp_y = 10.0 ** (-loss_y_db / 20.0)
-        return amp_x * np.exp(1j * phase_x), amp_y * np.exp(1j * phase_y)
+        return self._diagonal(_positive_frequency(frequency_hz),
+                              np.asarray(vx, dtype=float),
+                              np.asarray(vy, dtype=float))
+
+    def _diagonal(self, frequency: np.ndarray, vx: np.ndarray,
+                  vy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`diagonal_batch` on an already validated frequency."""
+        x_groups, y_groups = self._axis_groups
+        return (_axis_transmission(x_groups, frequency, vx),
+                _axis_transmission(y_groups, frequency, vy))
 
     def phase_difference_range_rad(self, frequency_hz: float,
                                    voltage_low_v: float = 0.0,
@@ -226,6 +245,23 @@ class BirefringentLayer:
                                             voltage_low_v)),
         ]
         return max(corners)
+
+
+def _axis_transmission(groups, frequency: np.ndarray,
+                       voltages: np.ndarray) -> np.ndarray:
+    """Complex transmission ``t e^{j phi}`` of one axis's layer stack.
+
+    ``groups`` holds ``(layer, count, dielectric amplitude ** count)``
+    per distinct layer: one detuning evaluation serves the phase and the
+    mismatch loss of all ``count`` copies.
+    """
+    phase, amplitude = 0.0, 1.0
+    for layer, count, dielectric in groups:
+        detuning = layer._detuning(frequency, voltages)
+        phase = phase - count * np.arctan(layer.loading_factor * detuning)
+        mismatch = 1.0 + (layer.detuning_loss_coefficient * detuning) ** 2
+        amplitude = amplitude * dielectric * mismatch ** (-0.5 * count)
+    return amplitude * np.exp(1j * phase)
 
 
 __all__ = ["QuarterWavePlateLayer", "BirefringentLayer"]

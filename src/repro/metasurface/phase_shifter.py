@@ -40,6 +40,19 @@ from repro.metasurface.materials import SubstrateMaterial, FR4
 from repro.metasurface.varactor import VaractorDiode, SMV1233
 
 
+def _positive_frequency(frequency_hz) -> np.ndarray:
+    """``frequency_hz`` as a float array, rejecting non-positive values.
+
+    The frequency check of the metasurface batch paths: each public
+    entry point runs it once and hands the array to the unchecked
+    internals.  NaN passes (it fails no ``<= 0`` comparison).
+    """
+    frequency = np.asarray(frequency_hz, dtype=float)
+    if (frequency <= 0).any():
+        raise ValueError("frequency must be positive")
+    return frequency
+
+
 @dataclass(frozen=True)
 class PhaseShifterLayer:
     """One varactor-tuned phase-shifter (BFS) layer.
@@ -126,6 +139,18 @@ class PhaseShifterLayer:
             np.asarray(bias_voltages_v, dtype=float))
         return 1.0 / (2.0 * math.pi * np.sqrt(self.inductance_h * capacitance))
 
+    def _detuning(self, frequency: np.ndarray,
+                  bias_voltages_v: np.ndarray) -> np.ndarray:
+        """Normalised tank detuning ``f/fr - fr/f`` that both the phase
+        response and the mismatch loss are built on.
+
+        ``frequency`` must already be a validated positive array (see
+        :func:`_positive_frequency`); callers evaluating several
+        quantities of one layer validate it once.
+        """
+        resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
+        return frequency / resonant - resonant / frequency
+
     def transmission_phase_rad_batch(self, frequency_hz,
                                      bias_voltages_v: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`transmission_phase_rad` over voltage arrays.
@@ -134,11 +159,8 @@ class PhaseShifterLayer:
         against ``bias_voltages_v``, so whole frequency sweeps evaluate
         in the same pass as bias grids.
         """
-        frequency = np.asarray(frequency_hz, dtype=float)
-        if np.any(frequency <= 0):
-            raise ValueError("frequency must be positive")
-        resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
-        detuning = frequency / resonant - resonant / frequency
+        detuning = self._detuning(_positive_frequency(frequency_hz),
+                                  bias_voltages_v)
         return -np.arctan(self.loading_factor * detuning)
 
     def transmission_phase_deg(self, frequency_hz: float,
@@ -177,11 +199,8 @@ class PhaseShifterLayer:
         be a scalar or an array broadcastable against
         ``bias_voltages_v``.
         """
-        frequency = np.asarray(frequency_hz, dtype=float)
-        if np.any(frequency <= 0):
-            raise ValueError("frequency must be positive")
-        resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
-        detuning = frequency / resonant - resonant / frequency
+        detuning = self._detuning(_positive_frequency(frequency_hz),
+                                  bias_voltages_v)
         return 10.0 * np.log10(
             1.0 + (self.detuning_loss_coefficient * detuning) ** 2)
 
@@ -207,18 +226,6 @@ class PhaseShifterLayer:
         if bias_voltage_v is not None:
             loss += self.detuning_loss_db(frequency_hz, bias_voltage_v)
         return loss
-
-    def insertion_loss_db_batch(self, frequency_hz,
-                                bias_voltages_v: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`insertion_loss_db` over voltage arrays.
-
-        Always includes the voltage-dependent detuning mismatch loss,
-        matching the scalar call with an explicit ``bias_voltage_v``.
-        ``frequency_hz`` may be a scalar or an array broadcastable
-        against ``bias_voltages_v``.
-        """
-        return (self.dielectric_insertion_loss_db +
-                self.detuning_loss_db_batch(frequency_hz, bias_voltages_v))
 
     # ------------------------------------------------------------------ #
     # Complex transmission coefficient

@@ -37,6 +37,7 @@ from repro.constants import (
 )
 from repro.core.jones import JonesMatrix, JonesVector
 from repro.metasurface.layers import BirefringentLayer, QuarterWavePlateLayer
+from repro.metasurface.phase_shifter import _positive_frequency
 
 
 class SurfaceMode(Enum):
@@ -165,10 +166,26 @@ class Metasurface:
             raise ValueError("backplane efficiency must be in (0, 1]")
         if not (0.0 <= self.reflective_conversion_fraction <= 1.0):
             raise ValueError("conversion fraction must be in [0, 1]")
+        if not abs(self.axis_detuning_hz) < self.design_frequency_hz:
+            # Also rejects NaN/inf; a detuning at or past the design
+            # frequency puts one axis's pass-band centre at or below 0 Hz.
+            raise ValueError(
+                "axis detuning must be finite and smaller in magnitude "
+                "than the design frequency")
         if self.bias_derating is not None:
             low, high = self.bias_derating
             if not (0.0 <= low < high <= BIAS_VOLTAGE_MAX_V):
                 raise ValueError("bias derating must satisfy 0 <= low < high <= 30")
+        # Stack constants of jones_matrix_batch.  The QWP layers' loss
+        # model is frequency-flat (dielectric dissipation only), so the
+        # cascade Q(+45) diag(dx, dy) Q(-45) splits into two fixed
+        # outer products, T_x = front[:, 0] (x) back[0, :] and
+        # T_y = front[:, 1] (x) back[1, :], weighting dx and dy.
+        front = self.front_qwp.jones_matrix(self.design_frequency_hz).as_array()
+        back = self.back_qwp.jones_matrix(self.design_frequency_hz).as_array()
+        object.__setattr__(self, "_cascade_terms",
+                           (np.outer(front[:, 0], back[0, :]),
+                            np.outer(front[:, 1], back[1, :])))
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -190,8 +207,8 @@ class Metasurface:
         for name, values in (("Vx", vx), ("Vy", vy)):
             # NaN fails both comparisons, so it is rejected here just
             # like the scalar _validate_voltages path rejects it.
-            if not np.all((values >= BIAS_VOLTAGE_MIN_V) &
-                          (values <= BIAS_VOLTAGE_MAX_V)):
+            if not ((values >= BIAS_VOLTAGE_MIN_V) &
+                    (values <= BIAS_VOLTAGE_MAX_V)).all():
                 raise ValueError(
                     f"{name} contains voltages outside the supported bias "
                     f"range [{BIAS_VOLTAGE_MIN_V}, {BIAS_VOLTAGE_MAX_V}] V")
@@ -220,24 +237,23 @@ class Metasurface:
         ``frequency_hz`` may be a scalar (returns a float) or a NumPy
         array (returns the element-wise roll-off with the same shape).
         """
-        frequency = np.asarray(frequency_hz, dtype=float)
-        if np.any(frequency <= 0):
-            raise ValueError("frequency must be positive")
+        frequency = _positive_frequency(frequency_hz)
         if axis not in ("x", "y"):
             raise ValueError("axis must be 'x' or 'y'")
-        center = self.design_frequency_hz + (
-            self.axis_detuning_hz if axis == "y" else -self.axis_detuning_hz)
-        normalized = 2.0 * self.selectivity_q * (frequency - center) / center
-        value = 10.0 * np.log10(1.0 + normalized ** (2 * self.filter_order))
+        value = 10.0 * np.log10(self._bandpass_excess(frequency, axis))
         if np.isscalar(frequency_hz):
             return float(value)
         return value
 
-    def _bandpass_amplitudes(self, frequency_hz) -> Tuple:
-        """Per-axis field amplitude factors of the band-pass response."""
-        amp_x = 10.0 ** (-self.bandpass_loss_db(frequency_hz, "x") / 20.0)
-        amp_y = 10.0 ** (-self.bandpass_loss_db(frequency_hz, "y") / 20.0)
-        return amp_x, amp_y
+    def _bandpass_excess(self, frequency: np.ndarray,
+                         axis: str) -> np.ndarray:
+        """Band-pass power loss factor ``1 + x^(2 order)`` of one axis,
+        ``x`` the normalised offset from the axis's pass-band centre, on
+        an already validated frequency."""
+        center = self.design_frequency_hz + (
+            self.axis_detuning_hz if axis == "y" else -self.axis_detuning_hz)
+        normalized = 2.0 * self.selectivity_q * (frequency - center) / center
+        return 1.0 + normalized ** (2 * self.filter_order)
 
     # ------------------------------------------------------------------ #
     # Transmissive response
@@ -265,28 +281,33 @@ class Metasurface:
         result is a complex ``(..., 2, 2)`` array whose trailing
         matrices equal the scalar :meth:`jones_matrix` at each
         (frequency, voltage) operating point.
+
+        The cascade is written out entry by entry into one output array:
+        ``J[..., i, j] = (T_x[i, j] dx + T_y[i, j] dy) a_j``, where
+        ``(dx, dy)`` is the BFS diagonal
+        (:meth:`BirefringentLayer.diagonal_batch`), ``a_j`` the band-pass
+        field amplitude of input axis ``j`` and ``T_x``, ``T_y`` the
+        QWP outer products hoisted to construction (the QWP matrices
+        are frequency-independent, so no call rebuilds them).
         """
         vx, vy = self._validate_voltage_arrays(vx, vy)
-        frequency = np.asarray(frequency_hz, dtype=float)
-        if np.any(frequency <= 0):
-            raise ValueError("frequency must be positive")
-        effective_vx, effective_vy = self._effective_voltages(vx, vy)
-        # The QWP layers' loss model is frequency-flat (dielectric
-        # dissipation only), so their matrices are constants of the
-        # stack and can be evaluated once at the design frequency.
-        front = self.front_qwp.jones_matrix(self.design_frequency_hz).as_array()
-        back = self.back_qwp.jones_matrix(self.design_frequency_hz).as_array()
-        dx, dy = self.birefringent.diagonal_batch(frequency, effective_vx,
-                                                  effective_vy)
-        # front @ diag(dx, dy) scales front's columns element-wise, then
-        # the full matmul with `back` reproduces the scalar cascade.
-        diagonal = np.stack(np.broadcast_arrays(dx, dy), axis=-1)
-        cascade = (front[..., :, :] * diagonal[..., None, :]) @ back
-        amp_x, amp_y = self._bandpass_amplitudes(frequency)
-        bandpass = np.stack(np.broadcast_arrays(
-            np.asarray(amp_x, dtype=float), np.asarray(amp_y, dtype=float)),
-            axis=-1)
-        return cascade * bandpass[..., None, :]
+        frequency = _positive_frequency(frequency_hz)
+        dx, dy = self.birefringent._diagonal(
+            frequency, *self._effective_voltages(vx, vy))
+        # Band-pass field amplitude per input axis: the field form of
+        # bandpass_loss_db.
+        amplitudes = (self._bandpass_excess(frequency, "x") ** -0.5,
+                      self._bandpass_excess(frequency, "y") ** -0.5)
+        terms_x, terms_y = self._cascade_terms
+        jones = np.empty(np.broadcast_shapes(dx.shape, dy.shape) + (2, 2),
+                         dtype=complex)
+        for j, amplitude in enumerate(amplitudes):
+            column_x, column_y = dx * amplitude, dy * amplitude
+            for i in range(2):
+                entry = jones[..., i, j]
+                np.multiply(terms_x[i, j], column_x, out=entry)
+                entry += terms_y[i, j] * column_y
+        return jones
 
     def rotation_angle_deg(self, frequency_hz: float, vx: float,
                            vy: float) -> float:
@@ -351,15 +372,27 @@ class Metasurface:
         :meth:`jones_matrix_batch`; returns a complex ``(..., 2, 2)``
         array whose trailing matrices equal the scalar reflective Jones
         matrix at each operating point.
+
+        Written out from the one-way matrix ``J``:
+        ``R = f a (J^T diag(1, -1) J) + (1 - f) a I`` with ``f`` the
+        conversion fraction and ``a`` the backplane field amplitude, so
+        ``R[i, j] = f a (J[0, i] J[0, j] - J[1, i] J[1, j])`` plus the
+        specular ``(1 - f) a`` on the diagonal.  ``R`` is symmetric
+        (reciprocity); the off-diagonal entry is computed once.
         """
         one_way = self.jones_matrix_batch(frequency_hz, vx, vy)
-        mirror = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        j00, j01 = one_way[..., 0, 0], one_way[..., 0, 1]
+        j10, j11 = one_way[..., 1, 0], one_way[..., 1, 1]
         backplane_amplitude = math.sqrt(self.reflective_backplane_efficiency)
-        transposed = np.swapaxes(one_way, -1, -2)
-        converted = transposed @ (backplane_amplitude * mirror) @ one_way
-        specular = backplane_amplitude * np.eye(2, dtype=complex)
         fraction = self.reflective_conversion_fraction
-        return fraction * converted + (1.0 - fraction) * specular
+        converted = fraction * backplane_amplitude
+        specular = (1.0 - fraction) * backplane_amplitude
+        reflected = np.empty_like(one_way)
+        reflected[..., 0, 0] = converted * (j00 * j00 - j10 * j10) + specular
+        reflected[..., 1, 1] = converted * (j01 * j01 - j11 * j11) + specular
+        reflected[..., 0, 1] = converted * (j00 * j01 - j10 * j11)
+        reflected[..., 1, 0] = reflected[..., 0, 1]
+        return reflected
 
     def reflection_efficiency(self, frequency_hz: float, vx: float,
                               vy: float, excitation: str = "x") -> float:

@@ -183,3 +183,12 @@ class TestBookkeeping:
             replace(prototype_surface, reflective_conversion_fraction=1.5)
         with pytest.raises(ValueError):
             replace(prototype_surface, bias_derating=(15.0, 2.0))
+        # A detuning at or past the design frequency puts one axis's
+        # pass-band centre at or below 0 Hz.
+        design_frequency = prototype_surface.design_frequency_hz
+        for detuning in (design_frequency, -design_frequency, -5e9,
+                         math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="axis detuning"):
+                replace(prototype_surface, axis_detuning_hz=detuning)
+        for detuning in (0.0, -15e6, 0.5 * design_frequency):
+            replace(prototype_surface, axis_detuning_hz=detuning)
