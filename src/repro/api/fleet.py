@@ -690,10 +690,11 @@ class FleetSession:
                  orientation_tolerance_deg: float = 20.0) -> ScheduleResult:
         """Schedule one TDMA epoch over the fleet.
 
-        ``strategy`` is one of :data:`SCHEDULE_STRATEGIES`; all
-        strategies drive the fleet-stacked utility searches, so the
-        whole epoch costs a handful of NumPy passes regardless of the
-        station count.  Quarantined stations are excluded from the
+        ``strategy`` is one of :data:`SCHEDULE_STRATEGIES`; every
+        surface strategy reads its bias pairs and slot RSSIs off one
+        stacked probe of the survivors' bias lattice, so the whole epoch
+        costs one lattice pass per epoch regardless of the station or
+        orientation-group count.  Quarantined stations are excluded from the
         epoch — with every station quarantined the result is the
         well-formed empty epoch (zero throughput, vacuous fairness) —
         and each surface-strategy epoch refreshes the survivors'

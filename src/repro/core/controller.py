@@ -60,6 +60,21 @@ def _as_measurement_backend(measure):
     return backend
 
 
+def bias_lattice(step_v: float, low: float = BIAS_VOLTAGE_MIN_V,
+                 high: float = BIAS_VOLTAGE_MAX_V) -> np.ndarray:
+    """The bias levels ``low, low + step_v, ...`` of an exhaustive search.
+
+    The ladder reaches ``high`` when ``step_v`` divides the range (up to
+    half a step of round-off); a level the ladder would place above
+    ``high`` is dropped rather than probed out of range.  Raises
+    ``ValueError`` unless ``step_v`` is positive and finite.
+    """
+    if not (math.isfinite(step_v) and step_v > 0):
+        raise ValueError(f"step must be positive and finite, got {step_v!r}")
+    levels = np.arange(low, high + 0.5 * step_v, step_v)
+    return levels[levels <= high]
+
+
 def vectorized_grid_max(levels_x: np.ndarray, levels_y: np.ndarray,
                         measure_batch) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, int]:
@@ -289,12 +304,10 @@ class CentralizedController:
         the Fig. 15 / Fig. 21 heatmaps.  The whole grid is issued as a
         single batched probe.
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
-        backend = _as_measurement_backend(measure)
         config = self.config
-        levels = np.arange(config.min_voltage_v,
-                           config.max_voltage_v + 0.5 * step_v, step_v)
+        levels = bias_lattice(step_v, config.min_voltage_v,
+                              config.max_voltage_v)
+        backend = _as_measurement_backend(measure)
         samples, best = self._probe_grid(backend, levels, levels, iteration=0)
         duration = len(samples) * config.switch_interval_s
         return SweepResult(best_vx=best[1], best_vy=best[2],
@@ -420,13 +433,11 @@ class CentralizedController:
         and the engine then computes them once per lattice point rather
         than once per (grid point, lattice point) cell.
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
+        config = self.config
+        levels = bias_lattice(step_v, config.min_voltage_v,
+                              config.max_voltage_v)
         self._validate_search_grid(grid)
         point_values = grid.point_values()
-        config = self.config
-        levels = np.arange(config.min_voltage_v,
-                           config.max_voltage_v + 0.5 * step_v, step_v)
         count = levels.size
         grid_vx = np.repeat(levels, count)[None, :]
         grid_vy = np.tile(levels, count)[None, :]
@@ -584,6 +595,7 @@ class CentralizedController:
 __all__ = [
     "MeasureCallback",
     "MeasureSource",
+    "bias_lattice",
     "vectorized_grid_max",
     "VoltageSweepConfig",
     "GridSweepResult",

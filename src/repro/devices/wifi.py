@@ -38,6 +38,13 @@ WIFI_80211G_RATE_TABLE = (
     (-66.0, 54.0),
 )
 
+# The table's thresholds ascend, so the rate at an RSSI is the one
+# indexed by the number of thresholds it clears (none: 0 Mbit/s).
+_RATE_THRESHOLDS_DBM = tuple(threshold for threshold, _ in
+                             WIFI_80211G_RATE_TABLE)
+_RATE_BY_THRESHOLDS_CLEARED = np.array(
+    [0.0] + [rate for _, rate in WIFI_80211G_RATE_TABLE])
+
 
 @dataclass(frozen=True)
 class WiFiAccessPoint(IoTDevice):
@@ -90,12 +97,13 @@ def wifi_rate_for_rssi_mbps(rssi_dbm: ArrayLike) -> ArrayLike:
     Below the sensitivity of the lowest rate the link is down (0 Mbit/s).
     """
     rssi = np.asarray(rssi_dbm, dtype=float)
-    rates = np.zeros_like(rssi)
-    for threshold_dbm, rate_mbps in WIFI_80211G_RATE_TABLE:
-        rates = np.where(rssi >= threshold_dbm, rate_mbps, rates)
+    cleared = np.zeros(rssi.shape, dtype=np.uint8)
+    for threshold_dbm in _RATE_THRESHOLDS_DBM:
+        cleared += rssi >= threshold_dbm  # NaN clears no threshold
+    rates = _RATE_BY_THRESHOLDS_CLEARED[cleared]
     if np.isscalar(rssi_dbm):
         return float(rates)
-    return rates
+    return np.asarray(rates)
 
 
 def wifi_throughput_gain_mbps(rssi_without_dbm: float,

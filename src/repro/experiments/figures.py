@@ -46,7 +46,11 @@ from repro.api.backend import ReceiverSweepBackend
 from repro.channel.capacity import spectral_efficiency_from_powers
 from repro.channel.link import WirelessLink
 from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
-from repro.core.controller import CentralizedController, VoltageSweepConfig
+from repro.core.controller import (
+    CentralizedController,
+    VoltageSweepConfig,
+    bias_lattice,
+)
 from repro.core.llama import LlamaSystem
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.experiments.registry import Param, experiment
@@ -1906,7 +1910,7 @@ class AccessIsolationResult:
 def _access_isolation(spec: "FleetSpec", step_v: float) -> AccessIsolationResult:
     from repro.api.fleet import FleetSession
     session = FleetSession(spec)
-    levels = np.arange(0.0, 30.0 + 0.5 * step_v, step_v)
+    levels = bias_lattice(step_v)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
     rssi = session.measure_grid(vx_grid.ravel(), vy_grid.ravel())
     baseline = session.baseline_rssi_dbm()

@@ -38,7 +38,11 @@ from repro.api.backend import LinkBackend
 from repro.channel.capacity import spectral_efficiency_from_powers
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
-from repro.core.controller import CentralizedController, VoltageSweepConfig
+from repro.core.controller import (
+    CentralizedController,
+    VoltageSweepConfig,
+    bias_lattice,
+)
 
 
 @dataclass(frozen=True)
@@ -263,11 +267,9 @@ def voltage_grid_sweep(link: WirelessLink,
                        v_min: float = 0.0,
                        v_max: float = 30.0) -> Dict[Tuple[float, float], float]:
     """Exhaustive (Vx, Vy) grid of received power, for heatmap figures."""
-    if step_v <= 0:
-        raise ValueError("step must be positive")
     if v_max <= v_min:
         raise ValueError("v_max must exceed v_min")
-    levels = np.arange(v_min, v_max + 0.5 * step_v, step_v)
+    levels = bias_lattice(step_v, v_min, v_max)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
     powers = link.received_power_dbm_batch(vx_grid.ravel(), vy_grid.ravel())
     return {(float(vx), float(vy)): float(power)

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.controller import bias_lattice
 from repro.network.deployment import DenseDeployment
 
 
@@ -67,8 +68,7 @@ def polarization_access_control(deployment: DenseDeployment,
     """
     if intended_station == unauthorized_station:
         raise ValueError("intended and unauthorized stations must differ")
-    if step_v <= 0:
-        raise ValueError("step must be positive")
+    levels = bias_lattice(step_v)
     # Validate both names up front (raises KeyError for unknown ones).
     names = (intended_station, unauthorized_station)
     for name in names:
@@ -76,7 +76,6 @@ def polarization_access_control(deployment: DenseDeployment,
 
     baselines = deployment.baseline_rssi_vector(names)
     baseline_isolation = float(baselines[0] - baselines[1])
-    levels = np.arange(0.0, 30.0 + 0.5 * step_v, step_v)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
     vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
     # One fleet-stacked probe evaluates both stations over the whole

@@ -26,7 +26,7 @@ import numpy as np
 from repro.channel.antenna import dipole_antenna
 from repro.channel.ensemble import LinkEnsemble
 from repro.channel.geometry import LinkGeometry
-from repro.core.controller import vectorized_grid_max
+from repro.core.controller import bias_lattice, vectorized_grid_max
 from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
 from repro.channel.multipath import MultipathEnvironment
 from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
@@ -254,9 +254,7 @@ class DenseDeployment:
         axis; element ``i`` matches :meth:`best_bias_for` on station
         ``i`` (same vx-major grid, same first-maximum semantics).
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
-        levels = np.arange(0.0, 30.0 + 0.5 * step_v, step_v)
+        levels = bias_lattice(step_v)
         vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
         vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
         powers = self.rssi_matrix(vx_flat, vy_flat, names)
@@ -273,9 +271,7 @@ class DenseDeployment:
         one stacked probe; the per-station utilities reduce over the
         leading station axis.
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
-        levels = np.arange(0.0, 30.0 + 0.5 * step_v, step_v)
+        levels = bias_lattice(step_v)
         vx_flat, vy_flat, _utility, best_index = vectorized_grid_max(
             levels, levels,
             lambda vx, vy: self.rate_matrix(vx, vy, names).sum(axis=0))
@@ -350,25 +346,24 @@ class DenseDeployment:
         Stations within ``tolerance_deg`` of a group's first member share
         a group; this is the "polarization reuse" structure the
         polarization-reuse scheduler exploits (one bias pair can serve a
-        whole group well).
+        whole group well).  The lowest-index unassigned station anchors
+        each next group and claims every unassigned station in tolerance.
         """
         if tolerance_deg <= 0:
             raise ValueError("tolerance must be positive")
+        names = self.station_names
+        orientations = np.array([station.orientation_deg % 180.0
+                                 for station in self.stations])
+        unassigned = np.ones(len(names), dtype=bool)
         groups: List[List[str]] = []
-        anchors: List[float] = []
-        for station in self.stations:
-            orientation = station.orientation_deg % 180.0
-            placed = False
-            for group, anchor in zip(groups, anchors):
-                difference = abs(orientation - anchor) % 180.0
-                difference = min(difference, 180.0 - difference)
-                if difference <= tolerance_deg:
-                    group.append(station.name)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([station.name])
-                anchors.append(orientation)
+        while unassigned.any():
+            anchor = int(np.argmax(unassigned))
+            difference = np.abs(orientations - orientations[anchor]) % 180.0
+            difference = np.minimum(difference, 180.0 - difference)
+            members = unassigned & (difference <= tolerance_deg)
+            members[anchor] = True
+            unassigned &= ~members
+            groups.append([names[index] for index in np.flatnonzero(members)])
         return groups
 
     @staticmethod

@@ -15,15 +15,20 @@ transmits?  Three strategies bracket the design space:
   antenna orientation and the surface is retuned only at *group*
   boundaries; this is the paper's "polarization reuse" idea, trading a
   little per-station optimality for far less retuning overhead.
+
+Each strategy serves an epoch from one lattice pass per epoch: a single
+stacked probe of the serving stations' ``(n, k²)`` RSSI over the bias
+lattice, from which it picks one lattice index per station.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.controller import bias_lattice
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.network.deployment import DenseDeployment
 
@@ -125,76 +130,63 @@ class _SchedulerBase:
         else:
             self.stations = tuple(deployment.station(name)
                                   for name in stations)
-
-    @property
-    def station_names(self) -> Tuple[str, ...]:
-        """Names of the stations this epoch serves, in slot order."""
-        return tuple(station.name for station in self.stations)
-
-    def _airtime_fractions(self) -> Dict[str, float]:
-        """Equal airtime split across stations (TDMA round robin)."""
-        if not self.stations:
-            return {}
-        share = 1.0 / len(self.stations)
-        return {station.name: share for station in self.stations}
+        #: Names of the stations this epoch serves, in slot order.
+        self.station_names: Tuple[str, ...] = tuple(
+            station.name for station in self.stations)
 
     def _empty_result(self, name: str) -> ScheduleResult:
         """The well-formed epoch that serves nobody (all quarantined)."""
         return ScheduleResult(scheduler_name=name, allocations=(),
                               retune_count=0, retune_overhead_fraction=0.0)
 
-    def _best_compromise_bias(self,
-                              station_names: Sequence[str]) -> Tuple[float, float]:
-        """Bias pair maximizing the summed rate of a set of stations.
-
-        The whole (Vx, Vy) grid crossed with the whole station set is
-        one fleet-stacked probe of the link budget
-        (:meth:`DenseDeployment.compromise_bias`), replacing the one
-        batched probe *per station* of PR 1 — and the seed's quadruple
-        Python loop before that.
-        """
-        return self.deployment.compromise_bias(station_names,
-                                               step_v=self.bias_search_step_v)
+    def _lattice_rssi(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The epoch's one probe: ``(vx_flat, vy_flat, rssi)``, ``rssi``
+        shaped ``(n, k²)`` over the flattened vx-major lattice, rows in
+        slot order."""
+        levels = bias_lattice(self.bias_search_step_v)
+        vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
+        vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
+        return vx_flat, vy_flat, self.deployment.rssi_matrix(
+            vx_flat, vy_flat, self.station_names)
 
     def _overhead_fraction(self, retune_count: int) -> float:
         """Fraction of the epoch burned by surface retuning."""
         overhead = retune_count * self.RETUNE_TIME_S / self.epoch_duration_s
         return min(overhead, 1.0)
 
-    def _build_result(self, name: str,
-                      bias_per_station: Dict[str, Tuple[float, float]],
-                      retune_count: int) -> ScheduleResult:
-        airtime = self._airtime_fractions()
-        stations = self.stations
-        vx = np.array([bias_per_station[station.name][0]
-                       for station in stations])
-        vy = np.array([bias_per_station[station.name][1]
-                       for station in stations])
-        # One aligned fleet probe: every station's RSSI at the bias pair
-        # programmed for *its* slot.
-        rssi = self.deployment.rssi_aligned(vx, vy, self.station_names)
-        rates = np.asarray(wifi_rate_for_rssi_mbps(rssi), dtype=float)
-        allocations = []
-        for index, station in enumerate(stations):
-            allocations.append(StationAllocation(
-                station=station.name,
-                bias_pair=(float(vx[index]), float(vy[index])),
-                rssi_dbm=float(rssi[index]),
-                rate_mbps=float(rates[index]),
-                airtime_fraction=airtime[station.name],
-            ))
+    def _build_result(self, name: str, vx_flat: np.ndarray,
+                      vy_flat: np.ndarray, rssi: np.ndarray,
+                      chosen: np.ndarray, retune_count: int) -> ScheduleResult:
+        """Allocations at each station's chosen lattice index (its slot
+        RSSI is gathered from the lattice matrix, not probed again)."""
+        at_choice = rssi[np.arange(len(chosen)), chosen]
+        rates = wifi_rate_for_rssi_mbps(at_choice)
+        share = 1.0 / len(self.stations)
+        allocations = tuple(
+            StationAllocation(station=station, bias_pair=(vx, vy),
+                              rssi_dbm=power, rate_mbps=rate,
+                              airtime_fraction=share)
+            for station, vx, vy, power, rate in zip(
+                self.station_names, vx_flat[chosen].tolist(),
+                vy_flat[chosen].tolist(), at_choice.tolist(),
+                rates.tolist()))
         return ScheduleResult(
             scheduler_name=name,
-            allocations=tuple(allocations),
+            allocations=allocations,
             retune_count=retune_count,
             retune_overhead_fraction=self._overhead_fraction(retune_count),
         )
 
 
+def _first_max(values: np.ndarray) -> np.ndarray:
+    """Index of the first maximum along the last axis; NaN never wins."""
+    return np.argmax(np.where(np.isnan(values), -np.inf, values), axis=-1)
+
+
 class FixedBiasScheduler(_SchedulerBase):
     """One bias pair for the whole epoch (tuned for the aggregate).
 
-    The bias pair is chosen to maximize the *sum* of station RSSIs over a
+    The bias pair is chosen to maximize the *sum* of station rates over a
     coarse grid — i.e. the best single compromise state — and is applied
     once at the start of the epoch.
     """
@@ -203,11 +195,11 @@ class FixedBiasScheduler(_SchedulerBase):
         """Pick the best compromise bias pair and serve everyone with it."""
         if not self.stations:
             return self._empty_result("fixed-bias")
-        best_pair = self._best_compromise_bias(self.station_names)
-        bias_per_station = {station.name: best_pair
-                            for station in self.stations}
-        return self._build_result("fixed-bias", bias_per_station,
-                                  retune_count=1)
+        vx_flat, vy_flat, rssi = self._lattice_rssi()
+        best = _first_max(wifi_rate_for_rssi_mbps(rssi).sum(axis=0))
+        chosen = np.full(len(self.stations), best)
+        return self._build_result("fixed-bias", vx_flat, vy_flat, rssi,
+                                  chosen, retune_count=1)
 
 
 class PerStationScheduler(_SchedulerBase):
@@ -216,17 +208,14 @@ class PerStationScheduler(_SchedulerBase):
     def schedule(self) -> ScheduleResult:
         """Give each station its individually optimal bias pair.
 
-        All stations' grid searches run as one stacked probe of the
-        fleet ensemble (:meth:`DenseDeployment.best_bias_per_station`).
+        Each station takes the first maximum of its own lattice row (the
+        grid search of :meth:`DenseDeployment.best_bias_per_station`).
         """
         if not self.stations:
             return self._empty_result("per-station")
-        vx, vy, _power = self.deployment.best_bias_per_station(
-            step_v=self.bias_search_step_v, names=self.station_names)
-        bias_per_station = {
-            station.name: (float(vx[index]), float(vy[index]))
-            for index, station in enumerate(self.stations)}
-        return self._build_result("per-station", bias_per_station,
+        vx_flat, vy_flat, rssi = self._lattice_rssi()
+        return self._build_result("per-station", vx_flat, vy_flat, rssi,
+                                  _first_max(rssi),
                                   retune_count=len(self.stations))
 
 
@@ -250,23 +239,26 @@ class PolarizationReuseScheduler(_SchedulerBase):
         self.orientation_tolerance_deg = orientation_tolerance_deg
 
     def schedule(self) -> ScheduleResult:
-        """Cluster stations by orientation and tune once per cluster."""
+        """Tune each orientation cluster to its summed-rate first maximum."""
         if not self.stations:
             return self._empty_result("polarization-reuse")
         # Cluster over the whole deployment (stable group anchors), then
         # keep only the stations this epoch serves.
-        serving = set(self.station_names)
-        groups = [[name for name in group if name in serving]
+        names = self.station_names
+        row_of = {name: row for row, name in enumerate(names)}
+        groups = [[row_of[name] for name in group if name in row_of]
                   for group in self.deployment.orientation_groups(
                       self.orientation_tolerance_deg)]
-        groups = [group for group in groups if group]
-        bias_per_station: Dict[str, Tuple[float, float]] = {}
-        for group in groups:
-            best_pair = self._best_compromise_bias(group)
-            for name in group:
-                bias_per_station[name] = best_pair
-        return self._build_result("polarization-reuse", bias_per_station,
-                                  retune_count=len(groups))
+        groups = [rows for rows in groups if rows]
+        vx_flat, vy_flat, rssi = self._lattice_rssi()
+        rates = wifi_rate_for_rssi_mbps(rssi)
+        best = np.empty(len(rssi), dtype=np.intp)
+        for rows in groups:
+            best[rows] = _first_max(rates[rows].sum(axis=0))
+        # A name served twice reads its group's choice from its last row.
+        chosen = best[[row_of[name] for name in names]]
+        return self._build_result("polarization-reuse", vx_flat, vy_flat,
+                                  rssi, chosen, retune_count=len(groups))
 
 
 def baseline_without_surface(

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.api.fleet import FleetSession, FleetSpec
 from repro.channel.grid import ProbeGrid
+from repro.core.controller import bias_lattice
 from repro.core.tracking import (
     OrientationTrajectory,
     TrackingController,
@@ -252,9 +253,7 @@ class WorldTimeline:
         :meth:`~repro.network.deployment.DenseDeployment.best_bias_per_station`,
         so a static world reproduces the static plan at every epoch.
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
-        levels = np.arange(0.0, 30.0 + 0.5 * step_v, step_v)
+        levels = bias_lattice(step_v)
         vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
         vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
         times = self.times()

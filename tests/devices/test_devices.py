@@ -1,5 +1,6 @@
 """Tests for the IoT endpoint device models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +81,23 @@ class TestWiFiDevices:
     @given(st.floats(min_value=-110.0, max_value=-30.0))
     def test_wifi_rate_monotonic_in_rssi(self, rssi):
         assert wifi_rate_for_rssi_mbps(rssi + 5.0) >= wifi_rate_for_rssi_mbps(rssi)
+
+    def test_wifi_rate_matches_the_table_scan(self):
+        """The rate is the one of the last threshold the RSSI clears, on
+        and just below every threshold; NaN and -inf clear none."""
+        thresholds = np.array([row[0] for row in WIFI_80211G_RATE_TABLE])
+        rssi = np.concatenate([
+            np.linspace(-110.0, -30.0, 8001), thresholds,
+            np.nextafter(thresholds, -np.inf),
+            [np.nan, np.inf, -np.inf]]).reshape(-1, 7)
+        expected = np.zeros_like(rssi)
+        for threshold_dbm, rate_mbps in WIFI_80211G_RATE_TABLE:
+            expected = np.where(rssi >= threshold_dbm, rate_mbps, expected)
+        rates = wifi_rate_for_rssi_mbps(rssi)
+        assert rates.dtype == np.float64 and rates.shape == rssi.shape
+        assert np.array_equal(rates, expected)
+        assert wifi_rate_for_rssi_mbps(np.array(-70.0)).shape == ()
+        assert wifi_rate_for_rssi_mbps(float("nan")) == 0.0
 
 
 class TestBleDevices:
