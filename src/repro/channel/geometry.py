@@ -90,8 +90,8 @@ class LinkGeometry:
         The endpoints face each other along the x axis and the surface
         sits ``surface_fraction`` of the way from transmitter to receiver.
         """
-        if tx_rx_distance_m <= 0:
-            raise ValueError("Tx-Rx distance must be positive")
+        if not (math.isfinite(tx_rx_distance_m) and tx_rx_distance_m > 0):
+            raise ValueError("Tx-Rx distance must be positive and finite")
         if not (0.0 < surface_fraction < 1.0):
             raise ValueError("surface fraction must be in (0, 1)")
         tx = Position(0.0, 0.0)
@@ -108,10 +108,10 @@ class LinkGeometry:
         same side of the surface; the surface is ``surface_offset_m``
         away along the perpendicular bisector of the pair.
         """
-        if tx_rx_separation_m <= 0:
-            raise ValueError("Tx-Rx separation must be positive")
-        if surface_offset_m <= 0:
-            raise ValueError("surface offset must be positive")
+        if not (math.isfinite(tx_rx_separation_m) and tx_rx_separation_m > 0):
+            raise ValueError("Tx-Rx separation must be positive and finite")
+        if not (math.isfinite(surface_offset_m) and surface_offset_m > 0):
+            raise ValueError("surface offset must be positive and finite")
         tx = Position(0.0, 0.0)
         rx = Position(tx_rx_separation_m, 0.0)
         surface = Position(tx_rx_separation_m / 2.0, surface_offset_m)

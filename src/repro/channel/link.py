@@ -33,6 +33,20 @@ points — scalar :meth:`WirelessLink.received_power_dbm`, the bias-grid
 :meth:`WirelessLink.received_power_dbm_batch` and the single-axis
 :meth:`WirelessLink.received_power_dbm_sweep` — are thin views over
 that engine, pinned to it within 1e-9 dB by the parity suites.
+
+The engine picks one of two paths from the broadcast shapes alone.  A
+shared bias lattice crossed with stations — bias arrays and per-station
+distance / transmit-power / transmit-orientation overrides in disjoint
+blocks of dimensions, each side more than one point, as in the
+controller's ``(1, k)`` rows, the world's ``(k, 1, 1) x (1, T, N)``
+retune cube and the TDMA ``rssi_matrix`` — is separable: the received
+field is affine in the surface's Jones matrix, so the pass is one
+small matrix product of lattice features by station features and never
+builds the per-cell field.  Everything else (aligned per-point windows,
+frequency or receive-orientation axes, bias-only probes of one link,
+links without a surface) takes the general path, which contracts the
+full field and is the parity reference (``tests/channel/
+test_separable_budget.py``).
 """
 
 from __future__ import annotations
@@ -93,6 +107,43 @@ def _rotated_jones(antenna: Antenna, angles_deg: np.ndarray) -> np.ndarray:
     rotated /= amplitude[..., None]
     return np.where((angles_deg == 0.0)[..., None],
                     np.array([base.x, base.y], dtype=complex), rotated)
+
+
+def _positive_finite(values: np.ndarray) -> np.ndarray:
+    """Element-wise ``0 < values < inf`` (NaN fails it)."""
+    return np.isfinite(values) & (values > 0)
+
+
+def _separable_layout(shape, bias_shapes, station_shapes):
+    """The layout of a separable budget pass over ``shape``, or ``None``.
+
+    ``shape`` is the broadcast shape of the bias arrays' ``bias_shapes``
+    and the overrides' ``station_shapes``.  A side spans the dimensions
+    where one of its shapes is not one long.  The pass is separable when
+    the two sides span two blocks of dimensions, all of one side's
+    before all of the other's, and each side has more than one point; a
+    dimension one long on both sides belongs to neither.  Returns
+    ``(station, bias_first)``: the station shape padded to ``shape``'s
+    rank, and whether the bias block comes first.
+    """
+    masks = []
+    for shapes in (bias_shapes, station_shapes):
+        mask = 0
+        for each in shapes:
+            for dim, size in enumerate(each, len(shape) - len(each)):
+                if size != 1:
+                    mask |= 1 << dim
+        masks.append(mask)
+    bias, station = masks
+    bias_first = bias < (station & -station)
+    if not (bias_first or station < (bias & -bias)):
+        return None
+    station_shape = tuple(size if station >> dim & 1 else 1
+                          for dim, size in enumerate(shape))
+    station_count = math.prod(station_shape)
+    if station_count < 2 or math.prod(shape) < 2 * station_count:
+        return None
+    return station_shape, bias_first
 
 
 class DeploymentMode(Enum):
@@ -346,12 +397,13 @@ class WirelessLink:
         point.  ``tx_jones`` is an optional ``(..., 2)`` array of
         transmit Jones vectors (defaults to the configured antenna).
 
-        The surface's Jones matrices depend only on (frequency, Vx, Vy)
-        and are evaluated at the broadcast shape of those three alone:
-        a bias lattice shared by many operating points (the controller
-        hands it over as one ``(1, k)`` row) costs one Jones batch of
-        ``k`` elements, not one per cell.  The path phasor is folded
-        into the incident polarization before the contraction, so the
+        The surface's Jones matrices (:meth:`_surface_jones`) depend
+        only on (frequency, Vx, Vy) and are evaluated at the broadcast
+        shape of those three alone: a bias lattice shared by many
+        operating points (the controller hands it over as one ``(1, k)``
+        row) costs one Jones batch of ``k`` elements, not one per cell.
+        The path phasor is folded into the incident polarization
+        (:meth:`_incident_fields`) before the contraction, so the
         full-size work is the contraction itself.
         """
         config = self._configuration
@@ -363,14 +415,43 @@ class WirelessLink:
             np.shape(tx_jones)[:-1] if tx_jones is not None else ())
         if config.metasurface is None or config.deployment is DeploymentMode.NONE:
             return np.zeros(shape + (2,), dtype=complex)
-        geometry = config.geometry
-        surface = config.metasurface
+        jones = self._surface_jones(vx, vy, frequency_hz=frequency_hz)
+        incident = self._incident_fields(
+            frequency_hz=frequency_hz, tx_power_dbm=tx_power_dbm,
+            via_distance_m=via_distance_m, tx_jones=tx_jones)
+        # Contract the (..., 2, 2) Jones matrices against the (..., 2)
+        # incident fields with full leading-dimension broadcasting
+        # (written out: several times faster than a broadcast einsum).
+        transformed = (jones[..., 0] * incident[..., None, 0] +
+                       jones[..., 1] * incident[..., None, 1])
+        return np.broadcast_to(transformed, shape + (2,))
+
+    def _surface_jones(self, vx, vy, frequency_hz=None) -> np.ndarray:
+        """The deployed surface's ``(..., 2, 2)`` Jones matrices.
+
+        Transmission or reflection matrices per the deployment mode, at
+        the broadcast shape of (frequency, Vx, Vy) — the bias half of
+        every via-surface field.
+        """
+        config = self._configuration
         frequency = (config.frequency_hz if frequency_hz is None
                      else frequency_hz)
         if config.deployment is DeploymentMode.TRANSMISSIVE:
-            jones = surface.jones_matrix_batch(frequency, vx, vy)
-        else:
-            jones = surface.reflection_jones_matrix_batch(frequency, vx, vy)
+            return config.metasurface.jones_matrix_batch(frequency, vx, vy)
+        return config.metasurface.reflection_jones_matrix_batch(
+            frequency, vx, vy)
+
+    def _incident_fields(self, frequency_hz=None, tx_power_dbm=None,
+                         via_distance_m=None, tx_jones=None) -> np.ndarray:
+        """Via-surface path phasor folded into the transmit polarization.
+
+        The voltage-independent half of every via-surface field, a
+        complex ``(..., 2)`` array at the broadcast shape of the
+        overrides alone: the surface field is this vector transformed
+        by :meth:`_surface_jones`.
+        """
+        config = self._configuration
+        geometry = config.geometry
         legs = (geometry.tx_to_surface_m + geometry.surface_to_rx_m
                 if via_distance_m is None else via_distance_m)
         # Antenna aiming convention (see _direct_fields): the surface
@@ -387,13 +468,7 @@ class WirelessLink:
             tx_jones = np.array([config.tx_antenna.jones.x,
                                  config.tx_antenna.jones.y], dtype=complex)
         phasor = np.asarray(amplitude) * np.exp(1j * np.asarray(phase))
-        incident = phasor[..., None] * np.asarray(tx_jones, dtype=complex)
-        # Contract the (..., 2, 2) Jones matrices against the (..., 2)
-        # incident fields with full leading-dimension broadcasting
-        # (written out: several times faster than a broadcast einsum).
-        transformed = (jones[..., 0] * incident[..., None, 0] +
-                       jones[..., 1] * incident[..., None, 1])
-        return np.broadcast_to(transformed, shape + (2,))
+        return phasor[..., None] * np.asarray(tx_jones, dtype=complex)
 
     def _clutter_unit(self) -> np.ndarray:
         """Pattern-weighted unit clutter field (cached complex ``(2,)``).
@@ -472,15 +547,26 @@ class WirelessLink:
             jones_x, jones_y = rx_jones[..., 0], rx_jones[..., 1]
         intensity = ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2
         projected = np.conj(jones_x) * ex + np.conj(jones_y) * ey
+        return self._clamped_power_dbm(
+            projected.real ** 2 + projected.imag ** 2, intensity)
+
+    def _clamped_power_dbm(self, matched, intensity) -> np.ndarray:
+        """The projection tail both budget paths end in (dBm).
+
+        ``matched`` is the matched power ``|<rx|E>|²`` and ``intensity``
+        the field's ``|E|²``.  ``matched`` is scratch: the clamps run in
+        place on it.
+        """
+        floor = 10.0 ** (-self._configuration.rx_antenna.cross_pol_isolation_db
+                         / 10.0)
         # |<rx|E>|^2 clamped into [floor, 1] x intensity: the matched
         # fraction never exceeds one nor falls below the cross-polar
         # isolation floor, and a zero field stays exactly zero.
-        floor = 10.0 ** (-config.rx_antenna.cross_pol_isolation_db / 10.0)
-        power_linear_mw = np.minimum(
-            np.maximum(projected.real ** 2 + projected.imag ** 2,
-                       floor * intensity),
-            intensity)
-        return 10.0 * np.log10(np.maximum(power_linear_mw, 1e-20))
+        power = np.asarray(matched)
+        np.maximum(power, floor * intensity, out=power)
+        np.minimum(power, intensity, out=power)
+        np.maximum(power, 1e-20, out=power)
+        return 10.0 * np.log10(power, out=power)
 
     # ------------------------------------------------------------------ #
     # The N-D evaluation engine
@@ -518,10 +604,12 @@ class WirelessLink:
         """
         config = self._configuration
         if axis == "frequency":
-            if np.any(values <= 0):
-                raise ValueError("frequencies must be positive")
+            if not _positive_finite(values).all():
+                raise ValueError("frequencies must be positive and finite")
             return {"frequency_hz": values}
         if axis == "tx_power":
+            if not np.isfinite(values).all():
+                raise ValueError("transmit powers must be finite")
             return {"tx_power_dbm": values}
         if axis == "distance":
             return self._distance_parameters(values)
@@ -538,8 +626,9 @@ class WirelessLink:
         Element-wise identical (to round-off) to building
         :meth:`_geometry_at_distance` per point: the canonical layouts
         are planar, so the path lengths and the aimed-antenna angle
-        reduce to a few array expressions.  Non-positive distances raise
-        the same ``ValueError`` as :class:`LinkGeometry`'s factories.
+        reduce to a few array expressions.  Non-positive or non-finite
+        distances raise the same ``ValueError`` as :class:`LinkGeometry`'s
+        factories.
         """
         config = self._configuration
         geometry = config.geometry
@@ -547,8 +636,8 @@ class WirelessLink:
         if config.deployment is DeploymentMode.REFLECTIVE or config.aim_at_surface:
             # Endpoints fixed `separation` apart; the surface sits
             # `values` out on their perpendicular bisector.
-            if np.any(values <= 0):
-                raise ValueError("surface offset must be positive")
+            if not _positive_finite(values).all():
+                raise ValueError("surface offset must be positive and finite")
             separation = geometry.direct_distance_m
             half = separation / 2.0
             leg = np.sqrt(half * half + values * values)
@@ -564,8 +653,8 @@ class WirelessLink:
                 overrides["direct_rx_gain_dbi"] = (
                     config.rx_antenna.gain_dbi_towards(angle))
             return overrides
-        if np.any(values <= 0):
-            raise ValueError("Tx-Rx distance must be positive")
+        if not _positive_finite(values).all():
+            raise ValueError("Tx-Rx distance must be positive and finite")
         fraction = geometry.tx_to_surface_m / geometry.direct_distance_m
         if not (0.0 < fraction < 1.0):
             fraction = 0.5  # same fallback as _geometry_at_distance
@@ -584,6 +673,20 @@ class WirelessLink:
         voltage-independent direct and clutter fields are reused from
         the link's caches whenever no axis overrides a parameter they
         depend on.
+
+        Two paths, chosen by the broadcast shapes alone.  When the bias
+        arrays and the overrides span disjoint blocks of dimensions,
+        each side with more than one point, and no override is a
+        frequency or a receive orientation — a shared bias lattice
+        crossed with stations: the controller's ``(1, k)`` rows, the
+        world's ``(k, 1, 1) x (1, T, N)`` candidate cube, the TDMA
+        ``rssi_matrix`` — the pass is separable and
+        :meth:`_separable_power_dbm` evaluates it as one small matrix
+        product (see :func:`_separable_layout`).  Every other shape
+        (aligned per-point windows, frequency axes, bias-only or
+        single-station probes, links without a surface) contracts the
+        full field and projects it: the general path, and the parity
+        reference.  Both end in :meth:`_clamped_power_dbm`.
         """
         global _BUDGET_EVALUATIONS
         _BUDGET_EVALUATIONS += 1
@@ -596,12 +699,11 @@ class WirelessLink:
         rx_jones = params.get("rx_jones")
         tx_jones = params.get("tx_jones")
 
-        shapes = [vx.shape, vy.shape]
-        for key, value in params.items():
-            shapes.append(np.shape(value)[:-1] if key in ("rx_jones",
+        station_shapes = [np.shape(value)[:-1] if key in ("rx_jones",
                                                           "tx_jones")
-                          else np.shape(value))
-        shape = np.broadcast_shapes(*shapes)
+                          else np.shape(value)
+                          for key, value in params.items()]
+        shape = np.broadcast_shapes(vx.shape, vy.shape, *station_shapes)
 
         # Direct and clutter fields are voltage-independent: reuse the
         # cached scalars unless an axis overrides a parameter they
@@ -632,16 +734,85 @@ class WirelessLink:
                 frequency_hz=frequency, tx_power_dbm=tx_power,
                 direct_distance_m=direct_distance)
             clutter = np.asarray(reference)[..., None] * self._clutter_unit()
+        # The voltage-independent direct and clutter fields sum first,
+        # at their own (small) shape.
+        background = direct + clutter
+
+        config = self._configuration
+        layout = (_separable_layout(shape, (vx.shape, vy.shape),
+                                    station_shapes)
+                  if (params and frequency is None and rx_jones is None
+                      and config.metasurface is not None
+                      and config.deployment is not DeploymentMode.NONE)
+                  else None)
+        if layout is not None:
+            incident = self._incident_fields(
+                tx_power_dbm=tx_power, via_distance_m=via_distance,
+                tx_jones=tx_jones)
+            return self._separable_power_dbm(vx, vy, incident, background,
+                                             shape, *layout)
 
         surface = self._surface_fields_batch(
             vx, vy, frequency_hz=frequency, tx_power_dbm=tx_power,
             via_distance_m=via_distance, tx_jones=tx_jones)
-
-        # The voltage-independent direct and clutter fields sum first,
-        # at their own (small) shape; the surface field is the one
-        # full-size term, so the total costs a single full-size add.
-        fields = np.broadcast_to(surface + (direct + clutter), shape + (2,))
+        # The surface field is the one full-size term, so the total
+        # costs a single full-size add.
+        fields = np.broadcast_to(surface + background, shape + (2,))
         return self._project_power_dbm(fields, rx_jones=rx_jones)
+
+    def _separable_power_dbm(self, vx, vy, incident, background, shape,
+                             station, bias_first) -> np.ndarray:
+        """A bias lattice x stations pass as one small matrix product.
+
+        The received field is affine in the surface's Jones matrix,
+        ``E(s, k) = J(k)·i_s + h_s`` (``i_s`` the incident field of
+        :meth:`_incident_fields`, ``h_s`` the direct + clutter
+        background), and so is its projection onto any receive vector
+        ``b``: ``b^H E = (b^H J(k))·i_s + b^H h_s``.  The projections
+        onto the unit receive polarization ``r`` and onto its orthogonal
+        complement ``r⊥`` are the matched amplitude and, in quadrature
+        with it, the whole field: ``|E|² = |r^H E|² + |r⊥^H E|²``.  The
+        real and imaginary parts of both come out of one real matrix
+        product of eight station features ``[i_s, r^H h_s, r⊥^H h_s]``
+        (real and imaginary parts interleaved) with eight features per
+        lattice point and part; the ``(S, K, 2)`` field is never built,
+        and as both squared terms are non-negative a near-null field
+        (``J·i ≈ −h``) keeps the precision of the general path.
+        ``station`` and ``bias_first`` are the layout of
+        :func:`_separable_layout`; the product is laid out ``(K, S)`` or
+        ``(S, K)`` in the order the two blocks take in ``shape``, so the
+        result is a reshape of it.
+        """
+        rx = self._configuration.rx_antenna.jones
+        # Rows conj(r) and conj(r⊥), with r⊥ = (-conj(r_y), conj(r_x)).
+        basis = np.array([[rx.x.conjugate(), rx.y.conjugate()],
+                          [-rx.y, rx.x]], dtype=complex)
+        jones = self._surface_jones(vx, vy).reshape(-1, 2, 2)
+        # terms[0, j, k] = conj([basis_j · J(k), unit vector j]) and
+        # terms[1] = 1j·terms[0]: dotted with the interleaved station
+        # features, the float view of conj(t) gives Re(t·x) and that of
+        # 1j·conj(t) gives Im(t·x).
+        terms = np.zeros((2, 2, len(jones), 4), dtype=complex)
+        terms[0, ..., :2] = (basis[:, None, 0, None] * jones[:, 0] +
+                             basis[:, None, 1, None] * jones[:, 1])
+        terms[0, 0, :, 2] = terms[0, 1, :, 3] = 1.0
+        np.conj(terms[0], out=terms[0])
+        np.multiply(terms[0], 1j, out=terms[1])
+        lattice = terms.view(float)
+        features = np.empty(station + (4,), dtype=complex)
+        features[..., :2] = incident
+        features[..., 2:] = background @ basis.T
+        features = features.reshape(-1, 4).view(float)
+        # product[re/im, r/r⊥] is (K, S) or (S, K).
+        if bias_first:
+            product = lattice @ features.T
+        else:
+            product = features @ lattice.transpose(0, 1, 3, 2)
+        np.square(product, out=product)
+        matched = np.add(product[0, 0], product[1, 0], out=product[0, 0])
+        intensity = np.add(product[0, 1], product[1, 1], out=product[0, 1])
+        intensity += matched
+        return self._clamped_power_dbm(matched, intensity).reshape(shape)
 
     def evaluate_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Received power (dBm) at every operating point of a grid.

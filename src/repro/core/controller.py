@@ -431,7 +431,11 @@ class CentralizedController:
         lattice, so it travels as one shared ``(1, k²)`` row: the
         metasurface's Jones matrices depend only on (frequency, Vx, Vy),
         and the engine then computes them once per lattice point rather
-        than once per (grid point, lattice point) cell.
+        than once per (grid point, lattice point) cell.  Unless the grid
+        has a frequency or receive-orientation axis, that row against
+        the ``(n, 1)`` point axes is also the engine's separable layout:
+        the whole probe is one small lattice x points matrix product
+        (see :mod:`repro.channel.link`).
         """
         config = self.config
         levels = bias_lattice(step_v, config.min_voltage_v,

@@ -245,7 +245,11 @@ class WorldTimeline:
         probed in contiguous slices of the trace plane
         (:meth:`~repro.channel.grid.ProbeGrid.split`, about
         :data:`_CUBE_SLICE_CELLS` cube cells each), so peak memory
-        follows the slice size rather than the timeline length.  Every
+        follows the slice size rather than the timeline length.  Each
+        slice is a ``(k, 1, 1)`` candidate column against ``(1, t, N)``
+        trace planes, the engine's separable layout: one small
+        candidates x cells matrix product (see
+        :mod:`repro.channel.link`), with no per-cell field.  Every
         slice carries the whole candidate axis, so its reduction is
         already the final answer for its cells; the slices' ``(vx, vy,
         power_dbm)`` planes concatenate to ``(T, N)``.  Same lattice and

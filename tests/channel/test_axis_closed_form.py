@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.antenna import Antenna, circular_antenna, dipole_antenna
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
 from repro.core.polarization import elliptical_polarization
 from repro.experiments.scenarios import ReflectiveScenario, TransmissiveScenario
@@ -137,6 +138,37 @@ class TestDistanceAxis:
             with pytest.raises(ValueError) as vectorized:
                 link._axis_parameters("distance", values)
             assert str(vectorized.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+class TestNonFiniteAxes:
+    """NaN / infinite link parameters raise instead of yielding NaN powers.
+
+    The orientation axes are exempt: a NaN orientation is a tested
+    grouping semantic (``tests/network/test_orientation_groups.py``).
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distance(self, layout, bad):
+        link = LAYOUTS[layout]
+        with pytest.raises(ValueError, match="positive and finite") as scalar:
+            link._geometry_at_distance(bad)
+        with pytest.raises(ValueError) as grid:
+            link.evaluate_grid(ProbeGrid.product(distance=[bad, 1.0]))
+        assert str(grid.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_frequency(self, layout, bad):
+        with pytest.raises(ValueError,
+                           match="^frequencies must be positive and finite$"):
+            LAYOUTS[layout].evaluate_grid(
+                ProbeGrid.product(frequency=[2.44e9, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tx_power(self, layout, bad):
+        with pytest.raises(ValueError,
+                           match="^transmit powers must be finite$"):
+            LAYOUTS[layout].received_power_dbm_sweep("tx_power", [0.0, bad])
 
 
 @pytest.mark.parametrize("axis", ["tx_orientation", "rx_orientation"])

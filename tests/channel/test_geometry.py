@@ -56,6 +56,12 @@ class TestTransmissiveLayout:
         with pytest.raises(ValueError):
             LinkGeometry.transmissive(1.0, surface_fraction=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        with pytest.raises(ValueError,
+                           match="^Tx-Rx distance must be positive and finite$"):
+            LinkGeometry.transmissive(bad)
+
 
 class TestReflectiveLayout:
     def test_surface_off_to_the_side(self):
@@ -89,6 +95,18 @@ class TestReflectiveLayout:
             LinkGeometry.reflective(0.0, 0.42)
         with pytest.raises(ValueError):
             LinkGeometry.reflective(0.70, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_separation_rejected(self, bad):
+        with pytest.raises(ValueError,
+                           match="^Tx-Rx separation must be positive and finite$"):
+            LinkGeometry.reflective(bad, 0.42)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, bad):
+        with pytest.raises(ValueError,
+                           match="^surface offset must be positive and finite$"):
+            LinkGeometry.reflective(0.70, bad)
 
     def test_degenerate_geometry_rejected(self):
         geometry = LinkGeometry(Position(0, 0), Position(1, 0), Position(0, 0))

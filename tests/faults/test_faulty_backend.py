@@ -7,6 +7,7 @@ import pytest
 from repro.api.backend import LinkBackend
 from repro.api.session import LinkSession
 from repro.channel.grid import ProbeGrid
+from repro.channel.link import WirelessLink, probe_evaluations
 from repro.experiments.scenarios import TransmissiveScenario
 from repro.faults import (
     NO_FAULTS,
@@ -15,6 +16,8 @@ from repro.faults import (
     FaultyBackend,
     HealthMonitor,
     ProbeFaultError,
+    RetryingBackend,
+    RetryPolicy,
 )
 
 LEVELS = np.arange(0.0, 30.0 + 1.0, 6.0)
@@ -71,6 +74,57 @@ class TestZeroFaultParity:
         assert wrapped.schedule.trace.events == ()
         # The stream dictionary itself stays untouched (no draws at all).
         assert wrapped.schedule._streams == {}
+
+
+class TestDisabledInjectionTwin:
+    """The work-count twin of the disabled-injection overhead bench.
+
+    ``benchmarks/test_bench_faults.py`` times the full resilience stack
+    with injection disabled against the bare backend on a 61² bias
+    grid; here the same stack and probes are pinned by counts instead
+    of wall clock: no extra engine pass, no copy of the engine's result
+    array, and no draw from any fault stream.
+    """
+
+    LEVELS = np.arange(0.0, 30.0 + 0.25, 0.5)
+
+    @pytest.fixture()
+    def engine_results(self, monkeypatch):
+        """Every array the budget engine returns, in call order."""
+        results = []
+        budget = WirelessLink._budget_power_dbm
+
+        def spy(self, vx, vy, params):
+            results.append(budget(self, vx, vy, params))
+            return results[-1]
+
+        monkeypatch.setattr(WirelessLink, "_budget_power_dbm", spy)
+        return results
+
+    @pytest.mark.parametrize("protocol", ["measure_batch", "measure_grid"])
+    def test_no_extra_pass_copy_or_draw(self, link, engine_results,
+                                        protocol):
+        schedule = FaultSchedule(seed=0)
+        wrapped = RetryingBackend(FaultyBackend(LinkBackend(link), schedule),
+                                  RetryPolicy(), schedule=schedule)
+        bare = LinkBackend(link)
+        jitter = schedule.stream("retry.jitter").bit_generator.state
+        if protocol == "measure_batch":
+            args = np.meshgrid(self.LEVELS, self.LEVELS, indexing="ij")
+        else:
+            args = (ProbeGrid.product(vx=self.LEVELS, vy=self.LEVELS),)
+
+        before = probe_evaluations()
+        expected = getattr(bare, protocol)(*args)
+        middle = probe_evaluations()
+        actual = getattr(wrapped, protocol)(*args)
+        assert probe_evaluations() - middle == middle - before == 1
+        np.testing.assert_array_equal(actual, expected)
+        # The wrapped stack hands back the engine's own array.
+        assert actual is engine_results[-1]
+        assert schedule.trace.events == ()
+        assert list(schedule._streams) == ["retry.jitter"]
+        assert schedule.stream("retry.jitter").bit_generator.state == jitter
 
 
 class TestDataPlaneFaults:
