@@ -127,8 +127,8 @@ def _rssi_samples(configuration, sample_count: int, seed: int) -> Tuple[float, .
     """Collect noisy RSSI readings from a link configuration."""
     link = WirelessLink(configuration)
     receiver = SimulatedReceiver(link, seed=seed)
-    return tuple(receiver.measure_power_dbm(duration_s=0.002)
-                 for _ in range(sample_count))
+    return tuple(receiver.measure_power_dbm_series(
+        sample_count, duration_s=0.002).tolist())
 
 
 def _summary_fig02(payload, params) -> str:
@@ -1082,13 +1082,10 @@ def _device_pdf(with_config, without_config, sample_count: int,
     receiver_with = SimulatedReceiver(with_link, seed=seed)
     receiver_without = SimulatedReceiver(WirelessLink(without_config),
                                          seed=seed + 1)
-    with_samples = tuple(
-        receiver_with.measure_power_dbm(vx=best_vx, vy=best_vy,
-                                        duration_s=0.002)
-        for _ in range(sample_count))
-    without_samples = tuple(
-        receiver_without.measure_power_dbm(duration_s=0.002)
-        for _ in range(sample_count))
+    with_samples = tuple(receiver_with.measure_power_dbm_series(
+        sample_count, vx=best_vx, vy=best_vy, duration_s=0.002).tolist())
+    without_samples = tuple(receiver_without.measure_power_dbm_series(
+        sample_count, duration_s=0.002).tolist())
     return IoTDeviceResult(with_surface_rssi_dbm=with_samples,
                            without_surface_rssi_dbm=without_samples,
                            optimal_bias_v=(best_vx, best_vy))

@@ -107,6 +107,34 @@ class BasebandSignal:
                               self.sample_rate_hz)
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``0 < value < inf``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _sample_count(frequency_hz: float, sample_rate_hz: float,
+                  duration_s: float) -> int:
+    """Samples in a tone capture, after checking the capture is valid.
+
+    Every path that sizes a capture (:func:`cosine_tone` and the
+    receiver's scalar, series and sweep captures) validates through
+    here, so they all reject the same inputs with the same errors.
+    """
+    _check_positive_finite("tone frequency", frequency_hz)
+    _check_positive_finite("sample rate", sample_rate_hz)
+    _check_positive_finite("duration", duration_s)
+    # The signal is complex baseband, so the unambiguous band is
+    # [-fs/2, +fs/2]; the paper's 500 kHz tone at 1 MS/s sits exactly on
+    # that edge and is still representable.
+    if frequency_hz > sample_rate_hz / 2.0:
+        raise ValueError("tone frequency must respect the Nyquist limit")
+    count = int(round(duration_s * sample_rate_hz))
+    if count == 0:
+        raise ValueError("duration must span at least one sample")
+    return count
+
+
 def cosine_tone(frequency_hz: float = 500e3,
                 sample_rate_hz: float = 1e6,
                 duration_s: float = 0.01,
@@ -117,14 +145,7 @@ def cosine_tone(frequency_hz: float = 500e3,
     Parameters mirror the experimental setup of Sec. 4: a 500 kHz tone
     observed at a 1 MHz sampling rate.
     """
-    if frequency_hz <= 0 or sample_rate_hz <= 0 or duration_s <= 0:
-        raise ValueError("frequency, sample rate and duration must be positive")
-    # The signal is complex baseband, so the unambiguous band is
-    # [-fs/2, +fs/2]; the paper's 500 kHz tone at 1 MS/s sits exactly on
-    # that edge and is still representable.
-    if frequency_hz > sample_rate_hz / 2.0:
-        raise ValueError("tone frequency must respect the Nyquist limit")
-    count = int(round(duration_s * sample_rate_hz))
+    count = _sample_count(frequency_hz, sample_rate_hz, duration_s)
     timestamps = np.arange(count) / sample_rate_hz
     amplitude = math.sqrt(float(dbm_to_milliwatts(power_dbm)))
     samples = amplitude * np.exp(

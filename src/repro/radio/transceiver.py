@@ -17,8 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.link import WirelessLink
-from repro.radio.signal import BasebandSignal, cosine_tone
+from repro.radio.signal import (
+    BasebandSignal,
+    _check_positive_finite,
+    _sample_count,
+    cosine_tone,
+)
 from repro.units import db_to_amplitude, dbm_to_milliwatts, milliwatts_to_dbm
+
+# Captures whose noise one generator call draws in a power series.  The
+# series is fast because it hoists the budget pass and the clean tone;
+# wider blocks only raise peak memory.
+_NOISE_BLOCK = 4
+# The paper's baseband tone (Sec. 4), which power reports sample.
+_TONE_FREQUENCY_HZ = 500e3
 
 
 @dataclass(frozen=True)
@@ -40,8 +52,8 @@ class SimulatedTransmitter:
     sample_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.tone_frequency_hz <= 0 or self.sample_rate_hz <= 0:
-            raise ValueError("tone frequency and sample rate must be positive")
+        _check_positive_finite("tone frequency", self.tone_frequency_hz)
+        _check_positive_finite("sample rate", self.sample_rate_hz)
 
     def transmit(self, duration_s: float = 0.01) -> BasebandSignal:
         """Generate the transmitted baseband waveform."""
@@ -69,6 +81,14 @@ class ReceivedCapture:
 class SimulatedReceiver:
     """A sampling receiver attached to a :class:`WirelessLink`.
 
+    Every power report comes from one sampling kernel,
+    :meth:`measure_power_dbm_series`: one budget pass and one clean tone
+    per series, then noise drawn from the receiver's generator capture
+    by capture.  The series is bit-identical to a loop of per-capture
+    reports and leaves the generator in the same state, so
+    :meth:`measure_power_dbm` (its one-capture view) and
+    :meth:`measure_average_dbm` (its chunk average) replay exactly.
+
     Parameters
     ----------
     link:
@@ -82,8 +102,7 @@ class SimulatedReceiver:
 
     def __init__(self, link: WirelessLink, sample_rate_hz: float = 1e6,
                  seed: int = 7):
-        if sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
+        _check_positive_finite("sample rate", sample_rate_hz)
         self.link = link
         self.sample_rate_hz = sample_rate_hz
         self._rng = np.random.default_rng(seed)
@@ -91,9 +110,12 @@ class SimulatedReceiver:
     def capture(self, duration_s: float = 0.01, vx: float = 0.0,
                 vy: float = 0.0,
                 tone_frequency_hz: float = 500e3) -> ReceivedCapture:
-        """Capture a noisy sample stream at one bias operating point."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        """Capture a noisy sample stream at one bias operating point.
+
+        The signal-level view of one capture; power reports come from
+        :meth:`measure_power_dbm_series`, which draws the same noise.
+        """
+        _sample_count(tone_frequency_hz, self.sample_rate_hz, duration_s)
         true_power_dbm = self.link.received_power_dbm(vx, vy)
         noise_power_dbm = self.link.noise_power_dbm()
         clean = cosine_tone(frequency_hz=tone_frequency_hz,
@@ -110,8 +132,45 @@ class SimulatedReceiver:
 
     def measure_power_dbm(self, vx: float = 0.0, vy: float = 0.0,
                           duration_s: float = 0.005) -> float:
-        """One averaged power report, as the controller consumes them."""
-        return self.capture(duration_s=duration_s, vx=vx, vy=vy).mean_power_dbm
+        """One averaged power report, as the controller consumes them.
+
+        The one-capture view of :meth:`measure_power_dbm_series`.
+        """
+        return float(self.measure_power_dbm_series(1, vx=vx, vy=vy,
+                                                   duration_s=duration_s)[0])
+
+    def measure_power_dbm_series(self, count: int, vx: float = 0.0,
+                                 vy: float = 0.0,
+                                 duration_s: float = 0.005) -> np.ndarray:
+        """``count`` successive power reports at one bias operating point.
+
+        Returns a ``(count,)`` array bit-identical to ``count`` successive
+        :meth:`measure_power_dbm` calls on this receiver, and leaves the
+        generator in the state those calls would.  The series runs one
+        budget pass and builds one clean tone; each capture then draws
+        its real and then its imaginary noise samples, as the
+        per-capture loop does, a few captures per generator call.
+        """
+        if count < 0:
+            raise ValueError("capture count must be non-negative")
+        length = _sample_count(_TONE_FREQUENCY_HZ, self.sample_rate_hz,
+                               duration_s)
+        if count == 0:
+            return np.empty(0)
+        clean = cosine_tone(frequency_hz=_TONE_FREQUENCY_HZ,
+                            sample_rate_hz=self.sample_rate_hz,
+                            duration_s=duration_s,
+                            power_dbm=self.link.received_power_dbm(vx, vy))
+        noise_mw = float(dbm_to_milliwatts(self.link.noise_power_dbm()))
+        scale = math.sqrt(noise_mw / 2.0)
+        powers_mw = np.empty(count)
+        for start in range(0, count, _NOISE_BLOCK):
+            block = min(_NOISE_BLOCK, count - start)
+            noise = self._rng.normal(0.0, scale, (block, 2, length))
+            noisy = clean.samples + (noise[:, 0] + 1j * noise[:, 1])
+            powers_mw[start:start + block] = np.mean(np.abs(noisy) ** 2,
+                                                     axis=-1)
+        return milliwatts_to_dbm(powers_mw)
 
     def measure_power_dbm_sweep(self, axis: str, values, vx=0.0, vy=0.0,
                                 duration_s: float = 0.005,
@@ -134,8 +193,8 @@ class SimulatedReceiver:
         so only three reductions per probe column are needed regardless
         of how many axis points share it.
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        count = _sample_count(tone_frequency_hz, self.sample_rate_hz,
+                              duration_s)
         raw = np.asarray(
             self.link.received_power_dbm_sweep(axis, values, vx=vx, vy=vy),
             dtype=float)
@@ -144,9 +203,9 @@ class SimulatedReceiver:
                              "(axis points, probes)")
         true_powers = raw.reshape(-1, 1) if raw.ndim <= 1 else raw
         noise_power_dbm = self.link.noise_power_dbm()
-        count = int(round(duration_s * self.sample_rate_hz))
-        timestamps = np.arange(count) / self.sample_rate_hz
-        tone = np.exp(1j * (2.0 * math.pi * tone_frequency_hz * timestamps))
+        tone = cosine_tone(frequency_hz=tone_frequency_hz,
+                           sample_rate_hz=self.sample_rate_hz,
+                           duration_s=duration_s).samples
         tone_power = np.mean(np.abs(tone) ** 2)
         noise_mw = float(dbm_to_milliwatts(noise_power_dbm))
         scale = math.sqrt(noise_mw / 2.0)
@@ -170,19 +229,17 @@ class SimulatedReceiver:
         simulating 30 M samples directly would be wasteful, so the window
         is split into chunks and the chunk powers are averaged in the
         linear domain, which is statistically equivalent for a
-        stationary link.
+        stationary link.  The chunks are one
+        :meth:`measure_power_dbm_series`, so one budget pass.
         """
-        if seconds <= 0 or chunk_s <= 0:
-            raise ValueError("durations must be positive")
-        chunk_count = max(1, int(round(seconds / chunk_s)))
+        _check_positive_finite("averaging window", seconds)
+        _check_positive_finite("chunk duration", chunk_s)
         # Cap the simulated chunks; beyond a few dozen the average has
         # converged far below the 0.1 dB reporting resolution.
-        chunk_count = min(chunk_count, 50)
-        powers_mw = []
-        for _ in range(chunk_count):
-            capture = self.capture(duration_s=chunk_s, vx=vx, vy=vy)
-            powers_mw.append(float(dbm_to_milliwatts(capture.mean_power_dbm)))
-        return float(milliwatts_to_dbm(np.mean(powers_mw)))
+        chunk_count = max(1, int(round(min(seconds / chunk_s, 50))))
+        chunk_dbm = self.measure_power_dbm_series(chunk_count, vx=vx, vy=vy,
+                                                  duration_s=chunk_s)
+        return float(milliwatts_to_dbm(np.mean(dbm_to_milliwatts(chunk_dbm))))
 
 
 __all__ = ["SimulatedTransmitter", "SimulatedReceiver", "ReceivedCapture"]
