@@ -21,6 +21,7 @@ from bench_utils import (
     timed,
 )
 from repro.api.backend import CallableBackend, ReceiverSweepBackend
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
 from repro.core.controller import CentralizedController, VoltageSweepConfig
 from repro.experiments.figures import LAB_INTERFERENCE_FLOOR_DBM
@@ -83,15 +84,15 @@ def run_fig18_txpower_sweep():
         return best
 
     def vectorized():
-        # One link, one receiver, one multi-axis search.
+        # One link, one receiver, one one-axis grid search.
         link = WirelessLink(configuration)
         from repro.radio.transceiver import SimulatedReceiver
         receiver = SimulatedReceiver(link, seed=5)
-        sweep = _controller().coarse_to_fine_sweep_multi(
+        sweep = _controller().coarse_to_fine_sweep_grid(
             ReceiverSweepBackend(receiver, duration_s=0.0002),
-            "tx_power", tx_powers_dbm)
-        return link.received_power_dbm_sweep(
-            "tx_power", tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy)
+            ProbeGrid.product(tx_power=tx_powers_dbm))
+        return link.evaluate(ProbeGrid.aligned(
+            tx_power=tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy))
 
     scalar_best, scalar_s = timed(scalar_reference)
     vector_best, vector_s = timed(vectorized)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Tour of the batched measurement-plane API (repro.api).
 
-Demonstrates the pieces the API redesign and the multi-axis sweep
-engine introduced:
+Demonstrates the pieces the API redesign and the N-D grid engine
+introduced:
 
 1. :class:`ScenarioBuilder` — a new workload is one chained expression,
 2. :class:`LinkSession` — the facade owning the link / rotator / supply
@@ -10,9 +10,9 @@ engine introduced:
 3. :class:`MeasurementBackend` — the pluggable data plane: the same
    controller runs against the vectorized simulation backend or any
    legacy scalar callable wrapped in :class:`CallableBackend`,
-4. ``measure_sweep`` / ``optimize_sweep`` — whole link-parameter axes
+4. ``measure_grid`` / ``optimize_grid`` — whole link-parameter axes
    (frequency, tx power, distance, rx orientation) evaluated and
-   optimized in single vectorized passes.
+   optimized in single vectorized passes over a :class:`ProbeGrid`.
 
 Run with::
 
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.api import CallableBackend, LinkBackend, ScenarioBuilder
+from repro.api import CallableBackend, LinkBackend, ProbeGrid, ScenarioBuilder
 from repro.core.controller import CentralizedController, VoltageSweepConfig
 
 
@@ -73,13 +73,14 @@ def main() -> None:
     print("Backend substitution   : vectorized and wrapped-callable agree -> "
           f"{fast.best_power_dbm:.3f} dBm vs {legacy.best_power_dbm:.3f} dBm")
 
-    # 4. Multi-axis sweep engine: a whole frequency axis in one call —
-    #    the Fig. 17 experiment is a single vectorized search instead of
-    #    a per-frequency rebuild-and-optimize loop.
+    # 4. Grid engine: a whole frequency axis in one call — the Fig. 17
+    #    experiment is a single vectorized search instead of a
+    #    per-frequency rebuild-and-optimize loop.
     frequencies = np.arange(2.40e9, 2.501e9, 0.01e9)
+    grid = ProbeGrid.product(frequency=frequencies)
     start = time.perf_counter()
-    sweep = session.optimize_sweep("frequency", frequencies)
-    baseline = session.baseline().measure_sweep("frequency", frequencies)
+    sweep = session.optimize_grid(grid)
+    baseline = session.baseline().measure_grid(grid)
     sweep_s = time.perf_counter() - start
     worst = np.min(sweep.best_power_dbm - baseline)
     print(f"Frequency sweep        : {frequencies.size} points in "

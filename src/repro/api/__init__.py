@@ -3,14 +3,14 @@
 This package is the public face of the reproduction's measurement
 plane.  It separates *what is probed* (a
 :class:`~repro.api.backend.MeasurementBackend` answering scalar,
-batched, single-axis or N-D grid queries) from *what orchestrates the
+batched or N-D grid queries) from *what orchestrates the
 probing* (controllers, estimators, schedulers and figure runners), so
 sweeps are vectorized end to end and backends — simulation, noisy
 receivers, recorded traces, hardware — are substitutable.
 
-* :class:`MeasurementBackend`, :class:`SweepMeasurementBackend`,
-  :class:`GridMeasurementBackend` — the backend protocols, from scalar
-  bias probes up to whole N-D probe grids.
+* :class:`MeasurementBackend`, :class:`GridMeasurementBackend` — the
+  backend protocols, from scalar bias probes up to whole N-D probe
+  grids.
 * :class:`LinkBackend`, :class:`CallableBackend`,
   :class:`ReceiverSweepBackend` — the stock implementations.
 * :class:`ProbeGrid` (re-exported from :mod:`repro.channel.grid`) — the
@@ -49,7 +49,6 @@ from repro.api.backend import (
     OrientationMeasureCallback,
     OrientationMeasurementBackend,
     ReceiverSweepBackend,
-    SweepMeasurementBackend,
     as_backend,
     as_orientation_backend,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "MeasurementBackend",
     "LinkBackend",
     "CallableBackend",
-    "SweepMeasurementBackend",
     "GridMeasurementBackend",
     "ReceiverSweepBackend",
     "GRID_AXES",

@@ -9,8 +9,13 @@ replaces the callback with a small, well-typed protocol:
 
 * :class:`MeasurementBackend` — the protocol: ``measure`` for one probe
   and ``measure_batch`` for whole NumPy bias grids;
+* :class:`GridMeasurementBackend` — ``measure_grid`` for whole
+  :class:`~repro.channel.grid.ProbeGrid` probes, the one protocol for
+  link-parameter axes (frequency, transmit power, distance, ...);
 * :class:`LinkBackend` — the simulation backend, delegating to the
-  vectorized :meth:`repro.channel.link.WirelessLink.received_power_dbm_batch`;
+  vectorized :meth:`repro.channel.link.WirelessLink.evaluate` engine;
+* :class:`ReceiverSweepBackend` — a noisy sampling receiver behind
+  ``measure_grid``, for the capacity experiments;
 * :class:`CallableBackend` — adapts any legacy scalar callable (noisy
   receivers, recorded traces, real hardware) to the protocol, looping
   for batches so orchestration code only ever talks batch;
@@ -32,6 +37,7 @@ import numpy as np
 
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
+from repro.radio.signal import _sample_count
 
 #: Legacy scalar measurement callback signature.
 MeasureCallback = Callable[[float, float], float]
@@ -59,31 +65,14 @@ class MeasurementBackend(Protocol):
 
 
 @runtime_checkable
-class SweepMeasurementBackend(Protocol):
-    """A measurement plane that can probe a whole link-parameter axis.
-
-    ``measure_sweep(axis, values, vx, vy)`` reports received power for
-    every (axis value, bias pair) operating point in one call; axis
-    values and voltage arrays broadcast element-wise (the multi-axis
-    controller passes ``(n, 1)`` values against ``(n, k)`` per-point
-    voltage grids).  Axes are the :data:`repro.channel.link.SWEEP_AXES`.
-    """
-
-    def measure_sweep(self, axis: str, values, vx, vy) -> np.ndarray:
-        """Received power (dBm) over a sweep-axis/bias-grid batch."""
-        ...
-
-
-@runtime_checkable
 class GridMeasurementBackend(Protocol):
     """A measurement plane that can probe a whole N-D probe grid.
 
     ``measure_grid(grid)`` reports received power at every operating
     point of a :class:`~repro.channel.grid.ProbeGrid` — bias voltages
     plus any subset of :data:`repro.channel.grid.SWEEP_AXES` — in one
-    call, returning an array of ``grid.shape``.  This is the richest
-    probe the grid-native controller dispatches to; backends that only
-    implement ``measure_sweep`` still serve single-axis search grids.
+    call, returning an array of ``grid.shape``.  This is the one probe
+    the grid-native controller issues for link-parameter axes.
     """
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
@@ -96,9 +85,9 @@ class LinkBackend:
 
     This is the noiseless, vectorized data plane every deterministic
     sweep and figure runner uses.  Batched probes evaluate the full link
-    budget over the whole grid in one NumPy pass; ``measure_sweep``
-    additionally vectorizes a frequency / tx-power / distance /
-    rx-orientation axis alongside the bias grid.
+    budget over the whole grid in one NumPy pass; ``measure_grid``
+    additionally vectorizes any link-parameter axes (frequency,
+    tx-power, distance, orientations) alongside the bias grid.
     """
 
     def __init__(self, link: WirelessLink):
@@ -111,10 +100,6 @@ class LinkBackend:
     def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Received power (dBm) over whole bias grids in one pass."""
         return self.link.received_power_dbm_batch(vx, vy)
-
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """Received power (dBm) over a whole link-parameter axis at once."""
-        return self.link.received_power_dbm_sweep(axis, values, vx=vx, vy=vy)
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Received power (dBm) over a whole N-D probe grid at once."""
@@ -151,30 +136,30 @@ class CallableBackend:
 
 
 class ReceiverSweepBackend:
-    """Sweep-axis measurement plane over a noisy sampling receiver.
+    """Probe-grid measurement plane over a noisy sampling receiver.
 
     Adapts a :class:`repro.radio.transceiver.SimulatedReceiver` to the
-    :class:`SweepMeasurementBackend` protocol for the capacity
+    :class:`GridMeasurementBackend` protocol for the capacity
     experiments of Figs. 18-19, where the controller must see *noisy*
     power reports.  Probes are issued through the receiver's batched
-    :meth:`measure_power_dbm_sweep`, which draws one noise realisation
+    :meth:`measure_power_dbm_grid`, which draws one noise realisation
     per probe column and shares it across axis points — reproducing, to
     floating-point round-off, the reports a Python loop of identically
-    seeded per-point receivers would have produced.
+    seeded per-point receivers would have produced.  The capture
+    parameters are validated on construction.
     """
 
     def __init__(self, receiver, duration_s: float = 0.005,
                  tone_frequency_hz: float = 500e3):
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        _sample_count(tone_frequency_hz, receiver.sample_rate_hz, duration_s)
         self.receiver = receiver
         self.duration_s = duration_s
         self.tone_frequency_hz = tone_frequency_hz
 
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """Noisy received-power reports over a sweep-axis/bias batch."""
-        return self.receiver.measure_power_dbm_sweep(
-            axis, values, vx=vx, vy=vy, duration_s=self.duration_s,
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Noisy received-power reports over an (axis points, probes) grid."""
+        return self.receiver.measure_power_dbm_grid(
+            grid, duration_s=self.duration_s,
             tone_frequency_hz=self.tone_frequency_hz)
 
 
@@ -302,7 +287,6 @@ __all__ = [
     "MeasureCallback",
     "OrientationMeasureCallback",
     "MeasurementBackend",
-    "SweepMeasurementBackend",
     "GridMeasurementBackend",
     "LinkBackend",
     "CallableBackend",

@@ -29,10 +29,10 @@ budget itself exists exactly once, in the N-D grid engine behind
 :class:`~repro.channel.grid.ProbeGrid` over bias voltages and any
 subset of :data:`~repro.channel.grid.SWEEP_AXES` and the whole product
 grid evaluates in a single vectorized pass.  The historical entry
-points — scalar :meth:`WirelessLink.received_power_dbm`, the bias-grid
-:meth:`WirelessLink.received_power_dbm_batch` and the single-axis
-:meth:`WirelessLink.received_power_dbm_sweep` — are thin views over
-that engine, pinned to it within 1e-9 dB by the parity suites.
+points — scalar :meth:`WirelessLink.received_power_dbm` and the
+bias-grid :meth:`WirelessLink.received_power_dbm_batch` — are thin
+views over that engine, pinned to it within 1e-9 dB by the parity
+suites; link-parameter axes are probed only through a grid.
 
 The engine picks one of two paths from the broadcast shapes alone.  A
 shared bias lattice crossed with stations — bias arrays and per-station
@@ -864,41 +864,6 @@ class WirelessLink:
         measurement API (:mod:`repro.api`) is built on.
         """
         return self._budget_power_dbm(vx, vy, {})
-
-    def received_power_dbm_sweep(self, axis: str, values, vx=0.0,
-                                 vy=0.0) -> np.ndarray:
-        """Received power (dBm) along a whole link-parameter axis at once.
-
-        Single-axis view of the grid engine (for joint axes, build a
-        :class:`~repro.channel.grid.ProbeGrid` and call
-        :meth:`evaluate`).
-
-        Parameters
-        ----------
-        axis:
-            One of ``"frequency"`` (carrier, Hz), ``"tx_power"``
-            (transmit power, dBm), ``"distance"`` (Tx-Rx distance for
-            transmissive/no-surface layouts, surface offset for
-            aimed-at-surface layouts, metres), ``"rx_orientation"``
-            (receive-antenna rotation, degrees) or ``"tx_orientation"``
-            (transmit-antenna rotation, degrees — the per-station
-            polarization axis of fleet deployments).
-        values:
-            Axis values; any array shape.
-        vx, vy:
-            Bias voltages, broadcast element-wise against ``values``
-            (e.g. ``values`` shaped ``(n, 1)`` against per-point voltage
-            grids shaped ``(n, k)`` evaluates ``n`` axis points times
-            ``k`` probes in one pass).
-
-        Matches the scalar path — a fresh link per point via
-        ``dataclasses.replace`` of the axis parameter — to floating-
-        point round-off, while computing the voltage-independent direct
-        and clutter fields once for the entire sweep.
-        """
-        values = np.asarray(values, dtype=float)
-        return self._budget_power_dbm(vx, vy,
-                                      self._axis_parameters(axis, values))
 
     def noise_power_dbm(self) -> float:
         """Receiver noise-plus-interference floor for the configured bandwidth."""

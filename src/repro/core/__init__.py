@@ -24,7 +24,6 @@ from repro.core.rotator import ProgrammableRotator, RotatorConfig
 from repro.core.controller import (
     CentralizedController,
     GridSweepResult,
-    MultiAxisSweepResult,
     SweepResult,
     VoltageSweepConfig,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "RotatorConfig",
     "CentralizedController",
     "GridSweepResult",
-    "MultiAxisSweepResult",
     "SweepResult",
     "VoltageSweepConfig",
     "SampleVoltageSynchronizer",

@@ -14,7 +14,11 @@ the world through a :class:`repro.api.MeasurementBackend`, issuing one
 *batched* probe per grid (``full_sweep``) or per refinement iteration
 (``coarse_to_fine_sweep``).  The simulation backend evaluates whole
 bias grids in a single vectorized pass of the link budget; hardware or
-recorded-trace backends can answer element by element.
+recorded-trace backends can answer element by element.  The
+grid-native searches (``optimize_grid``) run the same search at every
+cell of a :class:`~repro.channel.grid.ProbeGrid` over link-parameter
+axes at once; they probe through the backend's ``measure_grid``, the
+one protocol for link-parameter axes.
 
 Legacy scalar ``measure(vx, vy) -> power_dbm`` callables are still
 accepted everywhere a backend is, but are deprecated: they are wrapped
@@ -146,53 +150,16 @@ class VoltageSweepConfig:
 
 
 @dataclass(frozen=True)
-class MultiAxisSweepResult:
-    """Outcome of a bias-voltage search run at every point of a sweep axis.
-
-    The vectorized counterpart of running :class:`SweepResult`-producing
-    searches in a Python loop over a link-parameter axis: element ``i``
-    of every array is exactly what the scalar search at axis value
-    ``values[i]`` would have found (same grids, same first-maximum and
-    NaN semantics), but all points are probed together in one batched
-    ``measure_sweep`` call per iteration.
-    """
-
-    axis: str
-    values: np.ndarray
-    best_vx: np.ndarray
-    best_vy: np.ndarray
-    best_power_dbm: np.ndarray
-    probe_count_per_point: int
-    duration_s_per_point: float
-    strategy: str
-
-    def __post_init__(self) -> None:
-        for name in ("values", "best_vx", "best_vy", "best_power_dbm"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-
-    @property
-    def point_count(self) -> int:
-        """Number of axis points optimized."""
-        return int(self.values.size)
-
-    def __iter__(self):
-        """Iterate ``(value, best_vx, best_vy, best_power_dbm)`` rows."""
-        return iter(zip(self.values.tolist(), self.best_vx.tolist(),
-                        self.best_vy.tolist(), self.best_power_dbm.tolist()))
-
-
-@dataclass(frozen=True)
 class GridSweepResult:
     """Outcome of a bias-voltage search run at every point of a probe grid.
 
-    The N-D generalisation of :class:`MultiAxisSweepResult`: ``grid`` is
-    a :class:`~repro.channel.grid.ProbeGrid` over link-parameter axes
-    (the controller owns the voltage axes) and every result array has
-    ``grid.shape`` — cell ``index`` holds exactly what the scalar search
-    on a link rebuilt at that cell's axis values would have found (same
-    voltage grids, same first-maximum and NaN semantics), with all cells
-    probed together in one batched call per refinement iteration.
+    ``grid`` is a :class:`~repro.channel.grid.ProbeGrid` over
+    link-parameter axes (the controller owns the voltage axes) and every
+    result array has ``grid.shape`` — cell ``index`` holds exactly what
+    the scalar search on a link rebuilt at that cell's axis values would
+    have found (same voltage grids, same first-maximum and NaN
+    semantics), with all cells probed together in one batched call per
+    refinement iteration.
     """
 
     grid: ProbeGrid
@@ -377,14 +344,12 @@ class CentralizedController:
         vx-major voltage grids, ``(n, k)`` (one row per point) or one
         ``(1, k)`` row shared by every point.  ``measure_grid`` backends
         get a shared row as is, so the engine evaluates the metasurface
-        once per bias pair; the ``measure_sweep`` / ``measure_batch``
-        fallbacks and the selection see it broadcast to ``(n, k)``, in
-        the same probe order as per-point rows.  Dispatches to the
-        richest probe the backend offers — ``measure_grid`` (any axes),
-        ``measure_sweep`` (single axis, e.g. the noisy receiver backend)
-        or ``measure_batch`` (no link-parameter axes) — and returns the
-        per-point first-maximum ``(power, vx, vy)`` arrays with NaN
-        probes treated as ``-inf``, matching the scalar
+        once per bias pair; the ``measure_batch`` fallback and the
+        selection see it broadcast to ``(n, k)``, in the same probe
+        order as per-point rows.  Probes through ``measure_grid`` (any
+        axes) or, without link-parameter axes, ``measure_batch``, and
+        returns the per-point first-maximum ``(power, vx, vy)`` arrays
+        with NaN probes treated as ``-inf``, matching the scalar
         :meth:`_probe_grid` semantics row by row.
         """
         policy = self.probe_policy
@@ -399,17 +364,13 @@ class CentralizedController:
                 **{name: values[:, None]
                    for name, values in point_values.items()})
             powers = policy.measure(backend.measure_grid, probe)
-        elif len(point_values) == 1 and hasattr(backend, "measure_sweep"):
-            (axis, values), = point_values.items()
-            powers = policy.measure(backend.measure_sweep, axis,
-                                    values.reshape(-1, 1), full_vx, full_vy)
         elif not point_values and hasattr(backend, "measure_batch"):
             powers = policy.measure(backend.measure_batch, full_vx, full_vy)
         else:
             raise TypeError(
                 "backend cannot probe this grid: it must provide "
-                "measure_grid (any axes), measure_sweep (exactly one "
-                "axis) or measure_batch (no link-parameter axes)")
+                "measure_grid (any axes) or measure_batch (no "
+                "link-parameter axes)")
         powers = np.asarray(powers, dtype=float)
         if powers.shape != shape:
             raise ValueError(
@@ -514,61 +475,14 @@ class CentralizedController:
                       step_v: float = 1.0) -> GridSweepResult:
         """Run the configured search at every point of a probe grid.
 
-        The N-D generalisation of :meth:`optimize` /
-        :meth:`optimize_multi`: ``grid`` names any subset of
-        :data:`repro.channel.grid.SWEEP_AXES` (a 0-d grid reduces to a
-        single scalar search) and the backend is probed once per
-        refinement iteration for the entire grid.
+        The N-D generalisation of :meth:`optimize`: ``grid`` names any
+        subset of :data:`repro.channel.grid.SWEEP_AXES` (a 0-d grid
+        reduces to a single scalar search) and the backend is probed
+        once per refinement iteration for the entire grid.
         """
         if exhaustive:
             return self.full_sweep_grid(backend, grid, step_v=step_v)
         return self.coarse_to_fine_sweep_grid(backend, grid)
-
-    # ------------------------------------------------------------------ #
-    # Single-axis wrappers over the grid-native searches
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _as_multi_result(result: GridSweepResult, axis: str,
-                         values: np.ndarray) -> MultiAxisSweepResult:
-        """Flatten a one-axis grid result to the legacy multi shape."""
-        return MultiAxisSweepResult(
-            axis=axis, values=values, best_vx=result.best_vx.ravel(),
-            best_vy=result.best_vy.ravel(),
-            best_power_dbm=result.best_power_dbm.ravel(),
-            probe_count_per_point=result.probe_count_per_point,
-            duration_s_per_point=result.duration_s_per_point,
-            strategy=result.strategy)
-
-    def full_sweep_multi(self, backend, axis: str, values,
-                         step_v: float = 1.0) -> MultiAxisSweepResult:
-        """Exhaustive scan at every point of one sweep axis at once.
-
-        Wrapper over :meth:`full_sweep_grid` with a one-axis grid.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        result = self.full_sweep_grid(
-            backend, ProbeGrid.product(**{axis: values}), step_v=step_v)
-        return self._as_multi_result(result, axis, values)
-
-    def coarse_to_fine_sweep_multi(self, backend, axis: str,
-                                   values) -> MultiAxisSweepResult:
-        """Paper Algorithm 1 at every point of one sweep axis at once.
-
-        Wrapper over :meth:`coarse_to_fine_sweep_grid` with a one-axis
-        grid.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        result = self.coarse_to_fine_sweep_grid(
-            backend, ProbeGrid.product(**{axis: values}))
-        return self._as_multi_result(result, axis, values)
-
-    def optimize_multi(self, backend, axis: str, values,
-                       exhaustive: bool = False,
-                       step_v: float = 1.0) -> MultiAxisSweepResult:
-        """Run the configured search strategy over a whole sweep axis."""
-        if exhaustive:
-            return self.full_sweep_multi(backend, axis, values, step_v=step_v)
-        return self.coarse_to_fine_sweep_multi(backend, axis, values)
 
     # ------------------------------------------------------------------ #
     # Convenience
@@ -589,10 +503,9 @@ class CentralizedController:
         its 31 levels; the exhaustive 2-D grid is far slower, which is
         exactly why Algorithm 1 exists.
         """
-        if step_v <= 0:
-            raise ValueError("step must be positive")
         config = self.config
-        levels = int((config.max_voltage_v - config.min_voltage_v) / step_v) + 1
+        levels = bias_lattice(step_v, config.min_voltage_v,
+                              config.max_voltage_v).size
         return levels ** 2 * config.switch_interval_s
 
 
@@ -603,7 +516,6 @@ __all__ = [
     "vectorized_grid_max",
     "VoltageSweepConfig",
     "GridSweepResult",
-    "MultiAxisSweepResult",
     "SweepSample",
     "SweepResult",
     "CentralizedController",

@@ -559,7 +559,7 @@ def _run_fig12(distance_m: float) -> RotationEstimationResult:
     orientations = np.arange(0.0, 91.0, 15.0)
     baseline = WirelessLink(scenario.configuration().without_surface())
     powers = dbm_to_milliwatts(
-        baseline.received_power_dbm_sweep("rx_orientation", orientations))
+        baseline.evaluate(ProbeGrid.aligned(rx_orientation=orientations)))
     slope = np.polyfit(orientations, powers, 1)[0]
     return RotationEstimationResult(
         reference_orientation_deg=estimate.reference_orientation_deg,
@@ -939,13 +939,13 @@ def _capacity_vs_power(antenna_kind: str, absorber: bool,
     receiver = SimulatedReceiver(link, seed=seed)
     controller = CentralizedController(
         VoltageSweepConfig(iterations=2, switches_per_axis=5))
-    sweep = controller.coarse_to_fine_sweep_multi(
+    sweep = controller.coarse_to_fine_sweep_grid(
         ReceiverSweepBackend(receiver, duration_s=0.0002),
-        "tx_power", tx_powers_dbm)
-    achieved_powers = link.received_power_dbm_sweep(
-        "tx_power", tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy)
-    baseline_powers = baseline_link.received_power_dbm_sweep(
-        "tx_power", tx_powers_dbm)
+        ProbeGrid.product(tx_power=tx_powers_dbm))
+    achieved_powers = link.evaluate(ProbeGrid.aligned(
+        tx_power=tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy))
+    baseline_powers = baseline_link.evaluate(
+        ProbeGrid.aligned(tx_power=tx_powers_dbm))
     efficiency_with = spectral_efficiency_from_powers(achieved_powers, noise)
     efficiency_without = spectral_efficiency_from_powers(baseline_powers,
                                                          noise)

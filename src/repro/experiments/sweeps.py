@@ -5,7 +5,7 @@ parameters with received power (or capacity) recorded with and without
 the metasurface.  These helpers implement those loops once so the
 per-figure runners stay declarative.
 
-Three execution paths exist:
+Every link-parameter sweep runs on one engine:
 
 * :func:`grid_sweep` — the N-D grid engine.  A
   :class:`~repro.channel.grid.ProbeGrid` names any subset of the link-
@@ -13,13 +13,14 @@ Three execution paths exist:
   baseline) covers the whole product grid: the controller optimizes
   every cell together through batched grid probes and the baseline is a
   single vectorized pass.  The two-axis figure runners use this.
-* :func:`multi_axis_sweep` — the single-axis view of the same engine.
-  This is what the Fig. 16-19/22 runners use.
-* :func:`comparison_sweep` — the legacy per-point loop over arbitrary
-  link factories, kept for workloads whose factories vary more than one
-  parameter.  The axis-named wrappers (:func:`frequency_sweep`,
-  :func:`tx_power_sweep`, :func:`distance_sweep`) default to the
-  vectorized engine and fall back to the loop on request.
+* :func:`multi_axis_sweep` — its one-axis view, and the axis-named
+  scenario wrappers over it (:func:`frequency_sweep`,
+  :func:`tx_power_sweep`, :func:`distance_sweep`).  This is what the
+  Fig. 16-19/22 runners use.
+
+:func:`comparison_sweep` is the per-point loop over arbitrary link
+factories: the scalar reference the parity tests compare the engine
+against, and the path for factories that vary more than one parameter.
 
 The figure-level consumers of these drivers are registered experiments
 (see :mod:`repro.experiments.registry`); run them by name through
@@ -80,46 +81,6 @@ def optimize_link(link: WirelessLink,
     return result.best_power_dbm, result.best_vx, result.best_vy
 
 
-def multi_axis_sweep(axis: str,
-                     values: Sequence[float],
-                     link: WirelessLink,
-                     baseline_link: Optional[WirelessLink] = None,
-                     controller: Optional[CentralizedController] = None,
-                     exhaustive: bool = False,
-                     step_v: float = 3.0,
-                     backend=None) -> List[SweepPoint]:
-    """Vectorized with/without comparison along one link-parameter axis.
-
-    ``link`` is evaluated at every axis value (``axis`` is one of
-    :data:`repro.channel.link.SWEEP_AXES`) with the surface optimized
-    per point — all points probed together through batched
-    ``measure_sweep`` calls — and compared against ``baseline_link``
-    (default: ``link.baseline()``) in a single vectorized pass.  Per
-    point the optimization grids, first-maximum selection and NaN
-    handling are identical to the scalar :func:`comparison_sweep` path.
-
-    ``backend`` overrides the measurement plane the controller probes
-    (default: a noiseless :class:`LinkBackend` over ``link``); pass a
-    :class:`repro.api.ReceiverSweepBackend` for noisy-receiver
-    semantics.
-    """
-    controller = controller or _default_controller()
-    backend = backend if backend is not None else LinkBackend(link)
-    values = np.asarray(values, dtype=float).ravel()
-    result = controller.optimize_multi(backend, axis, values,
-                                       exhaustive=exhaustive, step_v=step_v)
-    baseline_link = baseline_link if baseline_link is not None else link.baseline()
-    without = np.asarray(
-        baseline_link.received_power_dbm_sweep(axis, values), dtype=float)
-    return [SweepPoint(parameter=float(value),
-                       power_with_dbm=float(power),
-                       power_without_dbm=float(base),
-                       best_vx=float(vx), best_vy=float(vy))
-            for value, vx, vy, power, base in zip(
-                values, result.best_vx, result.best_vy,
-                result.best_power_dbm, without)]
-
-
 @dataclass(frozen=True)
 class GridComparison:
     """With/without comparison over an N-D probe grid.
@@ -150,12 +111,13 @@ def grid_sweep(grid: ProbeGrid,
                backend=None) -> GridComparison:
     """Vectorized with/without comparison over an N-D probe grid.
 
-    The joint generalisation of :func:`multi_axis_sweep`: ``grid``
-    names any subset of :data:`repro.channel.grid.SWEEP_AXES` (e.g. a
-    frequency x distance product) and the surface is optimized at
-    every cell — all cells probed together through batched grid calls —
-    while ``baseline_link`` (default: ``link.baseline()``) is a single
-    vectorized pass of the evaluation engine over the same grid.
+    ``grid`` names any subset of :data:`repro.channel.grid.SWEEP_AXES`
+    (e.g. a frequency x distance product) and the surface is optimized
+    at every cell — all cells probed together through batched grid
+    calls — while ``baseline_link`` (default: ``link.baseline()``) is a
+    single vectorized pass of the evaluation engine over the same grid.
+    ``backend`` overrides the measurement plane the controller probes
+    (default: a noiseless :class:`LinkBackend` over ``link``).
     """
     controller = controller or _default_controller()
     backend = backend if backend is not None else LinkBackend(link)
@@ -172,6 +134,40 @@ def grid_sweep(grid: ProbeGrid,
                           best_vy=result.best_vy)
 
 
+def multi_axis_sweep(axis: str,
+                     values: Sequence[float],
+                     link: WirelessLink,
+                     baseline_link: Optional[WirelessLink] = None,
+                     controller: Optional[CentralizedController] = None,
+                     exhaustive: bool = False,
+                     step_v: float = 3.0,
+                     backend=None) -> List[SweepPoint]:
+    """With/without comparison along one link-parameter axis.
+
+    The one-axis view of :func:`grid_sweep` (``axis`` is one of
+    :data:`repro.channel.grid.SWEEP_AXES`): the surface is optimized at
+    every axis value, all points probed together, and compared against
+    ``baseline_link``.  Per point the optimization grids, first-maximum
+    selection and NaN handling are identical to the scalar
+    :func:`comparison_sweep` path.  ``backend`` overrides the
+    measurement plane as in :func:`grid_sweep`; pass a
+    :class:`repro.api.ReceiverSweepBackend` for noisy-receiver
+    semantics.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    comparison = grid_sweep(ProbeGrid.product(**{axis: values}), link,
+                            baseline_link=baseline_link,
+                            controller=controller, exhaustive=exhaustive,
+                            step_v=step_v, backend=backend)
+    return [SweepPoint(parameter=float(value),
+                       power_with_dbm=float(power),
+                       power_without_dbm=float(base),
+                       best_vx=float(vx), best_vy=float(vy))
+            for value, vx, vy, power, base in zip(
+                values, comparison.best_vx, comparison.best_vy,
+                comparison.power_with_dbm, comparison.power_without_dbm)]
+
+
 def comparison_sweep(parameter_values: Sequence[float],
                      link_factory: Callable[[float], WirelessLink],
                      baseline_factory: Callable[[float], WirelessLink],
@@ -180,8 +176,8 @@ def comparison_sweep(parameter_values: Sequence[float],
                      step_v: float = 3.0) -> List[SweepPoint]:
     """Sweep a parameter, optimizing the surface at every point.
 
-    The legacy per-point loop: ``link_factory(value)`` must return the
-    with-surface link and ``baseline_factory(value)`` the matching
+    The per-point reference loop: ``link_factory(value)`` must return
+    the with-surface link and ``baseline_factory(value)`` the matching
     no-surface link.  Factories may vary anything with the parameter;
     when only a single link parameter changes, prefer
     :func:`multi_axis_sweep`, which evaluates the whole axis in
@@ -207,33 +203,25 @@ def comparison_sweep(parameter_values: Sequence[float],
 def _scenario_axis_sweep(axis: str,
                          values: Sequence[float],
                          scenario_factory: Callable[[float], "object"],
-                         vectorized: bool = True,
                          **kwargs) -> List[SweepPoint]:
     """Shared implementation of the axis-named scenario sweeps.
 
-    The vectorized path builds one scenario (at the first axis value)
-    and sweeps the axis on its link, which assumes the factory varies
-    only that axis — true of every canonical scenario.  Pass
-    ``vectorized=False`` for factories that vary additional parameters.
+    Builds one scenario (at the first axis value) and sweeps the axis
+    on its link, which assumes the factory varies only that axis — true
+    of every canonical scenario.  Factories that vary more go through
+    :func:`comparison_sweep`.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         return []
-    if vectorized:
-        scenario = scenario_factory(float(values[0]))
-        return multi_axis_sweep(axis, values, scenario.link(),
-                                baseline_link=scenario.baseline_link(),
-                                **kwargs)
-    return comparison_sweep(
-        values,
-        link_factory=lambda value: scenario_factory(value).link(),
-        baseline_factory=lambda value: scenario_factory(value).baseline_link(),
-        **kwargs)
+    scenario = scenario_factory(float(values[0]))
+    return multi_axis_sweep(axis, values, scenario.link(),
+                            baseline_link=scenario.baseline_link(),
+                            **kwargs)
 
 
 def distance_sweep(distances_m: Sequence[float],
                    scenario_factory: Callable[[float], "object"],
-                   vectorized: bool = True,
                    **kwargs) -> List[SweepPoint]:
     """Sweep the Tx-Rx (or Tx-surface) distance of a scenario.
 
@@ -241,25 +229,23 @@ def distance_sweep(distances_m: Sequence[float],
     ``link()`` and ``baseline_link()`` (the scenario classes do).
     """
     return _scenario_axis_sweep("distance", distances_m, scenario_factory,
-                                vectorized=vectorized, **kwargs)
+                                **kwargs)
 
 
 def frequency_sweep(frequencies_hz: Sequence[float],
                     scenario_factory: Callable[[float], "object"],
-                    vectorized: bool = True,
                     **kwargs) -> List[SweepPoint]:
     """Sweep the operating frequency of a scenario."""
     return _scenario_axis_sweep("frequency", frequencies_hz, scenario_factory,
-                                vectorized=vectorized, **kwargs)
+                                **kwargs)
 
 
 def tx_power_sweep(tx_powers_dbm: Sequence[float],
                    scenario_factory: Callable[[float], "object"],
-                   vectorized: bool = True,
                    **kwargs) -> List[SweepPoint]:
     """Sweep the transmit power of a scenario."""
     return _scenario_axis_sweep("tx_power", tx_powers_dbm, scenario_factory,
-                                vectorized=vectorized, **kwargs)
+                                **kwargs)
 
 
 def voltage_grid_sweep(link: WirelessLink,

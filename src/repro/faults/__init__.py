@@ -12,7 +12,7 @@ quantity:
   stuck/quantized actuators, supply brownouts, VISA I/O errors and
   timeouts, station churn).  The plan is realized by wrappers:
   :class:`FaultyBackend` over the ``measure`` / ``measure_batch`` /
-  ``measure_sweep`` / ``measure_grid`` protocol stack,
+  ``measure_grid`` protocol stack,
   :class:`FaultyVisaSession` over the simulated VISA transport and
   :class:`StationChurn` over a fleet's station set.  All draws come
   from named seed streams of one schedule, so every fault trace

@@ -1,9 +1,8 @@
 """Fault-injecting measurement backends.
 
 :class:`FaultyBackend` wraps any backend of the ``measure`` /
-``measure_batch`` / ``measure_sweep`` / ``measure_grid`` protocol
-stack and realizes the probe-plane faults of its
-:class:`~repro.faults.spec.FaultSchedule`:
+``measure_batch`` / ``measure_grid`` protocol stack and realizes the
+probe-plane faults of its :class:`~repro.faults.spec.FaultSchedule`:
 
 * **actuator faults** perturb the *commanded* bias voltages before the
   probe — quantization snap, stuck-at latching, supply-brownout
@@ -42,8 +41,8 @@ class FaultyBackend:
     ----------
     backend:
         The backend to wrap.  ``measure`` / ``measure_batch`` are
-        required; ``measure_sweep`` / ``measure_grid`` are forwarded
-        only when the wrapped backend provides them.
+        required; ``measure_grid`` is forwarded only when the wrapped
+        backend provides it.
     schedule:
         The fault plan and its seeded streams.
     monitor:
@@ -166,18 +165,6 @@ class FaultyBackend:
         self._maybe_raise()
         vx_f, vy_f = self._perturb_voltages(vx, vy)
         return self._corrupt_powers(self.backend.measure_batch(vx_f, vy_f))
-
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """One sweep-axis probe through the fault plane."""
-        if self._inactive:
-            return self.backend.measure_sweep(axis, values, vx=vx, vy=vy)
-        self._count_probe()
-        self._maybe_raise()
-        shape = np.broadcast_shapes(np.shape(values), np.shape(vx),
-                                    np.shape(vy))
-        vx_f, vy_f = self._perturb_voltages(vx, vy, shape=shape)
-        powers = self.backend.measure_sweep(axis, values, vx=vx_f, vy=vy_f)
-        return self._corrupt_powers(powers)
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """One N-D grid probe through the fault plane.

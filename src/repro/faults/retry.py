@@ -13,8 +13,8 @@ but never slept, so retry-heavy campaigns run at simulation speed and
 stay deterministic.
 
 :class:`RetryingBackend` wraps any measurement backend so every probe
-protocol (``measure`` / ``measure_batch`` / ``measure_sweep`` /
-``measure_grid``) runs under the policy.
+protocol (``measure`` / ``measure_batch`` / ``measure_grid``) runs
+under the policy.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class RetryingBackend:
     """A measurement backend whose probes run under a retry policy.
 
     Wraps any backend of the ``measure`` / ``measure_batch`` /
-    ``measure_sweep`` / ``measure_grid`` stack (richer protocols are
-    forwarded only if the wrapped backend provides them).  Jitter draws
+    ``measure_grid`` stack (``measure_grid`` is forwarded only if the
+    wrapped backend provides it).  Jitter draws
     come from the fault schedule's ``"retry.jitter"`` stream when a
     schedule is given, keeping retry timing inside the replayable
     trace; retries and waits are tallied on the monitor.
@@ -200,10 +200,6 @@ class RetryingBackend:
     def measure_batch(self, vx, vy) -> np.ndarray:
         """One batched probe under the retry policy."""
         return self._guarded("measure_batch", vx, vy)
-
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """One sweep-axis probe under the retry policy."""
-        return self._guarded("measure_sweep", axis, values, vx, vy)
 
     def measure_grid(self, grid) -> np.ndarray:
         """One N-D grid probe under the retry policy."""

@@ -17,7 +17,7 @@ _BLOCKING_IO_ATTRIBUTES = frozenset({
 #: ``async def`` is the per-request probing shape the coalescing window
 #: exists to eliminate.
 _PROBE_CALL_NAMES = frozenset({
-    "measure", "measure_batch", "measure_sweep", "measure_grid",
+    "measure", "measure_batch", "measure_grid",
     "measure_aligned", "probe_aligned", "evaluate", "evaluate_grid",
     "rssi_dbm", "rssi_aligned", "rssi_matrix",
 })

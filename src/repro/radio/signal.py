@@ -117,9 +117,10 @@ def _sample_count(frequency_hz: float, sample_rate_hz: float,
                   duration_s: float) -> int:
     """Samples in a tone capture, after checking the capture is valid.
 
-    Every path that sizes a capture (:func:`cosine_tone` and the
-    receiver's scalar, series and sweep captures) validates through
-    here, so they all reject the same inputs with the same errors.
+    Every path that sizes a capture (:func:`cosine_tone`, the
+    receiver's scalar, series and grid captures, and the noisy-receiver
+    backend's constructor) validates through here, so they all reject
+    the same inputs with the same errors.
     """
     _check_positive_finite("tone frequency", frequency_hz)
     _check_positive_finite("sample rate", sample_rate_hz)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
 from repro.radio.signal import (
     BasebandSignal,
@@ -172,35 +173,34 @@ class SimulatedReceiver:
                                                      axis=-1)
         return milliwatts_to_dbm(powers_mw)
 
-    def measure_power_dbm_sweep(self, axis: str, values, vx=0.0, vy=0.0,
-                                duration_s: float = 0.005,
-                                tone_frequency_hz: float = 500e3) -> np.ndarray:
-        """Batched noisy power reports over a whole sweep axis at once.
+    def measure_power_dbm_grid(self, grid: ProbeGrid,
+                               duration_s: float = 0.005,
+                               tone_frequency_hz: float = 500e3) -> np.ndarray:
+        """Batched noisy power reports over an at-most-2-D probe grid.
 
-        Rows of the broadcast ``(values, vx, vy)`` batch are independent
-        axis points; columns are sequential probes (a 1-D batch is
-        treated as axis points sharing one probe).  One noise
-        realisation is drawn from this receiver's generator per probe
-        column and shared across rows — exactly the sample streams a
-        Python loop of per-point receivers constructed with the same
-        seed would observe, so the vectorized sweep reproduces the
+        Rows of the grid are independent axis points; columns are
+        sequential probes (a 1-D grid is treated as axis points sharing
+        one probe).  The true powers come from one
+        :meth:`~repro.channel.link.WirelessLink.evaluate` pass over
+        ``grid``.  One noise realisation is drawn from this receiver's
+        generator per probe column and shared across rows — exactly the
+        sample streams a Python loop of per-point receivers constructed
+        with the same seed would observe, so the batch reproduces the
         scalar :meth:`measure_power_dbm` loop's reports to
-        floating-point round-off, and the returned array keeps the
-        broadcast input shape.  The capture itself is evaluated in
-        closed form: for a unit tone ``u`` and noise block ``n``, the
-        mean power of ``a u + n`` is
+        floating-point round-off, and the returned array has
+        ``grid.shape``.  The capture itself is evaluated in closed form:
+        for a unit tone ``u`` and noise block ``n``, the mean power of
+        ``a u + n`` is
         ``a^2 mean|u|^2 + 2 a mean(Re(u conj(n))) + mean|n|^2``,
         so only three reductions per probe column are needed regardless
         of how many axis points share it.
         """
         count = _sample_count(tone_frequency_hz, self.sample_rate_hz,
                               duration_s)
-        raw = np.asarray(
-            self.link.received_power_dbm_sweep(axis, values, vx=vx, vy=vy),
-            dtype=float)
-        if raw.ndim > 2:
-            raise ValueError("sweep probe batches must be at most 2-D "
+        if grid.ndim > 2:
+            raise ValueError("receiver probe grids must be at most 2-D "
                              "(axis points, probes)")
+        raw = np.asarray(self.link.evaluate(grid), dtype=float)
         true_powers = raw.reshape(-1, 1) if raw.ndim <= 1 else raw
         noise_power_dbm = self.link.noise_power_dbm()
         tone = cosine_tone(frequency_hz=tone_frequency_hz,

@@ -6,6 +6,7 @@ from repro.api import LinkSession, ScenarioBuilder
 from repro.channel.link import DeploymentMode
 from repro.core.controller import VoltageSweepConfig
 from repro.experiments.scenarios import TransmissiveScenario
+from repro.experiments.sweeps import voltage_grid_sweep
 
 
 @pytest.fixture()
@@ -116,8 +117,8 @@ class TestLinkSession:
         assert not baseline.has_surface
         assert baseline.baseline() is baseline
 
-    def test_measure_grid_matches_batch(self, mismatched_session):
-        grid = mismatched_session.measure_grid(step_v=10.0)
+    def test_heatmap_grid_matches_measure(self, mismatched_session):
+        grid = voltage_grid_sweep(mismatched_session.link, step_v=10.0)
         assert len(grid) == 16
         for (vx, vy), power in grid.items():
             assert power == pytest.approx(

@@ -168,7 +168,8 @@ class TestNonFiniteAxes:
     def test_tx_power(self, layout, bad):
         with pytest.raises(ValueError,
                            match="^transmit powers must be finite$"):
-            LAYOUTS[layout].received_power_dbm_sweep("tx_power", [0.0, bad])
+            LAYOUTS[layout].evaluate_grid(
+                ProbeGrid.product(tx_power=[0.0, bad]))
 
 
 @pytest.mark.parametrize("axis", ["tx_orientation", "rx_orientation"])

@@ -4,9 +4,9 @@ Pins ``WirelessLink.evaluate(grid)`` against nested scalar loops (a
 fresh link per operating point via ``dataclasses.replace``) to
 <= 1e-9 dB across every subset of the sweep axes, both deployment
 modes, both environments, and degenerate 0-d/1-d grids.  Also pins the
-thin views (``received_power_dbm`` / ``_batch`` / ``_sweep``) to the
-engine, the grid-native controller searches to their scalar
-counterparts, and the :class:`ProbeGrid` validation behaviour.
+thin views (``received_power_dbm`` / ``_batch``) to the engine, the
+grid-native controller searches to their scalar counterparts, and the
+:class:`ProbeGrid` validation behaviour.
 """
 
 import itertools
@@ -163,15 +163,6 @@ class TestThinViews:
                                                    vy=VY_VALUES))
         assert np.array_equal(via_views, via_grid)
 
-    @pytest.mark.parametrize("axis", SWEEP_AXES)
-    def test_sweep_is_a_one_axis_grid(self, axis):
-        link = ReflectiveScenario(absorber=False).link()
-        values = AXIS_VALUES[axis]
-        via_view = link.received_power_dbm_sweep(axis, values, vx=7.0, vy=22.0)
-        via_grid = link.evaluate(ProbeGrid.product(
-            **{axis: values}, vx=7.0, vy=22.0))
-        assert np.array_equal(via_view, via_grid)
-
     def test_scalar_is_a_zero_d_grid(self):
         link = TransmissiveScenario().link()
         assert isinstance(link.received_power_dbm(7.0, 22.0), float)
@@ -300,35 +291,23 @@ class TestGridController:
         assert float(grid_result.best_power_dbm) == pytest.approx(
             scalar.best_power_dbm, abs=TOLERANCE_DB)
 
-    def test_multi_wrappers_match_grid_native(self, controller):
-        link = TransmissiveScenario().link()
-        backend = LinkBackend(link)
-        values = AXIS_VALUES["frequency"]
-        multi = controller.coarse_to_fine_sweep_multi(backend, "frequency",
-                                                      values)
-        grid = controller.coarse_to_fine_sweep_grid(
-            backend, ProbeGrid.product(frequency=values))
-        assert np.array_equal(multi.best_vx, grid.best_vx)
-        assert np.array_equal(multi.best_vy, grid.best_vy)
-        assert np.array_equal(multi.best_power_dbm, grid.best_power_dbm)
-        assert multi.probe_count_per_point == grid.probe_count_per_point
-
     def test_search_grid_must_not_carry_voltage_axes(self, controller):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError, match="controller sweeps the bias"):
             controller.optimize_grid(LinkBackend(link),
                                      ProbeGrid.product(vx=VX_VALUES))
 
-    def test_sweep_only_backend_rejected_for_joint_grids(self, controller):
-        class SweepOnlyBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                return np.zeros(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)))
+    def test_batch_only_backend_rejected_for_axis_grids(self, controller):
+        class BatchOnlyBackend:
+            def measure_batch(self, vx, vy):
+                return np.zeros(np.broadcast_shapes(np.shape(vx),
+                                                    np.shape(vy)))
 
-        grid = ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
-                                 tx_power=AXIS_VALUES["tx_power"])
-        with pytest.raises(TypeError, match="measure_grid"):
-            controller.optimize_grid(SweepOnlyBackend(), grid)
+        for grid in (ProbeGrid.product(frequency=AXIS_VALUES["frequency"]),
+                     ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
+                                       tx_power=AXIS_VALUES["tx_power"])):
+            with pytest.raises(TypeError, match="measure_grid"):
+                controller.optimize_grid(BatchOnlyBackend(), grid)
 
     def test_nan_probes_never_selected(self, controller):
         class NaNFirstBackend:
@@ -359,27 +338,6 @@ class TestSessionGridPlane:
         powers = session.measure_grid(grid)
         assert powers.shape == grid.shape
         assert np.array_equal(powers, session.link.evaluate(grid))
-
-    def test_measure_grid_keeps_legacy_heatmap_signature(self):
-        session = LinkSession(TransmissiveScenario().configuration())
-        legacy = session.measure_grid(step_v=15.0)
-        positional = session.measure_grid(15.0)
-        assert legacy == positional
-        assert legacy[(0.0, 0.0)] == pytest.approx(session.measure(0.0, 0.0))
-
-    def test_measure_grid_legacy_positional_and_mixed_calls(self):
-        session = LinkSession(TransmissiveScenario().configuration())
-        keyword = session.measure_grid(step_v=10.0, v_min=0.0, v_max=20.0)
-        assert session.measure_grid(10.0, 0.0, 20.0) == keyword
-        assert session.measure_grid(10.0, v_min=0.0, v_max=20.0) == keyword
-        assert set(keyword) == {(a, b) for a in (0.0, 10.0, 20.0)
-                                for b in (0.0, 10.0, 20.0)}
-        with pytest.raises(TypeError, match="multiple values"):
-            session.measure_grid(10.0, step_v=5.0)
-        with pytest.raises(TypeError, match="at most"):
-            session.measure_grid(10.0, 0.0, 20.0, 30.0)
-        with pytest.raises(TypeError, match="do not apply"):
-            session.measure_grid(ProbeGrid.product(vx=VX_VALUES), step_v=5.0)
 
     def test_optimize_grid_matches_controller(self):
         session = LinkSession(TransmissiveScenario().configuration())

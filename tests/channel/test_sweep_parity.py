@@ -1,10 +1,10 @@
-"""Parity suite for the multi-axis sweep engine.
+"""Parity suite for single-axis sweeps on the grid engine.
 
-Pins the vectorized paths — ``WirelessLink.received_power_dbm_sweep``,
-the multi-axis controller searches and the batched noisy receiver —
-against the scalar per-point loops (a fresh link per axis value via
-``dataclasses.replace``) to <= 1e-9 dB, across all sweep axes, both
-deployment modes and both environments.  Also pins the caching
+Pins the vectorized paths — one-axis ``WirelessLink.evaluate`` grids,
+the grid-native controller searches over one axis and the batched noisy
+receiver — against the scalar per-point loops (a fresh link per axis
+value via ``dataclasses.replace``) to <= 1e-9 dB, across all sweep
+axes, both deployment modes and both environments.  Also pins the caching
 contract (frozen configurations, invalidation-free field caches) and
 the first-maximum / NaN semantics of the batched searches.
 """
@@ -20,6 +20,7 @@ from repro.api.backend import (
     LinkBackend,
     ReceiverSweepBackend,
 )
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import (
     SWEEP_AXES,
     DeploymentMode,
@@ -81,7 +82,7 @@ def _scalar_link_at(link, axis, value):
 
 
 class TestSweepAxisParity:
-    """received_power_dbm_sweep vs scalar per-point link rebuilds."""
+    """One-axis grids vs scalar per-point link rebuilds."""
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     @pytest.mark.parametrize("name,scenario", _scenarios())
@@ -89,8 +90,8 @@ class TestSweepAxisParity:
         link = scenario.link()
         values = AXIS_VALUES[axis]
         for vx, vy in BIAS_PAIRS:
-            vectorized = link.received_power_dbm_sweep(axis, values,
-                                                       vx=vx, vy=vy)
+            vectorized = link.evaluate(
+                ProbeGrid.aligned(**{axis: values}, vx=vx, vy=vy))
             scalar = np.array([
                 _scalar_link_at(link, axis, value).received_power_dbm(vx, vy)
                 for value in values])
@@ -101,7 +102,7 @@ class TestSweepAxisParity:
     def test_baseline_parity(self, axis, name, scenario):
         link = scenario.baseline_link()
         values = AXIS_VALUES[axis]
-        vectorized = link.received_power_dbm_sweep(axis, values)
+        vectorized = link.evaluate(ProbeGrid.aligned(**{axis: values}))
         scalar = np.array([
             _scalar_link_at(link, axis, value).received_power_dbm()
             for value in values])
@@ -112,8 +113,8 @@ class TestSweepAxisParity:
         frequencies = AXIS_VALUES["frequency"]
         levels = np.linspace(0.0, 30.0, 9)
         grid_vx = np.broadcast_to(levels, (frequencies.size, levels.size))
-        vectorized = link.received_power_dbm_sweep(
-            "frequency", frequencies[:, None], vx=grid_vx, vy=levels[::-1])
+        vectorized = link.evaluate(ProbeGrid.aligned(
+            frequency=frequencies[:, None], vx=grid_vx, vy=levels[::-1]))
         assert vectorized.shape == (frequencies.size, levels.size)
         for i, frequency in enumerate(frequencies):
             scalar = _scalar_link_at(
@@ -123,21 +124,20 @@ class TestSweepAxisParity:
 
     def test_unknown_axis_rejected(self):
         link = TransmissiveScenario().link()
-        with pytest.raises(ValueError, match="unknown sweep axis"):
-            link.received_power_dbm_sweep("bandwidth", [1.0])  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
+        with pytest.raises(ValueError, match="unknown grid axis"):
+            link.evaluate(ProbeGrid.aligned(bandwidth=[1.0]))  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
 
     def test_non_positive_frequency_rejected(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
-            link.received_power_dbm_sweep("frequency", [2.4e9, -1.0])
+            link.evaluate(ProbeGrid.aligned(frequency=[2.4e9, -1.0]))
 
-    def test_link_backend_measure_sweep_delegates(self):
+    def test_link_backend_measure_grid_delegates(self):
         link = TransmissiveScenario().link()
         backend = LinkBackend(link)
-        values = AXIS_VALUES["tx_power"]
-        assert np.array_equal(
-            backend.measure_sweep("tx_power", values, vx=7.0, vy=22.0),
-            link.received_power_dbm_sweep("tx_power", values, vx=7.0, vy=22.0))
+        grid = ProbeGrid.aligned(tx_power=AXIS_VALUES["tx_power"], vx=7.0,
+                                 vy=22.0)
+        assert np.array_equal(backend.measure_grid(grid), link.evaluate(grid))
 
 
 class TestFieldCaching:
@@ -182,8 +182,9 @@ class TestFieldCaching:
                 link.received_power_dbm(vx, vy), abs=TOLERANCE_DB)
 
 
-class TestMultiAxisController:
-    """Vectorized Algorithm 1 / exhaustive search vs scalar per-point runs."""
+class TestOneAxisController:
+    """Grid-native Algorithm 1 / exhaustive search over one axis vs
+    scalar per-point runs."""
 
     @pytest.fixture(scope="class")
     def controller(self):
@@ -192,12 +193,12 @@ class TestMultiAxisController:
 
     @pytest.mark.parametrize("axis", ["frequency", "tx_power", "distance"])
     @pytest.mark.parametrize("name,scenario", _scenarios()[:2] + _scenarios()[2:3])
-    def test_coarse_to_fine_multi_matches_scalar(self, controller, axis,
-                                                 name, scenario):
+    def test_coarse_to_fine_grid_matches_scalar(self, controller, axis,
+                                                name, scenario):
         link = scenario.link()
         values = AXIS_VALUES[axis]
-        multi = controller.coarse_to_fine_sweep_multi(
-            LinkBackend(link), axis, values)
+        multi = controller.coarse_to_fine_sweep_grid(
+            LinkBackend(link), ProbeGrid.product(**{axis: values}))
         for i, value in enumerate(values):
             scalar = controller.coarse_to_fine_sweep(
                 LinkBackend(_scalar_link_at(link, axis, value)))
@@ -206,11 +207,12 @@ class TestMultiAxisController:
             assert multi.best_power_dbm[i] == pytest.approx(
                 scalar.best_power_dbm, abs=TOLERANCE_DB)
 
-    def test_full_sweep_multi_matches_scalar(self, controller):
+    def test_full_sweep_grid_matches_scalar(self, controller):
         link = TransmissiveScenario().link()
         values = AXIS_VALUES["frequency"][:3]
-        multi = controller.full_sweep_multi(LinkBackend(link), "frequency",
-                                            values, step_v=5.0)
+        multi = controller.full_sweep_grid(
+            LinkBackend(link), ProbeGrid.product(frequency=values),
+            step_v=5.0)
         for i, value in enumerate(values):
             scalar = controller.full_sweep(
                 LinkBackend(_scalar_link_at(link, "frequency", value)),
@@ -223,9 +225,8 @@ class TestMultiAxisController:
     def test_first_maximum_and_nan_semantics(self, controller):
         """NaN probes are never selected; ties pick the first grid point."""
         class TiedBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                powers = np.zeros(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)))
+            def measure_grid(self, grid):
+                powers = np.zeros(grid.shape)
                 # Poison one probe with NaN; everything else ties at 0.
                 powers[..., 1] = np.nan
                 return powers
@@ -239,8 +240,8 @@ class TestMultiAxisController:
             def measure(self, vx, vy):
                 return 0.0
 
-        multi = controller.coarse_to_fine_sweep_multi(
-            TiedBackend(), "tx_power", np.array([0.0, 10.0]))
+        multi = controller.coarse_to_fine_sweep_grid(
+            TiedBackend(), ProbeGrid.product(tx_power=np.array([0.0, 10.0])))
         scalar = controller.coarse_to_fine_sweep(TiedBackend())
         assert multi.best_vx[0] == scalar.best_vx
         assert multi.best_vy[0] == scalar.best_vy
@@ -248,12 +249,11 @@ class TestMultiAxisController:
 
     def test_all_nan_reports_minus_infinity(self, controller):
         class NaNBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                return np.full(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)), np.nan)
+            def measure_grid(self, grid):
+                return np.full(grid.shape, np.nan)
 
-        multi = controller.coarse_to_fine_sweep_multi(
-            NaNBackend(), "tx_power", np.array([0.0]))
+        multi = controller.coarse_to_fine_sweep_grid(
+            NaNBackend(), ProbeGrid.product(tx_power=np.array([0.0])))
         assert multi.best_power_dbm[0] == -math.inf
 
 
@@ -269,9 +269,9 @@ class TestNoisyReceiverSweepParity:
         controller = CentralizedController(
             VoltageSweepConfig(iterations=2, switches_per_axis=5))
         receiver = SimulatedReceiver(link, seed=5)
-        multi = controller.coarse_to_fine_sweep_multi(
+        multi = controller.coarse_to_fine_sweep_grid(
             ReceiverSweepBackend(receiver, duration_s=0.0002),
-            "tx_power", tx_powers_dbm)
+            ProbeGrid.product(tx_power=tx_powers_dbm))
         for i, tx_power in enumerate(tx_powers_dbm):
             point_link = WirelessLink(replace(configuration,
                                               tx_power_dbm=float(tx_power)))
@@ -290,8 +290,8 @@ class TestNoisyReceiverSweepParity:
         noise draw an identically seeded per-point receiver would."""
         link = TransmissiveScenario().link()
         tx_powers = np.array([-10.0, 0.0, 10.0])
-        sweep = SimulatedReceiver(link, seed=9).measure_power_dbm_sweep(
-            "tx_power", tx_powers, duration_s=0.0002)
+        sweep = SimulatedReceiver(link, seed=9).measure_power_dbm_grid(
+            ProbeGrid.aligned(tx_power=tx_powers), duration_s=0.0002)
         assert sweep.shape == tx_powers.shape
         for i, tx_power in enumerate(tx_powers):
             point_link = WirelessLink(replace(
@@ -304,21 +304,29 @@ class TestNoisyReceiverSweepParity:
         link = TransmissiveScenario().link()
         receiver = SimulatedReceiver(link, seed=9)
         with pytest.raises(ValueError, match="at most 2-D"):
-            receiver.measure_power_dbm_sweep(
-                "tx_power", np.zeros((2, 1, 1)), vx=np.zeros((2, 3, 4)))
+            receiver.measure_power_dbm_grid(ProbeGrid.aligned(
+                tx_power=np.zeros((2, 1, 1)), vx=np.zeros((2, 3, 4))))
 
-    def test_rejects_non_positive_duration(self):
-        link = TransmissiveScenario().link()
-        receiver = SimulatedReceiver(link, seed=5)
+    @pytest.mark.parametrize("capture", [
+        {"duration_s": 0.0},
+        {"duration_s": math.nan},
+        {"tone_frequency_hz": math.nan},
+        {"tone_frequency_hz": 2e6},
+    ], ids=["zero-duration", "nan-duration", "nan-tone",
+            "tone-beyond-nyquist"])
+    def test_rejects_invalid_capture(self, capture):
+        """The backend refuses a bad capture when constructed, the
+        receiver before its budget pass."""
+        receiver = SimulatedReceiver(TransmissiveScenario().link(), seed=5)
         with pytest.raises(ValueError):
-            ReceiverSweepBackend(receiver, duration_s=0.0)
+            ReceiverSweepBackend(receiver, **capture)
         with pytest.raises(ValueError):
-            receiver.measure_power_dbm_sweep("tx_power", [0.0],
-                                             duration_s=-1.0)
+            receiver.measure_power_dbm_grid(
+                ProbeGrid.aligned(tx_power=[0.0]), **capture)
 
 
 class TestMultiAxisSweepDriver:
-    """experiments.sweeps.multi_axis_sweep vs the legacy factory loop."""
+    """experiments.sweeps.multi_axis_sweep vs the per-point factory loop."""
 
     def test_matches_comparison_sweep_on_frequency_axis(self):
         frequencies = AXIS_VALUES["frequency"][:4]

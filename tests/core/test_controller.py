@@ -1,9 +1,11 @@
 """Tests for the centralized controller (paper Algorithm 1)."""
 
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.backend import CallableBackend
 from repro.core.controller import (
     CentralizedController,
     VoltageSweepConfig,
@@ -58,14 +60,23 @@ class TestFullSweep:
         result = controller.full_sweep(lambda vx, vy: 0.0, step_v=1.0)
         assert result.probe_count == 31 * 31
 
-    def test_duration_scales_with_probe_count(self):
+    @pytest.mark.parametrize("step_v", [5.0, 0.7, 1.0, 7.0])
+    def test_duration_scales_with_probe_count(self, step_v):
         controller = CentralizedController()
-        result = controller.full_sweep(lambda vx, vy: 0.0, step_v=5.0)
+        result = controller.full_sweep(CallableBackend(lambda vx, vy: 0.0),
+                                       step_v=step_v)
         assert result.duration_s == pytest.approx(result.probe_count * 0.02)
+        # The prediction counts the same lattice the sweep probes.
+        assert controller.full_sweep_duration_s(step_v) == result.duration_s
 
-    def test_rejects_non_positive_step(self):
-        with pytest.raises(ValueError):
-            CentralizedController().full_sweep(lambda vx, vy: 0.0, step_v=0.0)
+    @pytest.mark.parametrize("step_v", [0.0, math.inf, math.nan])
+    def test_rejects_non_positive_step(self, step_v):
+        controller = CentralizedController()
+        with pytest.raises(ValueError, match="positive and finite"):
+            controller.full_sweep(CallableBackend(lambda vx, vy: 0.0),
+                                  step_v=step_v)
+        with pytest.raises(ValueError, match="positive and finite"):
+            controller.full_sweep_duration_s(step_v)
 
     def test_axis_scan_duration_close_to_30s(self):
         """Paper: a full 1 V-step scan takes ~30 s at 50 Hz switching."""

@@ -11,9 +11,10 @@ replay stays what it was:
 * Jones-count gates: an exhaustive fleet search evaluates exactly ``k²``
   Jones elements and Algorithm 1's first iteration exactly ``T²``, with
   the optima equal to the per-station searches;
-* the ``measure_sweep`` / ``measure_batch`` fallbacks still receive full
-  ``(n, k)`` voltage grids, and actuator faults still draw one fault per
-  probed cell;
+* the noisy receiver's ``measure_grid`` receives the shared row and
+  answers the full ``(n, k)`` grid, the ``measure_batch`` fallback still
+  receives full voltage grids, and actuator faults still draw one fault
+  per probed cell;
 * exhaustive and Algorithm-1 grid sweeps through a noisy receiver and
   through stuck + quantize actuator faults replay to pinned digests.
 """
@@ -113,29 +114,37 @@ class _Recording:
 
     def __init__(self, backend, method):
         self.shapes = []
+        self.results = []
         self._probe = getattr(backend, method)
         setattr(self, method, self._record)
 
     def _record(self, *args):
-        vx, vy = args[-2:]
+        if isinstance(args[0], ProbeGrid):
+            vx, vy = args[0].shaped("vx"), args[0].shaped("vy")
+        else:
+            vx, vy = args
         self.shapes.append((np.shape(vx), np.shape(vy)))
-        return self._probe(*args)
+        result = self._probe(*args)
+        self.results.append(np.shape(result))
+        return result
 
 
 class TestFallbackBackends:
-    def test_sweep_backend_receives_full_grids(self):
+    def test_receiver_backend_answers_full_grids(self):
         link = TransmissiveScenario().link()
         receiver = SimulatedReceiver(link, seed=5)
         backend = _Recording(ReceiverSweepBackend(receiver, duration_s=2e-4),
-                             "measure_sweep")
+                             "measure_grid")
         controller = CentralizedController(SWEEP)
         grid = ProbeGrid.product(tx_power=np.array([-5.0, 0.0, 5.0]))
         controller.full_sweep_grid(backend, grid, step_v=STEP_V)
         controller.coarse_to_fine_sweep_grid(backend, grid)
         window = SWEEP.switches_per_axis ** 2
-        full = [((3, LATTICE), (3, LATTICE))]
         assert backend.shapes == (
-            full + [((3, window), (3, window))] * SWEEP.iterations)
+            [((1, LATTICE), (1, LATTICE)), ((1, window), (1, window))] +
+            [((3, window), (3, window))] * (SWEEP.iterations - 1))
+        assert backend.results == (
+            [(3, LATTICE)] + [(3, window)] * SWEEP.iterations)
 
     def test_batch_backend_keeps_the_scalar_probe_order(self):
         link = TransmissiveScenario().link()

@@ -57,11 +57,10 @@ class TestZeroFaultParity:
                        - bare.measure_batch(VX, VY))
         assert float(np.max(delta)) <= PARITY_DB
 
-    def test_measure_sweep(self, bare, wrapped):
-        frequencies = np.linspace(2.4e9, 2.5e9, 7)
-        delta = np.abs(
-            wrapped.measure_sweep("frequency", frequencies, vx=6.0, vy=9.0)
-            - bare.measure_sweep("frequency", frequencies, vx=6.0, vy=9.0))
+    def test_measure_grid_link_axis(self, bare, wrapped):
+        grid = ProbeGrid.aligned(frequency=np.linspace(2.4e9, 2.5e9, 7),
+                                 vx=6.0, vy=9.0)
+        delta = np.abs(wrapped.measure_grid(grid) - bare.measure_grid(grid))
         assert float(np.max(delta)) <= PARITY_DB
 
     def test_measure_grid(self, bare, wrapped):

@@ -210,19 +210,16 @@ class _CountingBackend:
         self._maybe_fail()
         return np.asarray(vx, dtype=float) + np.asarray(vy, dtype=float)
 
-    def measure_sweep(self, axis, values, vx=0.0, vy=0.0):
-        self._maybe_fail()
-        return np.asarray(values, dtype=float)
-
     def measure_grid(self, grid):
         self._maybe_fail()
         return np.zeros(grid.shape)
 
 
 class TestRetryingBackend:
-    def test_all_four_protocols_recover(self):
+    def test_every_protocol_recovers(self):
         from repro.channel.grid import ProbeGrid
         grid = ProbeGrid.product(vx=np.arange(3.0), vy=np.arange(2.0))
+        axis_grid = ProbeGrid.aligned(frequency=[5.0])
         monitor = HealthMonitor()
         backend = RetryingBackend(_CountingBackend(failures=1),
                                   RetryPolicy(max_attempts=3),
@@ -230,8 +227,7 @@ class TestRetryingBackend:
         assert backend.measure(1.0, 2.0) == 3.0
         np.testing.assert_array_equal(
             backend.measure_batch([1.0], [2.0]), [3.0])
-        np.testing.assert_array_equal(
-            backend.measure_sweep("frequency", [5.0]), [5.0])
+        assert backend.measure_grid(axis_grid).shape == (1,)
         assert backend.measure_grid(grid).shape == (3, 2)
         assert monitor.probes == 4
         assert monitor.retries == 1  # only the first probe was flaky

@@ -6,10 +6,11 @@ Expected findings: 1 sweep-call typo, 1 unknown ProbeGrid keyword,
 """
 
 from repro.channel.grid import ProbeGrid
+from repro.experiments.sweeps import multi_axis_sweep
 
 
 def sweeps(link, values):
-    return link.received_power_dbm_sweep("freqency", values)
+    return multi_axis_sweep("freqency", values, link)
 
 
 def grids(values):

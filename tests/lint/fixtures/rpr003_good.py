@@ -2,10 +2,11 @@
 """RPR003 fixture: axis literals from the real vocabulary (no findings)."""
 
 from repro.channel.grid import ProbeGrid
+from repro.experiments.sweeps import multi_axis_sweep
 
 
 def sweeps(link, values):
-    return link.received_power_dbm_sweep("frequency", values)
+    return multi_axis_sweep("frequency", values, link)
 
 
 def grids(values):

@@ -95,7 +95,7 @@ class TestEngine:
 
     def test_select_limits_the_rules_run(self):
         source = ("def f(rssi_dbm, noise_mw, values):\n"
-                  "    f.received_power_dbm_sweep('freqency', values)\n"
+                  "    multi_axis_sweep('freqency', values, f)\n"
                   "    return rssi_dbm + noise_mw\n")
         config = LintConfig(select=frozenset({"RPR003"}))
         assert rules_of(lint_source(source, "src/mod.py", config)) \

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink, probe_evaluations
 from repro.experiments.figures import _device_pdf, _rssi_samples
 from repro.experiments.scenarios import IOT_SCENARIOS, iot_wifi_scenario
@@ -187,8 +188,8 @@ def capture_entry_points(receiver, duration_s, tone_frequency_hz=500e3):
             duration_s=duration_s),
         "series": lambda: receiver.measure_power_dbm_series(
             3, duration_s=duration_s),
-        "sweep": lambda: receiver.measure_power_dbm_sweep(
-            "tx_power", [0.0, 3.0], duration_s=duration_s,
+        "grid": lambda: receiver.measure_power_dbm_grid(
+            ProbeGrid.aligned(tx_power=[0.0, 3.0]), duration_s=duration_s,
             tone_frequency_hz=tone_frequency_hz),
         "average chunk": lambda: receiver.measure_average_dbm(
             1.0, chunk_s=duration_s),
@@ -197,7 +198,7 @@ def capture_entry_points(receiver, duration_s, tone_frequency_hz=500e3):
 
 class TestCaptureValidation:
     @pytest.mark.parametrize("entry", ["capture", "measure_power_dbm",
-                                       "series", "sweep", "average chunk"])
+                                       "series", "grid", "average chunk"])
     def test_sub_sample_duration_rejected_before_the_pass(self, surface_link,
                                                           entry):
         receiver = SimulatedReceiver(surface_link)
@@ -215,7 +216,7 @@ class TestCaptureValidation:
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("entry", ["capture", "measure_power_dbm",
-                                       "series", "sweep", "average chunk"])
+                                       "series", "grid", "average chunk"])
     def test_non_finite_duration_rejected(self, surface_link, entry, value):
         receiver = SimulatedReceiver(surface_link)
         call = capture_entry_points(receiver, value)[entry]
@@ -255,7 +256,7 @@ class TestCaptureValidation:
             with pytest.raises(ValueError, match="must be positive and finite"):
                 cosine_tone(**kwargs)
 
-    @pytest.mark.parametrize("entry", ["capture", "sweep"])
+    @pytest.mark.parametrize("entry", ["capture", "grid"])
     def test_nyquist_limit_shared(self, surface_link, entry):
         receiver = SimulatedReceiver(surface_link)
         call = capture_entry_points(receiver, 0.002,
