@@ -14,9 +14,10 @@ trajectory (``BENCH_<pr>.json``):
   trajectory records what this machine actually did.
 * A second ``run_all`` against the warm store — fresh runner, empty
   memory tier, every result re-hydrated from disk — is >= 10x faster
-  than the cold computing pass (fastest of a few rounds of each).
+  than the cold computing pass.
 """
 
+import gc
 import os
 import tempfile
 
@@ -29,7 +30,6 @@ TAG = "figure"
 WORKERS = 4
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_WARM_SPEEDUP = 10.0
-STORE_REPEATS = 3
 PARITY_DB = 1e-9
 
 #: Scale the compute-heavy knobs so each experiment carries enough
@@ -76,39 +76,32 @@ def run_parallel_comparison():
 def run_store_comparison():
     """Cold computing ``run_all`` vs warm store re-hydration.
 
-    Each of ``STORE_REPEATS`` rounds computes the tag into a fresh
-    store, then re-hydrates it through a fresh runner.  The gate
-    compares the fastest pass of each kind: the warm pass is ~10 ms, so
-    a single scheduler stall inside one sample would otherwise decide
-    the ratio.  Parity and store hits are checked on every round.
+    Each pass starts from a fresh garbage collection.  Inside a full
+    tier-1 session a pending full collection walks the whole session's
+    heap (~80 ms on a 2-vCPU VM); the process's allocation count alone
+    decides whether it lands in the ~10 ms warm pass, which would then
+    time the session's heap instead of the store.
     """
-    cold_times, warm_times, hits, misses = [], [], [], []
-    mismatched = []
-    for _ in range(STORE_REPEATS):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-            cold_runner = Runner(REGISTRY, store=tmp)
-            cold, cold_s = timed(cold_runner.run_all, tag=TAG)
-            # A fresh runner on the same store: empty memory tier, so
-            # every result must come back through the disk tier.
-            warm_runner = Runner(REGISTRY, store=tmp)
-            warm, warm_s = timed(warm_runner.run_all, tag=TAG)
-            stats = warm_runner.store.stats
-        cold_times.append(cold_s)
-        warm_times.append(warm_s)
-        hits.append(stats.hits)
-        misses.append(stats.misses)
-        mismatched += [ours.name for ours, theirs in zip(cold, warm)
-                       if not ours.equal(theirs, tolerance=PARITY_DB)]
-    cold_s, warm_s = min(cold_times), min(warm_times)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
+        cold_runner = Runner(REGISTRY, store=tmp)
+        gc.collect()
+        cold, cold_s = timed(cold_runner.run_all, tag=TAG)
+        # A fresh runner on the same store: empty memory tier, so every
+        # result must come back through the disk tier.
+        warm_runner = Runner(REGISTRY, store=tmp)
+        gc.collect()
+        warm, warm_s = timed(warm_runner.run_all, tag=TAG)
+        stats = warm_runner.store.stats
+    mismatched = [ours.name for ours, theirs in zip(cold, warm)
+                  if not ours.equal(theirs, tolerance=PARITY_DB)]
     return {
         "label": f"{TAG} tag, warm store vs cold compute",
         "experiments": len(cold),
-        "repeats": STORE_REPEATS,
         "slow_ms": cold_s * 1e3,
         "fast_ms": warm_s * 1e3,
         "speedup_x": cold_s / warm_s,
-        "store_hits": min(hits),
-        "store_misses": max(misses),
+        "store_hits": stats.hits,
+        "store_misses": stats.misses,
         "mismatched": mismatched,
     }
 

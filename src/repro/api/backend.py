@@ -103,7 +103,7 @@ class LinkBackend:
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Received power (dBm) over a whole N-D probe grid at once."""
-        return self.link.evaluate(grid)
+        return self.link.evaluate_grid(grid)
 
 
 class CallableBackend:

@@ -176,6 +176,9 @@ class LinkSession:
         ``grid.shape``.  The voltage-independent direct and clutter
         fields are computed once for the whole grid.
         """
+        if not isinstance(grid, ProbeGrid):
+            raise TypeError("measure_grid takes a ProbeGrid, got "
+                            f"{type(grid).__name__}")
         return self.backend.measure_grid(grid)
 
     def optimize_grid(self, grid, exhaustive: bool = False,

@@ -596,9 +596,11 @@ class WirelessLink:
         return LinkGeometry.transmissive(distance_m, surface_fraction=fraction)
 
     def _axis_parameters(self, axis: str, values: np.ndarray) -> Dict:
-        """Per-point parameter arrays for one grid/sweep axis.
+        """Per-point parameter arrays for one link-parameter grid axis.
 
-        Returns overrides (each shaped like ``values``) consumed by the
+        ``axis`` is one of :data:`~repro.channel.grid.SWEEP_AXES`
+        (:class:`ProbeGrid` rejects any other name).  Returns overrides
+        (each shaped like ``values``) consumed by the
         :meth:`_budget_power_dbm` engine; parameters not overridden stay
         at their configured scalar values.
         """
@@ -615,10 +617,7 @@ class WirelessLink:
             return self._distance_parameters(values)
         if axis == "rx_orientation":
             return {"rx_jones": _rotated_jones(config.rx_antenna, values)}
-        if axis == "tx_orientation":
-            return {"tx_jones": _rotated_jones(config.tx_antenna, values)}
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of "
-                         f"{SWEEP_AXES}")
+        return {"tx_jones": _rotated_jones(config.tx_antenna, values)}
 
     def _distance_parameters(self, values: np.ndarray) -> Dict:
         """The ``distance`` axis in closed form, one array pass.

@@ -338,6 +338,8 @@ class TestSessionGridPlane:
         powers = session.measure_grid(grid)
         assert powers.shape == grid.shape
         assert np.array_equal(powers, session.link.evaluate(grid))
+        with pytest.raises(TypeError, match="ProbeGrid"):
+            session.measure_grid(15.0)
 
     def test_optimize_grid_matches_controller(self):
         session = LinkSession(TransmissiveScenario().configuration())
