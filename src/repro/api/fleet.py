@@ -458,6 +458,7 @@ class FleetSession:
         self.fault_schedule = fault_schedule
         self.retry_policy = retry_policy
         self._quarantined: set = set()
+        self._active: Optional[Tuple[str, ...]] = None
         self._last_known_good: Dict[str, Tuple[float, float]] = {}
         self._sessions: Dict[str, LinkSession] = {}
 
@@ -494,8 +495,10 @@ class FleetSession:
     @property
     def active_stations(self) -> Tuple[str, ...]:
         """Stations currently in service (fleet order, minus quarantine)."""
-        return tuple(name for name in self.station_names
-                     if name not in self._quarantined)
+        if self._active is None:
+            self._active = tuple(name for name in self.station_names
+                                 if name not in self._quarantined)
+        return self._active
 
     @property
     def quarantined_stations(self) -> Tuple[str, ...]:
@@ -519,6 +522,7 @@ class FleetSession:
             self.deployment.station(name)  # KeyError for unknown names
             if name not in self._quarantined:
                 self._quarantined.add(name)
+                self._active = None
                 self.monitor.record_quarantine(name)
         return self.active_stations
 
@@ -528,6 +532,7 @@ class FleetSession:
             self.deployment.station(name)
             if name in self._quarantined:
                 self._quarantined.discard(name)
+                self._active = None
                 self.monitor.record_reinstate(name)
         return self.active_stations
 
@@ -665,17 +670,32 @@ class FleetSession:
         return ProbeGrid.aligned(**ensemble.station_grid(0))
 
     def optimize_grid(self, exhaustive: bool = False,
-                      step_v: float = 1.0) -> GridSweepResult:
+                      step_v: float = 1.0,
+                      stations: Optional[Sequence[str]] = None
+                      ) -> GridSweepResult:
         """Run Algorithm 1 for every surviving station simultaneously.
 
         One batched probe per refinement iteration covers every
         station's voltage window; cell ``i`` of the result equals
         running :meth:`LinkSession.optimize` on station ``i`` alone
-        (same grids, same first-maximum and NaN semantics).  Quarantined
-        stations are excluded; probes run through the session's fault
-        and retry planes when configured.
+        (same grids, same first-maximum and NaN semantics).  Probes run
+        through the session's fault and retry planes when configured.
+
+        ``stations`` selects (and orders) the rows, repeats allowed;
+        ``None`` runs every surviving station.  Algorithm 1 is
+        independent per row, so a selection's rows equal those rows of
+        the all-survivor run.  Naming a quarantined station raises
+        ``ValueError``, an unknown one ``KeyError``.
         """
-        ensemble = self.deployment.ensemble_for(self.active_stations)
+        if stations is None:
+            names = self.active_stations
+        else:
+            names = tuple(stations)
+            quarantined = sorted(set(names) & self._quarantined)
+            if quarantined:
+                raise ValueError(
+                    f"cannot optimize quarantined stations {quarantined}")
+        ensemble = self.deployment.ensemble_for(names)
         grid = ProbeGrid.aligned(**ensemble.station_grid(0))
         return self.controller.optimize_grid(
             self._resilient_backend(LinkBackend(ensemble.link)), grid,

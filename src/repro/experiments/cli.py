@@ -275,12 +275,15 @@ def _cmd_serve(stations: int, rate_rps: float, duration_s: float,
     from repro.serve import serve_trace
 
     spec = FleetSpec.office(station_count=stations)
-    profile = LoadProfile(rate_rps=rate_rps, duration_s=duration_s,
-                          arrival=arrival, seed=seed)
+    try:
+        profile = LoadProfile(rate_rps=rate_rps, duration_s=duration_s,
+                              arrival=arrival, seed=seed)
+        config = ServiceConfig(batch_window_s=window_s,
+                               queue_capacity=queue_capacity,
+                               max_batch=max_batch)
+    except ValueError as error:
+        raise ParameterError(str(error)) from None
     trace = generate_trace(profile, spec.station_names)
-    config = ServiceConfig(batch_window_s=window_s,
-                           queue_capacity=queue_capacity,
-                           max_batch=max_batch)
     result = serve_trace(FleetSession(spec), trace, config)
     metrics = result.metrics
     row = metrics.row()

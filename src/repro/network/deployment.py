@@ -98,8 +98,9 @@ class DenseDeployment:
         self.ap_orientation_deg = ap_orientation_deg
         self.frequency_hz = frequency_hz
         self.environment_seed = environment_seed
+        self._station_names: Tuple[str, ...] = tuple(names)
         self._station_index: Dict[str, int] = {
-            station.name: index for index, station in enumerate(self.stations)}
+            name: index for index, name in enumerate(names)}
         # All stations share the AP antenna and the (deterministic)
         # multipath environment; build each exactly once.
         self._ap_antenna = netgear_access_point(
@@ -109,7 +110,7 @@ class DenseDeployment:
             seed=environment_seed)
         self._links: Dict[str, WirelessLink] = {}
         self._baselines: Dict[str, WirelessLink] = {}
-        self._ensembles: Dict[Tuple[Tuple[str, ...], bool], LinkEnsemble] = {}
+        self._ensembles: Dict[bool, LinkEnsemble] = {}
 
     # ------------------------------------------------------------------ #
     # Link construction
@@ -164,48 +165,51 @@ class DenseDeployment:
     @property
     def station_names(self) -> Tuple[str, ...]:
         """Station names in stacking order."""
-        return tuple(station.name for station in self.stations)
+        return self._station_names
 
     # ------------------------------------------------------------------ #
     # The fleet-stacked data plane
     # ------------------------------------------------------------------ #
-    def _resolve_names(self,
-                       names: Optional[Sequence[str]]) -> Tuple[str, ...]:
-        if names is None:
-            return self.station_names
-        resolved = tuple(names)
-        for name in resolved:
-            self.station(name)  # raises KeyError for unknown stations
-        return resolved
-
     def ensemble_for(self, names: Optional[Sequence[str]] = None,
                      with_surface: bool = True) -> LinkEnsemble:
-        """The stacked link ensemble of a set of stations (cached).
+        """The stacked link ensemble of a set of stations.
 
         ``names`` selects (and orders) the stations on the leading axis;
-        ``None`` stacks the whole deployment.  The ensemble shares one
-        base link, so its direct/clutter field caches are computed once
-        for the entire fleet.  An explicit empty selection yields a
-        zero-station ensemble (every stacked probe returns an empty
-        leading axis) — the degenerate fleet a fully-quarantined
-        scheduler still has to evaluate.
+        ``None`` stacks the whole deployment.  Only the two whole-fleet
+        ensembles (with and without the surface) are built and cached.
+        Any other selection is a row view of one of them: a new ensemble
+        carrying the selected rows of the per-station arrays over the
+        same shared base link, so the direct/clutter field caches are
+        computed once for the entire fleet.  Names may repeat (each
+        occurrence is its own row).  An explicit empty
+        selection yields a zero-station ensemble (every stacked probe
+        returns an empty leading axis) — the degenerate fleet a
+        fully-quarantined scheduler still has to evaluate.
         """
-        key = (self._resolve_names(names), bool(with_surface))
-        if key not in self._ensembles:
-            stations = [self.station(name) for name in key[0]]
-            # A zero-station ensemble still needs a base link to carry
-            # the shared physics; any placement serves as the template.
-            template = stations[0] if stations else self.stations[0]
+        full = self._ensembles.get(bool(with_surface))
+        if full is None:
+            # The per-station arrays override the template's distance,
+            # power and orientation; any placement serves as the base.
             base = replace(
-                self._configuration(template, with_surface=with_surface),
+                self._configuration(self.stations[0],
+                                    with_surface=with_surface),
                 tx_antenna=dipole_antenna(name="station antenna"))
-            self._ensembles[key] = LinkEnsemble(
+            full = self._ensembles[bool(with_surface)] = LinkEnsemble(
                 base,
-                distance_m=[station.distance_m for station in stations],
-                tx_power_dbm=[station.tx_power_dbm for station in stations],
+                distance_m=[station.distance_m for station in self.stations],
+                tx_power_dbm=[station.tx_power_dbm
+                              for station in self.stations],
                 tx_orientation_deg=[station.orientation_deg
-                                    for station in stations])
-        return self._ensembles[key]
+                                    for station in self.stations])
+        if names is None:
+            return full
+        names = tuple(names)
+        if names == self._station_names:
+            return full
+        rows = [self.station_index(name) for name in names]
+        return LinkEnsemble(full.link, **{
+            parameter: full.parameter(parameter)[rows] for parameter
+            in ("distance_m", "tx_power_dbm", "tx_orientation_deg")})
 
     def rssi_matrix(self, vx, vy,
                     names: Optional[Sequence[str]] = None) -> np.ndarray:

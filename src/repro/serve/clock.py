@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 from typing import Any, Awaitable, Callable, List, Tuple
 
 #: Upper bound on quiescence-drain passes per phase.  One pass runs
@@ -61,7 +62,14 @@ class VirtualClock:
         return len(self._timers)
 
     async def sleep(self, delay: float) -> None:
-        """Suspend the calling task for ``delay`` virtual seconds."""
+        """Suspend the calling task for ``delay`` virtual seconds.
+
+        A non-finite ``delay`` raises ``ValueError``: a NaN due time
+        would never advance ``now`` and an infinite one would jump it to
+        infinity.
+        """
+        if not math.isfinite(delay):
+            raise ValueError(f"sleep delay must be finite, got {delay!r}")
         if delay <= 0.0:
             await asyncio.sleep(0)
             return

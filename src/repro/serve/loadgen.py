@@ -23,6 +23,7 @@ identical stations reproduces the exact trace —
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -56,8 +57,10 @@ class RequestMix:
 
     def __post_init__(self) -> None:
         weights = self.weights()
-        if any(weight < 0.0 for weight in weights):
-            raise ValueError("mix weights must be non-negative")
+        if not all(math.isfinite(weight) and weight >= 0.0
+                   for weight in weights):
+            raise ValueError(
+                f"mix weights must be finite and non-negative, got {weights}")
         if not sum(weights) > 0.0:
             raise ValueError("at least one mix weight must be positive")
 
@@ -96,6 +99,11 @@ class LoadProfile:
     burst_cycle_s: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("rate_rps", "duration_s", "burst_factor",
+                     "burst_fraction", "burst_cycle_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rate_rps <= 0.0:
             raise ValueError("arrival rate must be positive")
         if self.duration_s <= 0.0:

@@ -7,7 +7,8 @@ and a single worker drains it in *coalescing windows* — every
 ``measure`` request captured by one window becomes a row of one
 stacked aligned :class:`~repro.channel.grid.ProbeGrid` probe (one
 budget-engine pass for the whole batch, exactly a TDMA probe epoch),
-``optimize`` requests share one stacked Algorithm 1 pass, and
+``optimize`` requests share one stacked Algorithm 1 pass over the
+requested stations only, and
 ``schedule`` requests dedupe to one TDMA epoch per strategy.
 
 Three properties the experiments gate:
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -71,6 +73,17 @@ class ServiceConfig:
     optimize_step_v: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in ("batch_window_s", "probe_epoch_cost_s", "point_cost_s",
+                     "optimize_cost_s", "schedule_cost_s", "health_cost_s",
+                     "optimize_step_v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("queue_capacity", "max_batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.batch_window_s < 0.0:
             raise ValueError("batch window must be non-negative")
         if self.queue_capacity < 1:
@@ -264,23 +277,24 @@ class SurfaceService:
                               batch_size=len(live))
 
     def _serve_optimize(self, requests: List[Request]) -> None:
-        """One stacked Algorithm 1 pass answers the batch's optimizers."""
+        """One stacked Algorithm 1 pass over the batch's live stations."""
         live = self._admit_live(requests)
         if not live:
             return
+        rows = {name: row for row, name in enumerate(
+            dict.fromkeys(request.station for request in live))}
         try:
             result = self.fleet.optimize_grid(
-                step_v=self.config.optimize_step_v)
+                step_v=self.config.optimize_step_v, stations=tuple(rows))
         except (ProbeFaultError, TransientFaultError) as error:
             for request in live:
                 self._respond(request, status="failed", value=math.nan,
                               batch_size=len(live),
                               detail=type(error).__name__)
             return
-        survivors = self.fleet.active_stations
         best = np.asarray(result.best_power_dbm, dtype=float).ravel()
         for request in live:
-            power = float(best[survivors.index(request.station)])
+            power = float(best[rows[request.station]])
             if math.isnan(power):
                 self._respond(request, status="failed", value=math.nan,
                               batch_size=len(live), detail="probe-dropout")

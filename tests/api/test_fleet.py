@@ -121,6 +121,24 @@ class TestStackedSearches:
             assert float(result.best_power_dbm[index]) == pytest.approx(
                 scalar.best_power_dbm, abs=TOLERANCE_DB)
 
+    def test_optimize_grid_station_subset_equals_those_rows(self, fleet):
+        full = fleet.optimize_grid()
+        names = ["skewed", "aligned", "skewed", "tilted"]
+        subset = fleet.optimize_grid(stations=names)
+        rows = [fleet.station_index(name) for name in names]
+        assert np.array_equal(subset.best_vx, full.best_vx[rows])
+        assert np.array_equal(subset.best_vy, full.best_vy[rows])
+        assert np.allclose(subset.best_power_dbm, full.best_power_dbm[rows],
+                           atol=TOLERANCE_DB, rtol=0.0)
+
+    def test_optimize_grid_rejects_quarantined_and_unknown_stations(self):
+        fleet = FleetSession(cliff_spec())
+        fleet.quarantine("tilted")
+        with pytest.raises(ValueError, match="quarantined"):
+            fleet.optimize_grid(stations=["aligned", "tilted"])
+        with pytest.raises(KeyError, match="missing"):
+            fleet.optimize_grid(stations=["aligned", "missing"])
+
     def test_best_bias_plan_matches_single_station_search(self, fleet):
         plan = fleet.best_bias_plan(step_v=6.0)
         assert plan.station_names == fleet.station_names
@@ -313,6 +331,23 @@ class TestSessionConstruction:
         assert session.link is fleet.deployment.link_for("aligned")
         assert session.measure(7.0, 22.0) == pytest.approx(
             fleet.measure("aligned", 7.0, 22.0), abs=TOLERANCE_DB)
+
+    def test_station_name_tuples_are_built_once(self, fleet):
+        assert fleet.station_names is fleet.station_names
+        assert fleet.active_stations is fleet.active_stations
+
+    def test_active_stations_follow_quarantine_reinstate_and_churn(self):
+        fleet = FleetSession(cliff_spec())
+        roster = fleet.station_names
+        assert fleet.active_stations == roster
+        fleet.quarantine("tilted", "skewed")
+        assert fleet.active_stations == ("aligned", "orthogonal")
+        fleet.reinstate("skewed")
+        assert fleet.active_stations == ("aligned", "orthogonal", "skewed")
+        fleet.apply_churn(["tilted"])
+        assert fleet.active_stations == ("tilted",)
+        fleet.apply_churn(roster)
+        assert fleet.active_stations == roster
 
     def test_ensembles_are_cached(self, fleet):
         assert fleet.ensemble is fleet.ensemble

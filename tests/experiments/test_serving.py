@@ -102,6 +102,11 @@ class TestServeCli:
         assert record["config"]["batch_window_s"] == 0.02
         assert record["metrics"]["request_count"] > 0
 
+    @pytest.mark.parametrize("flag", ["--rate", "--duration", "--window"])
+    def test_serve_subcommand_rejects_non_finite_input(self, capsys, flag):
+        assert main(["serve", "--stations", "2", flag, "nan"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_serve_experiments_run_via_cli(self, capsys):
         assert main(["run", "serve_capacity", "--smoke", "--check",
                      "--quiet"]) == 0

@@ -1,5 +1,7 @@
 """Tests for the dense-deployment / polarization-reuse extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -325,12 +327,30 @@ class TestLinkCaching:
         # One with-surface and one baseline construction, ever.
         assert calls == [("aligned", True), ("aligned", False)]
 
-    def test_ensembles_are_cached_per_subset(self):
+    def test_subset_ensembles_are_row_views_of_the_fleet(self):
         deployment = small_deployment()
-        assert deployment.ensemble_for() is deployment.ensemble_for()
-        subset = deployment.ensemble_for(["tilted", "aligned"])
-        assert deployment.ensemble_for(["tilted", "aligned"]) is subset
-        assert subset is not deployment.ensemble_for()
+        full = deployment.ensemble_for()
+        assert deployment.ensemble_for() is full
+        assert deployment.ensemble_for(deployment.station_names) is full
+        names = ["tilted", "aligned", "tilted"]
+        subset = deployment.ensemble_for(names)
+        assert subset.link is full.link
+        levels = np.arange(0.0, 30.1, 10.0)
+        rows = [deployment.station_index(name) for name in names]
+        assert np.allclose(subset.measure_batch(levels, levels[::-1]),
+                           full.measure_batch(levels, levels[::-1])[rows],
+                           atol=1e-9, rtol=0.0)
+        selections = [selection for length in (1, 2, 3, 4) for selection
+                      in itertools.product(deployment.station_names,
+                                           repeat=length)][:50]
+        for selection in selections:
+            deployment.ensemble_for(selection)
+            deployment.ensemble_for(selection, with_surface=False)
+        assert len(deployment._ensembles) <= 2
+        with pytest.raises(KeyError, match="missing"):
+            deployment.ensemble_for(["aligned", "missing"])
+        assert deployment.ensemble_for([]).measure_batch(
+            levels, levels).shape == (0, levels.size)
 
     def test_environment_and_ap_antenna_are_shared(self):
         deployment = small_deployment()

@@ -53,6 +53,18 @@ class TestSleepOrdering:
         assert run(main, clock) == 0.0
         assert clock.pending_timers == 0
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        clock = VirtualClock()
+
+        async def main():
+            await clock.sleep(delay)
+
+        with pytest.raises(ValueError, match="finite"):
+            run(main, clock)
+        assert clock.now == 0.0
+        assert clock.pending_timers == 0
+
     def test_sequential_sleeps_accumulate(self):
         clock = VirtualClock()
 

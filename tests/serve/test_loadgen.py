@@ -124,6 +124,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             RequestMix(measure=-0.1)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_mix_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            RequestMix(optimize=weight)
+
     def test_all_zero_mix_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             RequestMix(measure=0.0, optimize=0.0, schedule=0.0, health=0.0)
@@ -134,6 +139,13 @@ class TestValidation:
         ({"arrival": "bursty"}, "arrival"),
         ({"strategy": "round-robin"}, "strategy"),
         ({"burst_fraction": 0.0}, "burst fraction"),
+        ({"rate_rps": float("nan")}, "rate_rps must be finite"),
+        ({"rate_rps": float("inf")}, "rate_rps must be finite"),
+        ({"duration_s": float("nan")}, "duration_s must be finite"),
+        ({"duration_s": float("inf")}, "duration_s must be finite"),
+        ({"burst_factor": float("nan")}, "burst_factor must be finite"),
+        ({"burst_fraction": float("nan")}, "burst_fraction must be finite"),
+        ({"burst_cycle_s": float("nan")}, "burst_cycle_s must be finite"),
     ])
     def test_profile_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

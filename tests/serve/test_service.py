@@ -219,6 +219,14 @@ class TestConfigValidation:
         ({"max_batch": 0}, "batch"),
         ({"point_cost_s": -1.0}, "point_cost_s"),
         ({"optimize_step_v": 0.0}, "step"),
+        *[({name: value}, f"{name} must be finite")
+          for name in ("batch_window_s", "probe_epoch_cost_s",
+                       "point_cost_s", "optimize_cost_s", "schedule_cost_s",
+                       "health_cost_s", "optimize_step_v")
+          for value in (float("nan"), float("inf"))],
+        ({"max_batch": 2.5}, "max_batch must be an integer"),
+        ({"queue_capacity": float("inf")}, "queue_capacity must be an integer"),
+        ({"queue_capacity": 64.0}, "queue_capacity must be an integer"),
     ])
     def test_bad_config_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
