@@ -16,6 +16,7 @@ from bench_utils import (
     speedup_row,
     timed,
 )
+from repro.channel.grid import ProbeGrid
 from repro.experiments.scenarios import ReflectiveScenario, TransmissiveScenario
 
 
@@ -38,7 +39,8 @@ def run_sweep_comparison():
                        ("reflective", ReflectiveScenario().link())):
         vx, vy = _heatmap_grid(step_v=1.0)
         scalar, scalar_s = timed(scalar_loop_sweep, link, vx, vy)
-        batched, batched_s = timed(link.received_power_dbm_batch, vx, vy)
+        batched, batched_s = timed(link.evaluate_grid,
+                                   ProbeGrid.aligned(vx=vx, vy=vy))
         max_error_db = float(np.max(np.abs(batched - scalar)))
         rows.append(speedup_row(name, len(vx), scalar_s, batched_s,
                                 max_error_db))

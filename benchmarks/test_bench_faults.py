@@ -81,33 +81,24 @@ def run_overhead_comparison():
     link = LinkSession(TransmissiveScenario().configuration()).link
     bare = LinkBackend(link)
     wrapped = wrap_resilience(LinkBackend(link))
-    grid = ProbeGrid.product(vx=LEVELS, vy=LEVELS)
+    grids = (("aligned bias grid", ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID)),
+             ("product probe grid", ProbeGrid.product(vx=LEVELS, vy=LEVELS)))
 
     # Warm-up both paths (NumPy dispatch, surface response caches).
-    bare.measure_batch(VX_GRID, VY_GRID)
-    wrapped.measure_batch(VX_GRID, VY_GRID)
-    bare.measure_grid(grid)
-    wrapped.measure_grid(grid)
+    for _label, grid in grids:
+        bare.measure_grid(grid)
+        wrapped.measure_grid(grid)
 
-    rows = [
+    return [
         overhead_row(
-            f"measure_batch x{CALLS} ({LEVELS.size}^2 bias grid)",
-            CALLS * VX_GRID.size,
-            lambda: [bare.measure_batch(VX_GRID, VY_GRID)
-                     for _ in range(CALLS)],
-            lambda: [wrapped.measure_batch(VX_GRID, VY_GRID)
-                     for _ in range(CALLS)],
-            float(np.max(np.abs(wrapped.measure_batch(VX_GRID, VY_GRID)
-                                - bare.measure_batch(VX_GRID, VY_GRID))))),
-        overhead_row(
-            f"measure_grid x{CALLS} ({LEVELS.size}^2 probe grid)",
+            f"measure_grid x{CALLS} ({LEVELS.size}^2 {label})",
             CALLS * grid.size,
-            lambda: [bare.measure_grid(grid) for _ in range(CALLS)],
-            lambda: [wrapped.measure_grid(grid) for _ in range(CALLS)],
+            lambda grid=grid: [bare.measure_grid(grid) for _ in range(CALLS)],
+            lambda grid=grid: [wrapped.measure_grid(grid)
+                               for _ in range(CALLS)],
             float(np.max(np.abs(wrapped.measure_grid(grid)
-                                - bare.measure_grid(grid))))),
-    ]
-    return rows
+                                - bare.measure_grid(grid)))))
+        for label, grid in grids]
 
 
 def test_bench_disabled_injection_overhead(benchmark):

@@ -21,7 +21,7 @@ from bench_utils import (
     timed,
     write_bench_rows,
 )
-from repro.api import FleetSession, FleetSpec, LinkSession
+from repro.api import FleetSession, FleetSpec, LinkSession, ProbeGrid
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.experiments.figures import deployment_scheduling_comparison
 from repro.experiments.reporting import format_table
@@ -30,6 +30,7 @@ STATION_COUNT = 12
 STEP_V = 2.0
 LEVELS = np.arange(0.0, 30.0 + 0.5 * STEP_V, STEP_V)
 VX_GRID, VY_GRID = np.meshgrid(LEVELS, LEVELS, indexing="ij")
+BIAS_GRID = ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID)
 
 
 def build_fleet() -> FleetSession:
@@ -48,7 +49,7 @@ def looped_sessions(fleet):
 
 def looped_grid_probe(fleet):
     """Per-station sessions probing the bias grid in a Python loop."""
-    return np.stack([session.measure_batch(VX_GRID, VY_GRID)
+    return np.stack([session.measure_grid(BIAS_GRID)
                      for session in looped_sessions(fleet)])
 
 
@@ -57,7 +58,7 @@ def looped_compromise_utility(fleet):
     utility = np.zeros(VX_GRID.shape)
     for session in looped_sessions(fleet):
         utility += np.asarray(wifi_rate_for_rssi_mbps(
-            session.measure_batch(VX_GRID, VY_GRID)))
+            session.measure_grid(BIAS_GRID)))
     return utility
 
 
@@ -65,7 +66,7 @@ def looped_best_bias(fleet):
     """Per-station best-bias grid searches in a Python loop."""
     best = []
     for session in looped_sessions(fleet):
-        powers = session.measure_batch(VX_GRID, VY_GRID)
+        powers = session.measure_grid(BIAS_GRID)
         best.append(float(np.max(powers)))
     return np.asarray(best)
 

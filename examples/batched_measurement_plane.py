@@ -6,10 +6,11 @@ introduced:
 
 1. :class:`ScenarioBuilder` — a new workload is one chained expression,
 2. :class:`LinkSession` — the facade owning the link / rotator / supply
-   bundle, with batched probing and cached derived sessions,
-3. :class:`MeasurementBackend` — the pluggable data plane: the same
-   controller runs against the vectorized simulation backend or any
-   legacy scalar callable wrapped in :class:`CallableBackend`,
+   bundle, with grid probing and cached derived sessions,
+3. :class:`MeasurementBackend` — the pluggable data plane, one method
+   ``measure_grid(ProbeGrid)``: the same controller runs against the
+   vectorized simulation backend or a scalar instrument wrapped in
+   :class:`CallableBackend`,
 4. ``measure_grid`` / ``optimize_grid`` — whole link-parameter axes
    (frequency, tx power, distance, rx orientation) evaluated and
    optimized in single vectorized passes over a :class:`ProbeGrid`.
@@ -39,13 +40,13 @@ def main() -> None:
                                                      switches_per_axis=5))
                .session())
 
-    # 2a. Batched probing: a whole 31 x 31 heatmap in one vectorized pass.
+    # 2a. Grid probing: a whole 31 x 31 heatmap in one vectorized pass.
     levels = np.arange(0.0, 31.0, 1.0)
-    vx, vy = np.meshgrid(levels, levels, indexing="ij")
     start = time.perf_counter()
-    heatmap = session.measure_batch(vx, vy)
+    heatmap = session.measure_grid(ProbeGrid.product(vx=levels, vy=levels))
     batched_s = time.perf_counter() - start
     start = time.perf_counter()
+    vx, vy = np.meshgrid(levels, levels, indexing="ij")
     for a, b in zip(vx.ravel()[:50], vy.ravel()[:50]):
         session.measure(float(a), float(b))
     scalar_s = (time.perf_counter() - start) * heatmap.size / 50.0
@@ -87,8 +88,8 @@ def main() -> None:
           f"{sweep_s * 1e3:.1f} ms, worst-case gain {worst:.1f} dB "
           "across 2.40-2.50 GHz (paper: > 10 dB)")
 
-    # Bonus: the Sec. 3.4 rotation-angle estimation, with per-orientation
-    # link caching and batched voltage sweeps underneath.
+    # Bonus: the Sec. 3.4 rotation-angle estimation; each orientation
+    # scan is one grid probe over the rx_orientation axis.
     estimate = session.estimate_rotation(orientation_step_deg=6.0)
     print(f"Rotation estimation    : {estimate.min_rotation_deg:.1f} to "
           f"{estimate.max_rotation_deg:.1f} degrees achievable")

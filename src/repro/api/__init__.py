@@ -2,17 +2,17 @@
 
 This package is the public face of the reproduction's measurement
 plane.  It separates *what is probed* (a
-:class:`~repro.api.backend.MeasurementBackend` answering scalar,
-batched or N-D grid queries) from *what orchestrates the
-probing* (controllers, estimators, schedulers and figure runners), so
-sweeps are vectorized end to end and backends — simulation, noisy
-receivers, recorded traces, hardware — are substitutable.
+:class:`~repro.api.backend.MeasurementBackend` answering one question,
+``measure_grid(ProbeGrid)``) from *what orchestrates the probing*
+(controllers, estimators, schedulers and figure runners), so sweeps
+are vectorized end to end and backends — simulation, noisy receivers,
+recorded traces, hardware — are substitutable.
 
-* :class:`MeasurementBackend`, :class:`GridMeasurementBackend` — the
-  backend protocols, from scalar bias probes up to whole N-D probe
-  grids.
-* :class:`LinkBackend`, :class:`CallableBackend`,
-  :class:`ReceiverSweepBackend` — the stock implementations.
+* :class:`MeasurementBackend` — the one backend protocol: received
+  power at every operating point of an N-D probe grid.
+* :class:`LinkBackend`, :class:`ReceiverSweepBackend` — the stock
+  implementations; :class:`CallableBackend` adapts a scalar
+  ``fn(vx, vy, **link_axes)`` instrument, one call per grid point.
 * :class:`ProbeGrid` (re-exported from :mod:`repro.channel.grid`) — the
   named N-D operating-point grids the engine evaluates; axis names are
   ``"vx"`` / ``"vy"`` plus :data:`SWEEP_AXES`.
@@ -39,18 +39,9 @@ receivers, recorded traces, hardware — are substitutable.
 
 from repro.api.backend import (
     CallableBackend,
-    CallableOrientationBackend,
-    FixedOrientationBackend,
-    GridMeasurementBackend,
     LinkBackend,
-    MeasureCallback,
     MeasurementBackend,
-    OrientationBackend,
-    OrientationMeasureCallback,
-    OrientationMeasurementBackend,
     ReceiverSweepBackend,
-    as_backend,
-    as_orientation_backend,
 )
 from repro.api.builder import ScenarioBuilder
 from repro.api.fleet import (
@@ -117,23 +108,14 @@ def __getattr__(name):
     return getattr(importlib.import_module(module_name), attribute)
 
 __all__ = [
-    "MeasureCallback",
     "MeasurementBackend",
     "LinkBackend",
     "CallableBackend",
-    "GridMeasurementBackend",
     "ReceiverSweepBackend",
     "GRID_AXES",
     "GridAxis",
     "ProbeGrid",
     "SWEEP_AXES",
-    "as_backend",
-    "OrientationMeasureCallback",
-    "OrientationMeasurementBackend",
-    "OrientationBackend",
-    "CallableOrientationBackend",
-    "FixedOrientationBackend",
-    "as_orientation_backend",
     "LinkSession",
     "ScenarioBuilder",
     "SCHEDULE_STRATEGIES",

@@ -26,10 +26,11 @@ links, and that is what this module provides:
 
 Migration from the per-station loop idiom::
 
-    # before (PR 1-3): one facade per station, a Python loop per probe
+    # before: one facade per station, a Python loop per probe
     for station in stations:
         session = LinkSession(configuration_for(station))
-        powers[station] = session.measure_batch(vx, vy)
+        powers[station] = session.measure_grid(
+            ProbeGrid.aligned(vx=vx, vy=vy))
 
     # after: one fleet, one pass
     fleet = FleetSession(FleetSpec.random_home(station_count=8))

@@ -11,24 +11,24 @@ primary surface.  It replaces the ad-hoc ``WirelessLink(...)``
 construction sprinkled through the seed's controllers, estimators and
 figure runners:
 
-* ``measure`` / ``measure_batch`` probe the link (vectorized fast path),
 * ``measure_grid`` / ``optimize_grid`` probe and optimize a whole
-  :class:`~repro.channel.grid.ProbeGrid` over link-parameter axes,
+  :class:`~repro.channel.grid.ProbeGrid` over bias voltages and
+  link-parameter axes; ``measure`` is its scalar convenience (a 0-d
+  grid),
 * ``optimize`` / ``full_sweep`` run Algorithm 1 / the exhaustive grid
   against the session's backend and park the supply at the optimum,
 * ``with_rx_orientation`` returns a cached per-orientation session so
   turntable procedures never rebuild links probe by probe,
-* ``estimate_rotation`` runs the Sec. 3.4 procedure with batched
-  voltage sweeps.
+* ``estimate_rotation`` runs the Sec. 3.4 procedure, one grid probe per
+  orientation scan.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.api.backend import LinkBackend, OrientationBackend
+from repro.api.backend import LinkBackend
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import (
     DeploymentMode,
@@ -129,7 +129,6 @@ class LinkSession:
             self.supply.on_voltage_change = self.rotator.set_bias_voltages
         self._baseline: Optional["LinkSession"] = None
         self._orientation_sessions: Dict[float, "LinkSession"] = {}
-        self._orientation_backend: Optional[OrientationBackend] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -160,12 +159,9 @@ class LinkSession:
     # Measurement plane
     # ------------------------------------------------------------------ #
     def measure(self, vx: float = 0.0, vy: float = 0.0) -> float:
-        """Received power (dBm) at one bias pair."""
-        return self.backend.measure(vx, vy)
-
-    def measure_batch(self, vx, vy) -> np.ndarray:
-        """Received power (dBm) over whole bias grids in one pass."""
-        return self.backend.measure_batch(vx, vy)
+        """Received power (dBm) at one bias pair (a 0-d grid probe)."""
+        return float(self.backend.measure_grid(ProbeGrid.aligned(vx=vx,
+                                                                 vy=vy)))
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Received power (dBm) over an N-D probe grid in one pass.
@@ -253,33 +249,30 @@ class LinkSession:
     def with_rx_orientation(self, orientation_deg: float) -> "LinkSession":
         """Session with the receive antenna rotated (cached per angle).
 
-        This is the turntable primitive of the Sec. 3.4 estimation: one
-        link per probed orientation, built once (shared with
-        :meth:`orientation_backend`) and reused across the whole
-        voltage sweep at that orientation.
+        One fault-free session per probed orientation, built once and
+        reused across every measurement at that orientation.
         """
         key = float(orientation_deg)
         if key not in self._orientation_sessions:
+            config = self.link.configuration
             self._orientation_sessions[key] = LinkSession(
-                self.orientation_backend().link_for_orientation(key),
+                replace(config, rx_antenna=config.rx_antenna.rotated(key)),
                 sweep_config=self.controller.config)
         return self._orientation_sessions[key]
-
-    def orientation_backend(self) -> OrientationBackend:
-        """Orientation-aware measurement backend over this link (cached)."""
-        if self._orientation_backend is None:
-            self._orientation_backend = OrientationBackend(self.link)
-        return self._orientation_backend
 
     def estimate_rotation(self,
                           orientation_step_deg: float = 2.0,
                           exhaustive_voltage_sweep: bool = False) -> RotationEstimate:
-        """Run the Sec. 3.4 rotation-angle estimation on this link."""
+        """Run the Sec. 3.4 rotation-angle estimation on this link.
+
+        Probes the fault-free link: the turntable procedure is a
+        calibration step, outside the session's fault plane.
+        """
         estimator = RotationAngleEstimator(
             sweep_config=self.controller.config,
             orientation_step_deg=orientation_step_deg)
         return estimator.estimate(
-            self.orientation_backend(),
+            LinkBackend(self.link),
             exhaustive_voltage_sweep=exhaustive_voltage_sweep)
 
 

@@ -210,6 +210,19 @@ class ProbeGrid:
         expanded: FloatArray = np.broadcast_to(self.shaped(name), self.shape)
         return expanded
 
+    def bias_points(self) -> Tuple[FloatArray, FloatArray]:
+        """``(vx, vy)`` at every operating point, broadcast to :attr:`shape`.
+
+        A voltage axis absent from the grid reads 0 V, the engine's
+        default bias.
+        """
+        shape = self.shape
+        vx: FloatArray = np.broadcast_to(
+            self.shaped("vx") if "vx" in self else 0.0, shape)
+        vy: FloatArray = np.broadcast_to(
+            self.shaped("vy") if "vy" in self else 0.0, shape)
+        return vx, vy
+
     def point_values(self) -> Dict[str, FloatArray]:
         """Flattened per-point value arrays, one ``(size,)`` per axis."""
         return {axis.name: self.expand(axis.name).ravel()

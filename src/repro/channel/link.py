@@ -28,11 +28,10 @@ budget itself exists exactly once, in the N-D grid engine behind
 :meth:`WirelessLink.evaluate`: hand it a
 :class:`~repro.channel.grid.ProbeGrid` over bias voltages and any
 subset of :data:`~repro.channel.grid.SWEEP_AXES` and the whole product
-grid evaluates in a single vectorized pass.  The historical entry
-points — scalar :meth:`WirelessLink.received_power_dbm` and the
-bias-grid :meth:`WirelessLink.received_power_dbm_batch` — are thin
-views over that engine, pinned to it within 1e-9 dB by the parity
-suites; link-parameter axes are probed only through a grid.
+grid evaluates in a single vectorized pass.  The scalar
+:meth:`WirelessLink.received_power_dbm` is a thin view over that
+engine, pinned to it within 1e-9 dB by the parity suites; bias grids
+and link-parameter axes are probed only through a grid.
 
 The engine picks one of two paths from the broadcast shapes alone.  A
 shared bias lattice crossed with stations — bias arrays and per-station
@@ -849,20 +848,6 @@ class WirelessLink:
         Scalar view of the grid engine (one 0-d operating point).
         """
         return float(self._budget_power_dbm(vx, vy, {}))
-
-    def received_power_dbm_batch(self, vx, vy) -> np.ndarray:
-        """Received power (dBm) over whole bias-voltage grids at once.
-
-        ``vx`` and ``vy`` may be scalars or NumPy arrays that broadcast
-        against each other; the returned array has the broadcast shape
-        and matches scalar :meth:`received_power_dbm` at every pair.
-        A bias-only view of the grid engine: the direct and clutter
-        fields come from the link's caches, so the whole
-        Jones/Friis/multipath budget is a single pass of vectorized
-        surface responses — this is the fast path the batched
-        measurement API (:mod:`repro.api`) is built on.
-        """
-        return self._budget_power_dbm(vx, vy, {})
 
     def noise_power_dbm(self) -> float:
         """Receiver noise-plus-interference floor for the configured bandwidth."""

@@ -11,27 +11,23 @@ from ~900 probes to 50.
 
 The controller is deliberately decoupled from the physics: it talks to
 the world through a :class:`repro.api.MeasurementBackend`, issuing one
-*batched* probe per grid (``full_sweep``) or per refinement iteration
-(``coarse_to_fine_sweep``).  The simulation backend evaluates whole
-bias grids in a single vectorized pass of the link budget; hardware or
-recorded-trace backends can answer element by element.  The
-grid-native searches (``optimize_grid``) run the same search at every
-cell of a :class:`~repro.channel.grid.ProbeGrid` over link-parameter
-axes at once; they probe through the backend's ``measure_grid``, the
-one protocol for link-parameter axes.
-
-Legacy scalar ``measure(vx, vy) -> power_dbm`` callables are still
-accepted everywhere a backend is, but are deprecated: they are wrapped
-in :class:`repro.api.CallableBackend` (with a ``DeprecationWarning``)
-and probed through a Python loop.
+``measure_grid`` probe per grid (``full_sweep``) or per refinement
+iteration (``coarse_to_fine_sweep``).  The simulation backend evaluates
+whole bias grids in a single vectorized pass of the link budget;
+hardware or recorded-trace instruments answer point by point through
+:class:`repro.api.CallableBackend`.  The grid-native searches
+(``optimize_grid``) run the same search at every cell of a
+:class:`~repro.channel.grid.ProbeGrid` over link-parameter axes at once,
+through the same protocol.  Every entry point raises ``TypeError`` for
+an object without ``measure_grid`` (a bare callable included).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,25 +39,15 @@ from repro.constants import (
 )
 from repro.faults.policy import ProbePolicy
 
-MeasureCallback = Callable[[float, float], float]
 
-#: Accepted by every controller entry point: a measurement backend, or a
-#: legacy scalar callable (deprecated).
-MeasureSource = Union["MeasurementBackend", MeasureCallback]
-
-
-def _as_measurement_backend(measure):
-    """Coerce a backend-or-callable argument, warning on the legacy path."""
-    from repro.api.backend import as_backend
-    backend = as_backend(measure)
-    if backend is not measure:
-        warnings.warn(
-            "passing a bare measure(vx, vy) callable to CentralizedController "
-            "is deprecated; pass a repro.api.MeasurementBackend (e.g. "
-            "LinkBackend for vectorized sweeps, or CallableBackend to wrap "
-            "this callable)",
-            DeprecationWarning, stacklevel=3)
-    return backend
+def require_backend(backend, owner: str) -> None:
+    """Raise ``TypeError`` unless ``backend`` answers ``measure_grid``."""
+    if not callable(getattr(backend, "measure_grid", None)):
+        raise TypeError(
+            f"{owner} probes through a MeasurementBackend (an object with "
+            f"measure_grid(ProbeGrid)), got {type(backend).__name__}; wrap "
+            "a scalar measure(vx, vy, **link_axes) callable in "
+            "repro.api.CallableBackend")
 
 
 def bias_lattice(step_v: float, low: float = BIAS_VOLTAGE_MIN_V,
@@ -79,28 +65,35 @@ def bias_lattice(step_v: float, low: float = BIAS_VOLTAGE_MIN_V,
     return levels[levels <= high]
 
 
+def first_maximum(values) -> int:
+    """Index of the first maximum of a 1-D array, NaN read as ``-inf``.
+
+    A NaN (dropped) probe is never selected unless every probe dropped,
+    matching the historical strict-``>`` scalar loops.
+    """
+    values = np.asarray(values, dtype=float)
+    return int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+
+
 def vectorized_grid_max(levels_x: np.ndarray, levels_y: np.ndarray,
-                        measure_batch) -> Tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, int]:
-    """Evaluate a 2-D grid with one batched call; find its first maximum.
+                        probe) -> Tuple[np.ndarray, np.ndarray,
+                                        np.ndarray, int]:
+    """Evaluate a 2-D grid with one call; find its first maximum.
 
     The shared primitive of every batched grid search (controller
-    sweeps, per-station bias search, scheduler utility search): build
-    the vx-major meshgrid, issue a single ``measure_batch`` over the
-    flattened pairs, and locate the first maximum with NaN values
-    treated as ``-inf`` (never selected), matching the historical
-    strict-``>`` scalar loops.  Returns ``(vx_flat, vy_flat, values,
+    sweeps, scheduler utility search): build the vx-major meshgrid,
+    call ``probe(vx, vy)`` once over the flattened pairs, and locate
+    the :func:`first_maximum`.  Returns ``(vx_flat, vy_flat, values,
     best_index)``.
     """
     vx_grid, vy_grid = np.meshgrid(levels_x, levels_y, indexing="ij")
     vx_flat = vx_grid.ravel()
     vy_flat = vy_grid.ravel()
-    values = np.asarray(measure_batch(vx_flat, vy_flat), dtype=float).ravel()
+    values = np.asarray(probe(vx_flat, vy_flat), dtype=float).ravel()
     if values.shape != vx_flat.shape:
         raise ValueError(f"batched measurement returned {values.shape[0]} "
                          f"values for {vx_flat.shape[0]} probes")
-    masked = np.where(np.isnan(values), -math.inf, values)
-    return vx_flat, vy_flat, values, int(np.argmax(masked))
+    return vx_flat, vy_flat, values, first_maximum(values)
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,15 @@ class VoltageSweepConfig:
     switch_interval_s: float = 1.0 / SUPPLY_SWITCH_RATE_HZ
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "switches_per_axis"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or
+                    not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("min_voltage_v", "max_voltage_v", "switch_interval_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.switches_per_axis < 2:
@@ -246,15 +248,17 @@ class CentralizedController:
     def _probe_grid(self, backend, levels_x: np.ndarray,
                     levels_y: np.ndarray,
                     iteration: int) -> Tuple[List[SweepSample], Tuple[float, float, float]]:
-        """Issue one (re-voted) batched probe over a voltage grid.
+        """Issue one (re-voted) probe over a voltage grid.
 
-        Returns the samples (vx-major order, matching the historical
-        scalar loop) and the first-maximum ``(power, vx, vy)`` triple.
+        The flattened vx-major pairs travel as one aligned 1-D
+        :class:`ProbeGrid`.  Returns the samples (in that order) and the
+        first-maximum ``(power, vx, vy)`` triple.
         """
+        require_backend(backend, "CentralizedController")
         vx_flat, vy_flat, powers, best_index = vectorized_grid_max(
             levels_x, levels_y,
             lambda vx, vy: self.probe_policy.measure(
-                backend.measure_batch, vx, vy))
+                backend.measure_grid, ProbeGrid.aligned(vx=vx, vy=vy)))
         samples = [SweepSample(float(vx), float(vy), float(power), iteration)
                    for vx, vy, power in zip(vx_flat, vy_flat, powers)]
         best_power = powers[best_index]
@@ -262,19 +266,17 @@ class CentralizedController:
                 float(vx_flat[best_index]), float(vy_flat[best_index]))
         return samples, best
 
-    def full_sweep(self, measure: MeasureSource,
-                   step_v: float = 1.0) -> SweepResult:
+    def full_sweep(self, backend, step_v: float = 1.0) -> SweepResult:
         """Exhaustive grid scan of the full voltage range.
 
         This is the ~30 s baseline the paper wants to avoid for real-time
         operation, but it is also what the evaluation uses to generate
         the Fig. 15 / Fig. 21 heatmaps.  The whole grid is issued as a
-        single batched probe.
+        single probe.
         """
         config = self.config
         levels = bias_lattice(step_v, config.min_voltage_v,
                               config.max_voltage_v)
-        backend = _as_measurement_backend(measure)
         samples, best = self._probe_grid(backend, levels, levels, iteration=0)
         duration = len(samples) * config.switch_interval_s
         return SweepResult(best_vx=best[1], best_vy=best[2],
@@ -284,15 +286,14 @@ class CentralizedController:
     # ------------------------------------------------------------------ #
     # Algorithm 1: coarse-to-fine sweep
     # ------------------------------------------------------------------ #
-    def coarse_to_fine_sweep(self, measure: MeasureSource) -> SweepResult:
+    def coarse_to_fine_sweep(self, backend) -> SweepResult:
         """Paper Algorithm 1.
 
         Each iteration probes a ``T x T`` grid across the current search
-        window of each axis (one batched probe per iteration), then
-        shrinks the window to the step-sized neighbourhood below the
-        best probe for the next iteration.
+        window of each axis (one probe per iteration), then shrinks the
+        window to the step-sized neighbourhood below the best probe for
+        the next iteration.
         """
-        backend = _as_measurement_backend(measure)
         config = self.config
         window_x = (config.min_voltage_v, config.max_voltage_v)
         window_y = (config.min_voltage_v, config.max_voltage_v)
@@ -337,41 +338,29 @@ class CentralizedController:
     def _probe_grid_points(self, backend,
                            point_values: Dict[str, np.ndarray],
                            grid_vx: np.ndarray, grid_vy: np.ndarray):
-        """Issue one (re-voted) batched probe of per-point voltage grids.
+        """Issue one (re-voted) probe of per-point voltage grids.
 
         ``point_values`` maps each link-parameter axis to its ``(n,)``
         flattened per-point values; ``grid_vx`` / ``grid_vy`` are
         vx-major voltage grids, ``(n, k)`` (one row per point) or one
-        ``(1, k)`` row shared by every point.  ``measure_grid`` backends
-        get a shared row as is, so the engine evaluates the metasurface
-        once per bias pair; the ``measure_batch`` fallback and the
-        selection see it broadcast to ``(n, k)``, in the same probe
-        order as per-point rows.  Probes through ``measure_grid`` (any
-        axes) or, without link-parameter axes, ``measure_batch``, and
-        returns the per-point first-maximum ``(power, vx, vy)`` arrays
-        with NaN probes treated as ``-inf``, matching the scalar
+        ``(1, k)`` row shared by every point.  The backend gets a shared
+        row as is, so the engine evaluates the metasurface once per bias
+        pair; the selection sees it broadcast to ``(n, k)``.  Returns
+        the per-point first-maximum ``(power, vx, vy)`` arrays with NaN
+        probes treated as ``-inf``, matching the scalar
         :meth:`_probe_grid` semantics row by row.
         """
-        policy = self.probe_policy
+        require_backend(backend, "CentralizedController")
         shape = np.broadcast_shapes(
             grid_vx.shape, grid_vy.shape,
             *((values.size, 1) for values in point_values.values()))
         full_vx = np.broadcast_to(grid_vx, shape)
         full_vy = np.broadcast_to(grid_vy, shape)
-        if hasattr(backend, "measure_grid"):
-            probe = ProbeGrid.aligned(
-                vx=grid_vx, vy=grid_vy,
-                **{name: values[:, None]
-                   for name, values in point_values.items()})
-            powers = policy.measure(backend.measure_grid, probe)
-        elif not point_values and hasattr(backend, "measure_batch"):
-            powers = policy.measure(backend.measure_batch, full_vx, full_vy)
-        else:
-            raise TypeError(
-                "backend cannot probe this grid: it must provide "
-                "measure_grid (any axes) or measure_batch (no "
-                "link-parameter axes)")
-        powers = np.asarray(powers, dtype=float)
+        probe = ProbeGrid.aligned(
+            vx=grid_vx, vy=grid_vy,
+            **{name: values[:, None] for name, values in point_values.items()})
+        powers = np.asarray(self.probe_policy.measure(backend.measure_grid,
+                                                      probe), dtype=float)
         if powers.shape != shape:
             raise ValueError(
                 f"batched sweep measurement returned shape {powers.shape} "
@@ -487,11 +476,9 @@ class CentralizedController:
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
-    def optimize(self, measure: MeasureSource,
-                 exhaustive: bool = False,
+    def optimize(self, backend, exhaustive: bool = False,
                  step_v: float = 1.0) -> SweepResult:
         """Run the configured search strategy."""
-        backend = _as_measurement_backend(measure)
         if exhaustive:
             return self.full_sweep(backend, step_v=step_v)
         return self.coarse_to_fine_sweep(backend)
@@ -510,9 +497,9 @@ class CentralizedController:
 
 
 __all__ = [
-    "MeasureCallback",
-    "MeasureSource",
+    "require_backend",
     "bias_lattice",
+    "first_maximum",
     "vectorized_grid_max",
     "VoltageSweepConfig",
     "GridSweepResult",

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
 from repro.core.controller import (
     CentralizedController,
@@ -41,34 +42,34 @@ from repro.metasurface.surface import SurfaceMode
 class _SupplyMeasurementBackend:
     """Measurement backend that keeps the supply/rotator in the loop.
 
-    Every probe — scalar or batched — programs the power supply (which
-    advances the simulated clock and quantises the bias pair through the
-    rotator) exactly as the sequential hardware would, but the link
-    physics for a batch is evaluated in one vectorized pass over the
-    applied voltages.
+    Every probed bias pair programs the power supply (which advances the
+    simulated clock and quantises the pair through the rotator) in grid
+    order, exactly as the sequential hardware would, but the link
+    physics for the whole grid is evaluated in one vectorized pass over
+    the applied voltages.  The supply sets bias voltages only, so a grid
+    with any other axis raises ``TypeError``.
     """
 
     def __init__(self, system: "LlamaSystem"):
         self._system = system
 
-    def measure(self, vx: float, vy: float) -> float:
-        """Program the supply and report the receiver's power (dBm)."""
-        return self._system._measure(vx, vy)
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Program the supply per probe; evaluate the physics in one pass."""
+        if grid.sweep_names:
+            raise TypeError("the supply-in-the-loop backend probes bias-only "
+                            f"grids, got link-parameter axes "
+                            f"{grid.sweep_names}")
         system = self._system
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        vx_b, vy_b = np.broadcast_arrays(vx, vy)
-        applied_x = np.empty(vx_b.size, dtype=float)
-        applied_y = np.empty(vy_b.size, dtype=float)
-        for index, (a, b) in enumerate(zip(vx_b.ravel(), vy_b.ravel())):
+        vx, vy = grid.bias_points()
+        applied_x = np.empty(vx.size, dtype=float)
+        applied_y = np.empty(vy.size, dtype=float)
+        for index, (a, b) in enumerate(zip(vx.ravel(), vy.ravel())):
             system.supply.set_bias_pair(float(a), float(b))
             applied_x[index], applied_y[index] = system.rotator.bias_voltages
-        system._measure_count += vx_b.size
-        powers = system.link.received_power_dbm_batch(applied_x, applied_y)
-        return powers.reshape(vx_b.shape)
+        system._measure_count += vx.size
+        powers = system.link.evaluate_grid(
+            ProbeGrid.aligned(vx=applied_x, vy=applied_y))
+        return powers.reshape(grid.shape)
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,12 @@ class LlamaSystem:
         self.supply.on_voltage_change = self._apply_voltages
         self._measure_count = 0
         self._backend = _SupplyMeasurementBackend(self)
-        self._orientation_backend: Optional["OrientationBackend"] = None
 
     # ------------------------------------------------------------------ #
     # Plumbing between supply, rotator and link
     # ------------------------------------------------------------------ #
     def _apply_voltages(self, vx: float, vy: float) -> None:
         self.rotator.set_bias_voltages(vx, vy)
-
-    def _measure(self, vx: float, vy: float) -> float:
-        """Program the supply and report the receiver's power (dBm)."""
-        self.supply.set_bias_pair(vx, vy)
-        applied_vx, applied_vy = self.rotator.bias_voltages
-        self._measure_count += 1
-        return self.link.received_power_dbm(applied_vx, applied_vy)
 
     # ------------------------------------------------------------------ #
     # Public operations
@@ -185,31 +178,21 @@ class LlamaSystem:
         """Exhaustive sweep used to produce Fig. 15 / Fig. 21 heatmaps."""
         return self.controller.full_sweep(self._backend, step_v=step_v)
 
-    def orientation_backend(self) -> "OrientationBackend":
-        """Orientation-aware backend over this link (one cached link per
-        probed receiver angle, shared across estimation runs)."""
-        if self._orientation_backend is None:
-            from repro.api.backend import OrientationBackend
-            self._orientation_backend = OrientationBackend(self.link)
-        return self._orientation_backend
-
-    def link_for_rx_orientation(self, orientation_deg: float) -> WirelessLink:
-        """The link with the receiver rotated (one cached link per angle)."""
-        return self.orientation_backend().link_for_orientation(orientation_deg)
-
     def estimate_rotation(self,
                           orientation_step_deg: float = 2.0,
                           exhaustive_voltage_sweep: bool = False) -> RotationEstimate:
         """Run the Sec. 3.4 rotation-angle estimation on this link.
 
-        Orientation probes reuse one cached link per receiver angle and
-        the voltage sweeps at the extreme orientations run batched.
+        The turntable probes the link directly (the supply cannot rotate
+        the receiver): each orientation scan is one grid probe over
+        ``rx_orientation`` and the voltage searches pin it.
         """
+        from repro.api.backend import LinkBackend
         estimator = RotationAngleEstimator(
             sweep_config=self.controller.config,
             orientation_step_deg=orientation_step_deg)
         return estimator.estimate(
-            self.orientation_backend(),
+            LinkBackend(self.link),
             exhaustive_voltage_sweep=exhaustive_voltage_sweep)
 
     def synchronizer_for_sweep(self, initial_vx: float, initial_vy: float,

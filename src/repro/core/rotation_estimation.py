@@ -14,47 +14,48 @@ assuming the simulated Table 1 values.  The procedure:
    ``|theta_0 - theta_max|`` are the minimum and maximum rotation angles
    the surface produces on this link.
 
-The estimator talks to the world through an orientation-aware
-measurement backend (see :mod:`repro.api.backend`): the voltage sweeps
-of step 2 are issued as batched probes at a fixed orientation, and each
-probed orientation's link is built once and cached (via
-:class:`repro.api.OrientationBackend`) instead of being reconstructed
-per probe.  Legacy ``measure(orientation_deg, vx, vy)`` callables are
-still accepted (wrapped with a ``DeprecationWarning``), so recorded
-traces and turntable hardware keep working.
+The estimator talks to the world through the one probe protocol of
+:mod:`repro.api.backend`: each orientation scan is a single
+``measure_grid`` over a ``rx_orientation`` axis, and the voltage search
+of step 2 runs through a view of the backend that pins
+``rx_orientation``.  A turntable or recorded trace plugs in through
+:class:`repro.api.CallableBackend`, called as
+``fn(vx, vy, rx_orientation=angle)``.  Dropped (NaN) probes are never
+selected: the orientation scan takes the first maximum with NaN read
+as ``-inf``, and the voltage extremes skip NaN samples.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.controller import CentralizedController, VoltageSweepConfig
+from repro.channel.grid import ProbeGrid
+from repro.core.controller import (
+    CentralizedController,
+    VoltageSweepConfig,
+    first_maximum,
+    require_backend,
+)
 
-OrientationMeasureCallback = Callable[[float, float, float], float]
-
-#: Accepted everywhere the estimator measures: an orientation-aware
-#: backend, or a legacy scalar callable (deprecated).
-OrientationMeasureSource = Union["OrientationMeasurementBackend",
-                                 OrientationMeasureCallback]
+_OWNER = "RotationAngleEstimator"
 
 
-def _coerce_orientation_backend(measure):
-    """Coerce a backend-or-callable argument, warning on the legacy path."""
-    from repro.api.backend import as_orientation_backend
-    backend = as_orientation_backend(measure)
-    if backend is not measure:
-        warnings.warn(
-            "passing a bare measure(orientation_deg, vx, vy) callable to "
-            "RotationAngleEstimator is deprecated; pass a "
-            "repro.api.OrientationMeasurementBackend (e.g. OrientationBackend "
-            "over a link, or CallableOrientationBackend to wrap this "
-            "callable)",
-            DeprecationWarning, stacklevel=3)
-    return backend
+class _PinnedOrientation:
+    """A backend view with the receiver held at one orientation."""
+
+    def __init__(self, backend, orientation_deg: float):
+        self._backend = backend
+        self._orientation_deg = float(orientation_deg)
+
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Probe ``grid`` with ``rx_orientation`` pinned."""
+        return self._backend.measure_grid(ProbeGrid.aligned(
+            rx_orientation=self._orientation_deg,
+            **{axis.name: axis.shaped for axis in grid.axes}))
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,10 @@ class RotationAngleEstimator:
                  sweep_config: Optional[VoltageSweepConfig] = None,
                  orientation_step_deg: float = 1.0,
                  reference_voltages: Tuple[float, float] = (0.0, 0.0)):
-        if orientation_step_deg <= 0:
-            raise ValueError("orientation step must be positive")
+        if not (math.isfinite(orientation_step_deg) and
+                orientation_step_deg > 0):
+            raise ValueError("orientation step must be positive and finite, "
+                             f"got {orientation_step_deg!r}")
         self.controller = CentralizedController(sweep_config)
         self.orientation_step_deg = orientation_step_deg
         self.reference_voltages = reference_voltages
@@ -98,32 +101,37 @@ class RotationAngleEstimator:
     # ------------------------------------------------------------------ #
     # Step helpers
     # ------------------------------------------------------------------ #
-    def find_best_orientation(self, measure: OrientationMeasureSource,
-                              vx: float, vy: float) -> float:
-        """Rotate the receiver through 180 degrees; return the best angle."""
-        backend = _coerce_orientation_backend(measure)
-        orientations = np.arange(0.0, 180.0, self.orientation_step_deg)
-        powers = [backend.measure(float(angle), vx, vy)
-                  for angle in orientations]
-        return float(orientations[int(np.argmax(powers))])
+    def find_best_orientation(self, backend, vx: float, vy: float) -> float:
+        """Rotate the receiver through 180 degrees; return the best angle.
 
-    def find_extreme_voltages(self, measure: OrientationMeasureSource,
-                              orientation_deg: float,
+        One ``measure_grid`` probe scans every orientation; the first
+        maximum wins and a dropped (NaN) probe is never selected.
+        """
+        require_backend(backend, _OWNER)
+        orientations = np.arange(0.0, 180.0, self.orientation_step_deg)
+        powers = backend.measure_grid(
+            ProbeGrid.aligned(rx_orientation=orientations, vx=vx, vy=vy))
+        return float(orientations[first_maximum(powers)])
+
+    def find_extreme_voltages(self, backend, orientation_deg: float,
                               exhaustive: bool = False,
                               step_v: float = 2.0) -> Tuple[Tuple[float, float],
                                                             Tuple[float, float]]:
         """Voltage pairs giving the minimum and maximum power (step 2).
 
-        The voltage search runs against a fixed-orientation view of the
-        backend, so the controller issues batched probes.
+        The controller searches the voltages through a view of the
+        backend that pins ``rx_orientation``.  Dropped (NaN) samples are
+        left out of the extremes; ``ValueError`` if every probe dropped.
         """
-        from repro.api.backend import FixedOrientationBackend
-        backend = FixedOrientationBackend(_coerce_orientation_backend(measure),
-                                          orientation_deg)
-        result = self.controller.optimize(backend,
-                                          exhaustive=exhaustive,
-                                          step_v=step_v)
-        samples = sorted(result.samples, key=lambda sample: sample.power_dbm)
+        require_backend(backend, _OWNER)
+        result = self.controller.optimize(
+            _PinnedOrientation(backend, orientation_deg),
+            exhaustive=exhaustive, step_v=step_v)
+        samples = sorted((sample for sample in result.samples
+                          if not math.isnan(sample.power_dbm)),
+                         key=lambda sample: sample.power_dbm)
+        if not samples:
+            raise ValueError("every voltage probe dropped; no extremes")
         weakest = samples[0]
         strongest = samples[-1]
         return ((weakest.vx, weakest.vy), (strongest.vx, strongest.vy))
@@ -131,10 +139,10 @@ class RotationAngleEstimator:
     # ------------------------------------------------------------------ #
     # Full procedure
     # ------------------------------------------------------------------ #
-    def estimate(self, measure: OrientationMeasureSource,
+    def estimate(self, backend,
                  exhaustive_voltage_sweep: bool = False) -> RotationEstimate:
         """Run steps 1-3 and return the rotation-angle estimate."""
-        backend = _coerce_orientation_backend(measure)
+        require_backend(backend, _OWNER)
         ref_vx, ref_vy = self.reference_voltages
         # Step 1: align the receiver with the incoming polarization.
         theta_0 = self.find_best_orientation(backend, ref_vx, ref_vy)
@@ -176,8 +184,6 @@ def power_slope_per_degree(orientations_deg: Sequence[float],
 
 
 __all__ = [
-    "OrientationMeasureCallback",
-    "OrientationMeasureSource",
     "RotationEstimate",
     "RotationAngleEstimator",
     "power_slope_per_degree",

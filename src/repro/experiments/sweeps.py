@@ -257,7 +257,8 @@ def voltage_grid_sweep(link: WirelessLink,
         raise ValueError("v_max must exceed v_min")
     levels = bias_lattice(step_v, v_min, v_max)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
-    powers = link.received_power_dbm_batch(vx_grid.ravel(), vy_grid.ravel())
+    powers = link.evaluate_grid(ProbeGrid.aligned(vx=vx_grid.ravel(),
+                                                  vy=vy_grid.ravel()))
     return {(float(vx), float(vy)): float(power)
             for vx, vy, power in zip(vx_grid.ravel(), vy_grid.ravel(), powers)}
 

@@ -11,8 +11,7 @@ quantity:
   a deterministic, seedable fault plan (probe dropouts, noise bursts,
   stuck/quantized actuators, supply brownouts, VISA I/O errors and
   timeouts, station churn).  The plan is realized by wrappers:
-  :class:`FaultyBackend` over the ``measure`` / ``measure_batch`` /
-  ``measure_grid`` protocol stack,
+  :class:`FaultyBackend` over the ``measure_grid`` protocol,
   :class:`FaultyVisaSession` over the simulated VISA transport and
   :class:`StationChurn` over a fleet's station set.  All draws come
   from named seed streams of one schedule, so every fault trace

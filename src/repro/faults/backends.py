@@ -1,8 +1,8 @@
 """Fault-injecting measurement backends.
 
-:class:`FaultyBackend` wraps any backend of the ``measure`` /
-``measure_batch`` / ``measure_grid`` protocol stack and realizes the
-probe-plane faults of its :class:`~repro.faults.spec.FaultSchedule`:
+:class:`FaultyBackend` wraps any backend of the ``measure_grid``
+protocol and realizes the probe-plane faults of its
+:class:`~repro.faults.spec.FaultSchedule`:
 
 * **actuator faults** perturb the *commanded* bias voltages before the
   probe — quantization snap, stuck-at latching, supply-brownout
@@ -24,7 +24,7 @@ benchmark).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,9 +40,7 @@ class FaultyBackend:
     Parameters
     ----------
     backend:
-        The backend to wrap.  ``measure`` / ``measure_batch`` are
-        required; ``measure_grid`` is forwarded only when the wrapped
-        backend provides it.
+        The ``measure_grid`` backend to wrap.
     schedule:
         The fault plan and its seeded streams.
     monitor:
@@ -73,23 +71,16 @@ class FaultyBackend:
             self._note("probe.error", 1)
             raise ProbeFaultError("injected probe I/O fault")
 
-    def _perturb_voltages(self, vx, vy,
-                          shape: Optional[Tuple[int, ...]] = None):
-        """Apply actuator/supply faults to the commanded bias pair.
+    def _perturb_voltages(self, vx: np.ndarray, vy: np.ndarray):
+        """Apply actuator/supply faults to the commanded bias pairs.
 
-        ``shape`` (when given) is the full per-probe shape the fault
-        masks must cover; the voltages are broadcast up to it so each
-        probed element draws its own fault.
+        ``vx`` / ``vy`` cover every probed operating point, so each
+        element draws its own fault.
         """
         spec = self.schedule.spec
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        if not spec.perturbs_voltages:
-            return vx, vy
-        if shape is None:
-            shape = np.broadcast_shapes(vx.shape, vy.shape)
-        vx_b = np.array(np.broadcast_to(vx, shape), dtype=float)
-        vy_b = np.array(np.broadcast_to(vy, shape), dtype=float)
+        shape = vx.shape
+        vx_b = np.array(vx, dtype=float)
+        vy_b = np.array(vy, dtype=float)
         if spec.quantize_step_v > 0:
             step = spec.quantize_step_v
             vx_b = np.round(vx_b / step) * step
@@ -145,27 +136,8 @@ class FaultyBackend:
             self.monitor.record_probe()
 
     # ------------------------------------------------------------------ #
-    # The probe protocol stack
+    # The probe protocol
     # ------------------------------------------------------------------ #
-    def measure(self, vx: float, vy: float) -> float:
-        """One scalar probe through the fault plane."""
-        if self._inactive:
-            return self.backend.measure(vx, vy)
-        self._count_probe()
-        self._maybe_raise()
-        vx_f, vy_f = self._perturb_voltages(vx, vy, shape=())
-        power = self.backend.measure(float(vx_f), float(vy_f))
-        return float(self._corrupt_powers(power))
-
-    def measure_batch(self, vx, vy) -> np.ndarray:
-        """One batched probe through the fault plane."""
-        if self._inactive:
-            return self.backend.measure_batch(vx, vy)
-        self._count_probe()
-        self._maybe_raise()
-        vx_f, vy_f = self._perturb_voltages(vx, vy)
-        return self._corrupt_powers(self.backend.measure_batch(vx_f, vy_f))
-
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """One N-D grid probe through the fault plane.
 
@@ -179,10 +151,7 @@ class FaultyBackend:
         self._maybe_raise()
         spec = self.schedule.spec
         if spec.perturbs_voltages:
-            shape = grid.shape
-            vx = grid.expand("vx") if "vx" in grid else np.zeros(shape)
-            vy = grid.expand("vy") if "vy" in grid else np.zeros(shape)
-            vx_f, vy_f = self._perturb_voltages(vx, vy, shape=shape)
+            vx_f, vy_f = self._perturb_voltages(*grid.bias_points())
             others = {axis.name: axis.shaped for axis in grid.axes
                       if axis.name not in ("vx", "vy")}
             grid = ProbeGrid.aligned(**others, vx=vx_f, vy=vy_f)

@@ -12,9 +12,8 @@ are accounted (``RetryOutcome.waited_s``, bounded by ``deadline_s``)
 but never slept, so retry-heavy campaigns run at simulation speed and
 stay deterministic.
 
-:class:`RetryingBackend` wraps any measurement backend so every probe
-protocol (``measure`` / ``measure_batch`` / ``measure_grid``) runs
-under the policy.
+:class:`RetryingBackend` wraps any measurement backend so every
+``measure_grid`` probe runs under the policy.
 """
 
 from __future__ import annotations
@@ -169,12 +168,10 @@ class RetryPolicy:
 class RetryingBackend:
     """A measurement backend whose probes run under a retry policy.
 
-    Wraps any backend of the ``measure`` / ``measure_batch`` /
-    ``measure_grid`` stack (``measure_grid`` is forwarded only if the
-    wrapped backend provides it).  Jitter draws
-    come from the fault schedule's ``"retry.jitter"`` stream when a
-    schedule is given, keeping retry timing inside the replayable
-    trace; retries and waits are tallied on the monitor.
+    Wraps any ``measure_grid`` backend.  Jitter draws come from the
+    fault schedule's ``"retry.jitter"`` stream when a schedule is given,
+    keeping retry timing inside the replayable trace; retries and waits
+    are tallied on the monitor.
     """
 
     def __init__(self, backend, policy: Optional[RetryPolicy] = None,
@@ -186,24 +183,12 @@ class RetryingBackend:
         self._rng = (schedule.stream("retry.jitter")
                      if schedule is not None else None)
 
-    def _guarded(self, name: str, *args, **kwargs):
-        probe = getattr(self.backend, name)
-        if self.monitor is not None:
-            self.monitor.record_probe()
-        return self.policy.call(lambda: probe(*args, **kwargs),
-                                rng=self._rng, monitor=self.monitor)
-
-    def measure(self, vx: float, vy: float) -> float:
-        """One scalar probe under the retry policy."""
-        return float(self._guarded("measure", vx, vy))
-
-    def measure_batch(self, vx, vy) -> np.ndarray:
-        """One batched probe under the retry policy."""
-        return self._guarded("measure_batch", vx, vy)
-
     def measure_grid(self, grid) -> np.ndarray:
         """One N-D grid probe under the retry policy."""
-        return self._guarded("measure_grid", grid)
+        if self.monitor is not None:
+            self.monitor.record_probe()
+        return self.policy.call(lambda: self.backend.measure_grid(grid),
+                                rng=self._rng, monitor=self.monitor)
 
 
 __all__ = ["RetryOutcome", "RetryPolicy", "RetryingBackend"]

@@ -10,14 +10,13 @@ deployment's data plane is *fleet-stacked*: the per-station parameters
 NumPy pass of the link budget (:meth:`DenseDeployment.rssi_matrix`).
 The schedulers in :mod:`repro.network.scheduler`, the access-control
 search and the :class:`repro.api.fleet.FleetSession` facade all ride on
-those stacked planes; the historical per-station entry points
-(:meth:`rssi_dbm_batch`, :meth:`rate_mbps_batch`, ...) survive as thin
-shims over cached per-station links.
+those stacked planes; the scalar per-station entry points
+(:meth:`rssi_dbm`, :meth:`rate_mbps`, ...) probe cached per-station
+links.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -292,41 +291,9 @@ class DenseDeployment:
         """Uplink RSSI of a station with no surface deployed."""
         return self.baseline_link_for(station_name).received_power_dbm()
 
-    def rssi_dbm_batch(self, station_name: str, vx: np.ndarray,
-                       vy: np.ndarray) -> np.ndarray:
-        """Vectorized uplink RSSI of one station over whole bias grids.
-
-        .. deprecated::
-            Superseded by the station-stacked :meth:`rssi_matrix` (all
-            stations in one pass); this shim survives for single-station
-            campaigns and probes the station's cached link.
-        """
-        warnings.warn(
-            "DenseDeployment.rssi_dbm_batch is deprecated; use "
-            "rssi_matrix(vx, vy, names=[station]) (or FleetSession."
-            "measure_grid) to probe stations in one stacked pass",
-            DeprecationWarning, stacklevel=2)
-        return self.link_for(station_name).received_power_dbm_batch(vx, vy)
-
     def rate_mbps(self, station_name: str, vx: float, vy: float) -> float:
         """Achievable 802.11g PHY rate of a station at a bias pair."""
         return float(wifi_rate_for_rssi_mbps(self.rssi_dbm(station_name, vx, vy)))
-
-    def rate_mbps_batch(self, station_name: str, vx: np.ndarray,
-                        vy: np.ndarray) -> np.ndarray:
-        """Vectorized achievable PHY rate of one station over bias grids.
-
-        .. deprecated::
-            Superseded by the station-stacked :meth:`rate_matrix`.
-        """
-        warnings.warn(
-            "DenseDeployment.rate_mbps_batch is deprecated; use "
-            "rate_matrix(vx, vy, names=[station]) (or FleetSession."
-            "rate_grid) to probe stations in one stacked pass",
-            DeprecationWarning, stacklevel=2)
-        return np.asarray(wifi_rate_for_rssi_mbps(
-            self.link_for(station_name).received_power_dbm_batch(vx, vy)),
-            dtype=float)
 
     def baseline_rate_mbps(self, station_name: str) -> float:
         """Achievable rate of a station with no surface deployed."""

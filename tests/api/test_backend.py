@@ -5,23 +5,20 @@ import pytest
 
 from repro.api import (
     CallableBackend,
-    CallableOrientationBackend,
-    FixedOrientationBackend,
     LinkBackend,
     MeasurementBackend,
-    OrientationBackend,
-    as_backend,
-    as_orientation_backend,
+    ProbeGrid,
 )
 from repro.experiments.scenarios import TransmissiveScenario
 
 
 class TestCallableBackend:
-    def test_scalar_and_batch_agree(self):
+    def test_scalar_and_grid_agree(self):
         backend = CallableBackend(lambda vx, vy: vx - vy)
-        assert backend.measure(3.0, 1.0) == 2.0
-        powers = backend.measure_batch(np.array([1.0, 2.0]),
-                                       np.array([0.5, 0.5]))
+        assert float(backend.measure_grid(
+            ProbeGrid.aligned(vx=3.0, vy=1.0))) == 2.0
+        powers = backend.measure_grid(ProbeGrid.aligned(
+            vx=np.array([1.0, 2.0]), vy=np.array([0.5, 0.5])))
         assert np.allclose(powers, [0.5, 1.5])
 
     def test_preserves_probe_order(self):
@@ -31,66 +28,61 @@ class TestCallableBackend:
             seen.append((vx, vy))
             return 0.0
 
-        CallableBackend(spy).measure_batch(np.array([1.0, 2.0, 3.0]),
-                                           np.array([4.0, 5.0, 6.0]))
+        CallableBackend(spy).measure_grid(ProbeGrid.aligned(
+            vx=np.array([1.0, 2.0, 3.0]), vy=np.array([4.0, 5.0, 6.0])))
         assert seen == [(1.0, 4.0), (2.0, 5.0), (3.0, 6.0)]
 
     def test_broadcasts_mixed_shapes(self):
         backend = CallableBackend(lambda vx, vy: vx + vy)
-        powers = backend.measure_batch(np.array([1.0, 2.0]), 10.0)
+        powers = backend.measure_grid(
+            ProbeGrid.aligned(vx=np.array([1.0, 2.0]), vy=10.0))
         assert np.allclose(powers, [11.0, 12.0])
+
+    def test_absent_voltage_axes_read_zero_volts(self):
+        backend = CallableBackend(lambda vx, vy, tx_power: vx + vy + tx_power)
+        powers = backend.measure_grid(
+            ProbeGrid.product(tx_power=np.array([1.0, 2.0])))
+        assert np.allclose(powers, [1.0, 2.0])
+
+    def test_orientation_grid_probe_order(self):
+        """One call per point, C order, link axes passed by keyword."""
+        seen = []
+
+        def turntable(vx, vy, rx_orientation):
+            seen.append((rx_orientation, vx, vy))
+            return rx_orientation + 10.0 * vx + 100.0 * vy
+
+        grid = ProbeGrid.product(rx_orientation=np.array([0.0, 45.0, 90.0]),
+                                 vx=np.array([1.0, 2.0]), vy=3.0)
+        powers = CallableBackend(turntable).measure_grid(grid)
+        assert powers.shape == (3, 2)
+        assert seen == [(angle, vx, 3.0) for angle in (0.0, 45.0, 90.0)
+                        for vx in (1.0, 2.0)]
+        assert powers[2, 1] == 90.0 + 20.0 + 300.0
 
     def test_rejects_non_callable(self):
         with pytest.raises(TypeError):
             CallableBackend(42)
 
 
-class TestCoercion:
-    def test_backend_passthrough(self):
-        backend = CallableBackend(lambda vx, vy: 0.0)
-        assert as_backend(backend) is backend
-
-    def test_callable_wrapped(self):
-        backend = as_backend(lambda vx, vy: 1.0)
-        assert isinstance(backend, CallableBackend)
-        assert backend.measure(0.0, 0.0) == 1.0
-
-    def test_link_backend_satisfies_protocol(self):
-        backend = LinkBackend(TransmissiveScenario().link())
+class TestProtocol:
+    @pytest.mark.parametrize("backend", [
+        CallableBackend(lambda vx, vy: 0.0),
+        LinkBackend(TransmissiveScenario().link()),
+    ], ids=["callable", "link"])
+    def test_stock_backends_satisfy_protocol(self, backend):
         assert isinstance(backend, MeasurementBackend)
 
-    def test_orientation_coercion(self):
-        backend = as_orientation_backend(lambda o, vx, vy: o + vx + vy)
-        assert isinstance(backend, CallableOrientationBackend)
-        assert backend.measure(1.0, 2.0, 3.0) == 6.0
+    def test_bare_callable_is_not_a_backend(self):
+        assert not isinstance(lambda vx, vy: 0.0, MeasurementBackend)
 
-
-class TestOrientationBackend:
-    def test_caches_one_link_per_orientation(self):
-        backend = OrientationBackend(TransmissiveScenario().link())
-        first = backend.link_for_orientation(30.0)
-        second = backend.link_for_orientation(30.0)
-        assert first is second
-        assert backend.link_for_orientation(60.0) is not first
-
-    def test_rotation_changes_received_power(self):
-        backend = OrientationBackend(TransmissiveScenario().link())
-        aligned = backend.measure(0.0, 0.0, 0.0)
-        rotated = backend.measure(90.0, 0.0, 0.0)
-        assert aligned != rotated
-
-    def test_batch_matches_scalar(self):
-        backend = OrientationBackend(TransmissiveScenario().link())
-        vx = np.array([0.0, 10.0, 20.0])
-        vy = np.array([5.0, 15.0, 25.0])
-        batch = backend.measure_batch(45.0, vx, vy)
-        scalar = [backend.measure(45.0, float(a), float(b))
-                  for a, b in zip(vx, vy)]
-        assert np.allclose(batch, scalar)
-
-    def test_fixed_orientation_view(self):
-        backend = OrientationBackend(TransmissiveScenario().link())
-        fixed = FixedOrientationBackend(backend, 30.0)
-        assert fixed.measure(2.0, 4.0) == backend.measure(30.0, 2.0, 4.0)
-        batch = fixed.measure_batch(np.array([2.0]), np.array([4.0]))
-        assert batch[0] == backend.measure(30.0, 2.0, 4.0)
+    def test_link_backend_orientation_axis_matches_rotated_link(self):
+        scenario = TransmissiveScenario()
+        backend = LinkBackend(scenario.link())
+        powers = backend.measure_grid(ProbeGrid.aligned(
+            rx_orientation=np.array([0.0, 45.0, 90.0]), vx=10.0, vy=20.0))
+        for angle, power in zip((0.0, 45.0, 90.0), powers):
+            rotated = TransmissiveScenario(rx_orientation_deg=angle).link()
+            assert power == pytest.approx(
+                rotated.received_power_dbm(10.0, 20.0), abs=1e-9)
+        assert powers[0] != powers[2]

@@ -1,14 +1,14 @@
-"""Scalar-vs-batch parity of the vectorized measurement plane.
+"""Scalar-vs-grid parity of the vectorized measurement plane.
 
-The acceptance bar for the batched API: ``received_power_dbm_batch``
-must agree with the scalar ``received_power_dbm`` within 1e-9 dB across
-random bias grids in every deployment mode.
+The acceptance bar for the batched API: a bias-only ``ProbeGrid``
+evaluation must agree with the scalar ``received_power_dbm`` within
+1e-9 dB across random bias grids in every deployment mode.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import LinkBackend, ScenarioBuilder
+from repro.api import LinkBackend, ProbeGrid, ScenarioBuilder
 from repro.channel.link import DeploymentMode
 from repro.experiments.scenarios import (
     ReflectiveScenario,
@@ -24,9 +24,14 @@ def random_bias_grid(seed, count=200):
     return rng.uniform(0.0, 30.0, count), rng.uniform(0.0, 30.0, count)
 
 
+def bias_powers(link, vx, vy):
+    """Received power over an aligned bias-only probe grid."""
+    return link.evaluate_grid(ProbeGrid.aligned(vx=vx, vy=vy))
+
+
 def assert_parity(link, seed):
     vx, vy = random_bias_grid(seed)
-    batch = link.received_power_dbm_batch(vx, vy)
+    batch = bias_powers(link, vx, vy)
     scalar = np.array([link.received_power_dbm(float(a), float(b))
                        for a, b in zip(vx, vy)])
     assert np.max(np.abs(batch - scalar)) < PARITY_TOLERANCE_DB
@@ -72,12 +77,12 @@ class TestShapesAndBroadcasting:
         link = TransmissiveScenario().link()
         vx, vy = np.meshgrid(np.linspace(0, 30, 7), np.linspace(0, 30, 5),
                              indexing="ij")
-        powers = link.received_power_dbm_batch(vx, vy)
+        powers = bias_powers(link, vx, vy)
         assert powers.shape == (7, 5)
 
     def test_scalar_inputs_yield_scalar_shape(self):
         link = TransmissiveScenario().link()
-        power = link.received_power_dbm_batch(10.0, 20.0)
+        power = bias_powers(link, 10.0, 20.0)
         assert np.shape(power) == ()
         assert float(power) == pytest.approx(
             link.received_power_dbm(10.0, 20.0), abs=PARITY_TOLERANCE_DB)
@@ -86,7 +91,7 @@ class TestShapesAndBroadcasting:
         link = TransmissiveScenario().link()
         vx = np.linspace(0, 30, 4)[:, None]
         vy = np.linspace(0, 30, 3)[None, :]
-        powers = link.received_power_dbm_batch(vx, vy)
+        powers = bias_powers(link, vx, vy)
         assert powers.shape == (4, 3)
         assert powers[2, 1] == pytest.approx(
             link.received_power_dbm(float(vx[2, 0]), float(vy[0, 1])),
@@ -95,16 +100,14 @@ class TestShapesAndBroadcasting:
     def test_out_of_range_voltages_rejected(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
-            link.received_power_dbm_batch(np.array([0.0, 31.0]),
-                                          np.array([0.0, 0.0]))
+            bias_powers(link, np.array([0.0, 31.0]), np.array([0.0, 0.0]))
 
     def test_nan_voltages_rejected_like_scalar_path(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
             link.received_power_dbm(float("nan"), 5.0)
         with pytest.raises(ValueError):
-            link.received_power_dbm_batch(np.array([np.nan, 5.0]),
-                                          np.array([5.0, 5.0]))
+            bias_powers(link, np.array([np.nan, 5.0]), np.array([5.0, 5.0]))
 
 
 class TestBackendParity:
@@ -112,9 +115,11 @@ class TestBackendParity:
         link = TransmissiveScenario().link()
         backend = LinkBackend(link)
         vx, vy = random_bias_grid(seed=8, count=32)
-        assert np.allclose(backend.measure_batch(vx, vy),
-                           link.received_power_dbm_batch(vx, vy))
-        assert backend.measure(5.0, 25.0) == link.received_power_dbm(5.0, 25.0)
+        assert np.allclose(
+            backend.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy)),
+            bias_powers(link, vx, vy))
+        assert float(backend.measure_grid(ProbeGrid.aligned(
+            vx=5.0, vy=25.0))) == link.received_power_dbm(5.0, 25.0)
 
     def test_builder_session_parity(self):
         session = (ScenarioBuilder()
@@ -123,7 +128,7 @@ class TestBackendParity:
                    .with_surface()
                    .session())
         vx, vy = random_bias_grid(seed=9, count=32)
-        batch = session.measure_batch(vx, vy)
+        batch = session.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
         scalar = np.array([session.measure(float(a), float(b))
                            for a, b in zip(vx, vy)])
         assert np.max(np.abs(batch - scalar)) < PARITY_TOLERANCE_DB

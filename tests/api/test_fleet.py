@@ -15,6 +15,7 @@ from repro.api import (
     FleetSession,
     FleetSpec,
     LinkSession,
+    ProbeGrid,
     StationSpec,
 )
 from repro.network.deployment import DenseDeployment, StationPlacement
@@ -60,8 +61,8 @@ class TestStackedParity:
         stacked = fleet.measure_grid(VX_GRID, VY_GRID)
         assert stacked.shape == (fleet.station_count,) + VX_GRID.shape
         for index, name in enumerate(fleet.station_names):
-            looped = looped_session(fleet, name).measure_batch(VX_GRID,
-                                                               VY_GRID)
+            looped = looped_session(fleet, name).measure_grid(
+                ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID))
             assert np.max(np.abs(stacked[index] - looped)) <= TOLERANCE_DB
 
     def test_measure_grid_scalar_voltages(self, fleet):
@@ -163,8 +164,8 @@ class TestStackedSearches:
         def summed_rate(vx_flat, vy_flat):
             utility = np.zeros(vx_flat.shape)
             for name in names:
-                looped = looped_session(fleet, name).measure_batch(vx_flat,
-                                                                   vy_flat)
+                looped = looped_session(fleet, name).measure_grid(
+                    ProbeGrid.aligned(vx=vx_flat, vy=vy_flat))
                 utility += np.asarray(wifi_rate_for_rssi_mbps(looped))
             return utility
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.channel.ensemble import STATION_AXES, LinkEnsemble
+from repro.channel.grid import ProbeGrid
 from repro.experiments.scenarios import ReflectiveScenario, TransmissiveScenario
 
 TOLERANCE_DB = 1e-9
@@ -44,8 +45,8 @@ class TestStackedParity:
         stacked = ensemble.measure_batch(VX_GRID, VY_GRID)
         assert stacked.shape == (4,) + VX_GRID.shape
         for index in range(ensemble.station_count):
-            reference = ensemble.link_for(index).received_power_dbm_batch(
-                VX_GRID, VY_GRID)
+            reference = ensemble.link_for(index).evaluate_grid(
+                ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID))
             assert np.max(np.abs(stacked[index] - reference)) <= TOLERANCE_DB
 
     def test_baseline_rows_match_link_for(self):

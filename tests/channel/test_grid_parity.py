@@ -139,11 +139,12 @@ class TestDegenerateGrids:
                 reference.received_power_dbm(float(vx), 8.0),
                 abs=TOLERANCE_DB)
 
-    def test_one_d_voltage_grid_matches_batch(self):
+    def test_one_d_voltage_grid_matches_aligned(self):
         link = ReflectiveScenario().link()
         grid = ProbeGrid.product(vx=VX_VALUES)
         assert np.allclose(link.evaluate(grid),
-                           link.received_power_dbm_batch(VX_VALUES, 0.0),
+                           link.evaluate(ProbeGrid.aligned(vx=VX_VALUES,
+                                                           vy=0.0)),
                            atol=0.0, rtol=0.0)
 
     def test_empty_axis_yields_empty_result(self):
@@ -155,10 +156,10 @@ class TestDegenerateGrids:
 class TestThinViews:
     """The historical entry points are views over the grid engine."""
 
-    def test_batch_is_a_bias_only_grid(self):
+    def test_aligned_mesh_is_the_product_grid(self):
         link = TransmissiveScenario(absorber=False).link()
         vx, vy = np.meshgrid(VX_VALUES, VY_VALUES, indexing="ij")
-        via_views = link.received_power_dbm_batch(vx, vy)
+        via_views = link.evaluate(ProbeGrid.aligned(vx=vx, vy=vy))
         via_grid = link.evaluate(ProbeGrid.product(vx=VX_VALUES,
                                                    vy=VY_VALUES))
         assert np.array_equal(via_views, via_grid)
@@ -297,17 +298,15 @@ class TestGridController:
             controller.optimize_grid(LinkBackend(link),
                                      ProbeGrid.product(vx=VX_VALUES))
 
-    def test_batch_only_backend_rejected_for_axis_grids(self, controller):
-        class BatchOnlyBackend:
-            def measure_batch(self, vx, vy):
-                return np.zeros(np.broadcast_shapes(np.shape(vx),
-                                                    np.shape(vy)))
-
-        for grid in (ProbeGrid.product(frequency=AXIS_VALUES["frequency"]),
+    def test_non_backend_rejected(self, controller):
+        """A link is not a backend: it has no ``measure_grid``."""
+        link = TransmissiveScenario().link()
+        for grid in (ProbeGrid.product(),
+                     ProbeGrid.product(frequency=AXIS_VALUES["frequency"]),
                      ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
                                        tx_power=AXIS_VALUES["tx_power"])):
             with pytest.raises(TypeError, match="measure_grid"):
-                controller.optimize_grid(BatchOnlyBackend(), grid)
+                controller.optimize_grid(link, grid)
 
     def test_nan_probes_never_selected(self, controller):
         class NaNFirstBackend:

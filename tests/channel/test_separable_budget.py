@@ -357,7 +357,7 @@ class TestDispatch:
         backend = LinkBackend(TransmissiveScenario().link())
         vx, vy = np.meshgrid(levels, levels, indexing="ij")
         before = probe_evaluations()
-        backend.measure_batch(vx, vy)
+        backend.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
         backend.measure_grid(ProbeGrid.product(vx=levels, vy=levels))
         assert probe_evaluations() - before == 2
         assert paths == ["general", "general"]

@@ -117,9 +117,8 @@ class TestSweepAxisParity:
             frequency=frequencies[:, None], vx=grid_vx, vy=levels[::-1]))
         assert vectorized.shape == (frequencies.size, levels.size)
         for i, frequency in enumerate(frequencies):
-            scalar = _scalar_link_at(
-                link, "frequency", frequency).received_power_dbm_batch(
-                    levels, levels[::-1])
+            scalar = _scalar_link_at(link, "frequency", frequency).evaluate(
+                ProbeGrid.aligned(vx=levels, vy=levels[::-1]))
             assert np.max(np.abs(vectorized[i] - scalar)) <= TOLERANCE_DB
 
     def test_unknown_axis_rejected(self):
@@ -162,7 +161,8 @@ class TestFieldCaching:
         monkeypatch.setattr(WirelessLink, "_compute_direct_field",
                             counting_direct)
         link.received_power_dbm(7.0, 22.0)
-        link.received_power_dbm_batch(np.arange(0.0, 31.0, 5.0), 10.0)
+        link.evaluate(ProbeGrid.aligned(vx=np.arange(0.0, 31.0, 5.0),
+                                        vy=10.0))
         link.received_power_dbm(0.0, 0.0)
         link.evaluate(3.0, 9.0)
         assert calls["direct"] == 1
@@ -172,11 +172,11 @@ class TestFieldCaching:
         with pytest.raises(AttributeError):
             link.configuration = link.configuration.without_surface()
 
-    def test_scalar_and_batch_agree_after_caching(self):
+    def test_scalar_and_grid_agree_after_caching(self):
         link = TransmissiveScenario(absorber=False).link()
         # Warm the caches through one path, then cross-check the other.
-        batched = link.received_power_dbm_batch(
-            np.array([0.0, 7.0, 30.0]), np.array([0.0, 22.0, 30.0]))
+        batched = link.evaluate(ProbeGrid.aligned(
+            vx=np.array([0.0, 7.0, 30.0]), vy=np.array([0.0, 22.0, 30.0])))
         for i, (vx, vy) in enumerate([(0.0, 0.0), (7.0, 22.0), (30.0, 30.0)]):
             assert batched[i] == pytest.approx(
                 link.received_power_dbm(vx, vy), abs=TOLERANCE_DB)
@@ -230,15 +230,6 @@ class TestOneAxisController:
                 # Poison one probe with NaN; everything else ties at 0.
                 powers[..., 1] = np.nan
                 return powers
-
-            def measure_batch(self, vx, vy):
-                powers = np.zeros(np.broadcast_shapes(np.shape(vx),
-                                                      np.shape(vy)))
-                powers[1] = np.nan
-                return powers
-
-            def measure(self, vx, vy):
-                return 0.0
 
         multi = controller.coarse_to_fine_sweep_grid(
             TiedBackend(), ProbeGrid.product(tx_power=np.array([0.0, 10.0])))

@@ -16,7 +16,11 @@ def quadratic_power_surface(best_vx, best_vy, scale=0.05):
     """A smooth synthetic power landscape with a single optimum."""
     def measure(vx, vy):
         return -scale * ((vx - best_vx) ** 2 + (vy - best_vy) ** 2)
-    return measure
+    return CallableBackend(measure)
+
+
+#: A flat power landscape: every probe ties at 0 dBm.
+FLAT = CallableBackend(lambda vx, vy: 0.0)
 
 
 class TestVoltageSweepConfig:
@@ -45,6 +49,14 @@ class TestVoltageSweepConfig:
             VoltageSweepConfig(min_voltage_v=10.0, max_voltage_v=5.0)
         with pytest.raises(ValueError):
             VoltageSweepConfig(switch_interval_s=0.0)
+        for field in ("min_voltage_v", "max_voltage_v", "switch_interval_s"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    VoltageSweepConfig(**{field: value})
+        for field in ("iterations", "switches_per_axis"):
+            for value in (2.5, 3.0, True, "3"):
+                with pytest.raises(TypeError, match="integer"):
+                    VoltageSweepConfig(**{field: value})
 
 
 class TestFullSweep:
@@ -57,7 +69,7 @@ class TestFullSweep:
 
     def test_probe_count_for_one_volt_step(self):
         controller = CentralizedController()
-        result = controller.full_sweep(lambda vx, vy: 0.0, step_v=1.0)
+        result = controller.full_sweep(FLAT, step_v=1.0)
         assert result.probe_count == 31 * 31
 
     @pytest.mark.parametrize("step_v", [5.0, 0.7, 1.0, 7.0])
@@ -99,7 +111,7 @@ class TestCoarseToFineSweep:
     def test_uses_configured_probe_budget(self):
         config = VoltageSweepConfig(iterations=2, switches_per_axis=5)
         controller = CentralizedController(config)
-        result = controller.coarse_to_fine_sweep(lambda vx, vy: 0.0)
+        result = controller.coarse_to_fine_sweep(FLAT)
         assert result.probe_count == config.probe_count
 
     def test_faster_than_full_sweep(self):
@@ -139,15 +151,16 @@ class TestCoarseToFineSweep:
     def test_strategy_labels(self):
         controller = CentralizedController()
         assert controller.coarse_to_fine_sweep(
-            lambda vx, vy: 0.0).strategy == "coarse-to-fine"
+            FLAT).strategy == "coarse-to-fine"
         assert controller.full_sweep(
-            lambda vx, vy: 0.0, step_v=10.0).strategy == "full"
+            FLAT, step_v=10.0).strategy == "full"
 
     def test_optimize_dispatch(self):
         controller = CentralizedController()
-        fast = controller.optimize(lambda vx, vy: -vx - vy)
-        exhaustive = controller.optimize(lambda vx, vy: -vx - vy,
-                                         exhaustive=True, step_v=10.0)
+        falling = CallableBackend(lambda vx, vy: -vx - vy)
+        fast = controller.optimize(falling)
+        exhaustive = controller.optimize(falling, exhaustive=True,
+                                         step_v=10.0)
         assert fast.strategy == "coarse-to-fine"
         assert exhaustive.strategy == "full"
         assert fast.best_vx == pytest.approx(0.0)
@@ -166,5 +179,6 @@ class TestSweepResult:
     def test_power_range(self):
         controller = CentralizedController(
             VoltageSweepConfig(iterations=1, switches_per_axis=4))
-        result = controller.coarse_to_fine_sweep(lambda vx, vy: vx + vy)
+        result = controller.coarse_to_fine_sweep(
+            CallableBackend(lambda vx, vy: vx + vy))
         assert result.power_range_db == pytest.approx(60.0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import CallableBackend
 from repro.units import db_to_linear, linear_to_db
 from repro.core.controller import VoltageSweepConfig
 from repro.core.rotation_estimation import (
@@ -14,20 +15,20 @@ from repro.core.rotation_estimation import (
 
 
 def synthetic_measure(rotation_for_voltages, floor_db=-35.0):
-    """Build a measure(orientation, vx, vy) callback for a synthetic link.
+    """A turntable backend over a synthetic link.
 
     ``rotation_for_voltages(vx, vy)`` gives the polarization rotation the
     synthetic surface applies.  The transmitter is horizontal; the
     receiver captures cos^2 of the angle between its orientation and the
     rotated wave, floored at ``floor_db``.
     """
-    def measure(orientation_deg, vx, vy):
+    def measure(vx, vy, rx_orientation):
         rotation = rotation_for_voltages(vx, vy)
-        mismatch = math.radians(orientation_deg - rotation)
+        mismatch = math.radians(rx_orientation - rotation)
         coupling = max(math.cos(mismatch) ** 2,
                        float(db_to_linear(floor_db)))
         return float(linear_to_db(coupling))
-    return measure
+    return CallableBackend(measure)
 
 
 def linear_rotation_model(vx, vy):
@@ -45,6 +46,26 @@ class TestFindBestOrientation:
     def test_orientation_step_validation(self):
         with pytest.raises(ValueError):
             RotationAngleEstimator(orientation_step_deg=0.0)
+        for step in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RotationAngleEstimator(orientation_step_deg=step)
+
+    def test_dropped_probe_is_never_selected(self):
+        """A NaN (dropped) probe at 30 degrees must not win the scan."""
+        def measure(vx, vy, rx_orientation):
+            if rx_orientation == 30.0:
+                return math.nan
+            return -abs(rx_orientation - 60.0)
+
+        estimator = RotationAngleEstimator(orientation_step_deg=10.0)
+        assert estimator.find_best_orientation(
+            CallableBackend(measure), 0.0, 0.0) == 60.0
+
+    def test_ties_pick_the_first_orientation(self):
+        estimator = RotationAngleEstimator(orientation_step_deg=45.0)
+        assert estimator.find_best_orientation(
+            CallableBackend(lambda vx, vy, rx_orientation: 0.0),
+            0.0, 0.0) == 0.0
 
 
 class TestFindExtremeVoltages:
@@ -59,6 +80,26 @@ class TestFindExtremeVoltages:
         # (equal voltages), min power at the largest |vx - vy|.
         assert abs(v_max[0] - v_max[1]) == pytest.approx(0.0, abs=1e-9)
         assert abs(v_min[0] - v_min[1]) == pytest.approx(30.0, abs=1e-9)
+
+    def test_dropped_probes_are_left_out_of_the_extremes(self):
+        """A NaN sample is neither the weakest nor the strongest."""
+        def measure(vx, vy, rx_orientation):
+            if (vx, vy) == (0.0, 0.0):
+                return math.nan
+            return -((vx - 20.0) ** 2 + vy ** 2)
+
+        estimator = RotationAngleEstimator()
+        v_min, v_max = estimator.find_extreme_voltages(
+            CallableBackend(measure), 0.0, exhaustive=True, step_v=10.0)
+        assert v_min == (0.0, 30.0)
+        assert v_max == (20.0, 0.0)
+
+    def test_every_probe_dropped_raises(self):
+        estimator = RotationAngleEstimator()
+        with pytest.raises(ValueError, match="dropped"):
+            estimator.find_extreme_voltages(
+                CallableBackend(lambda vx, vy, rx_orientation: math.nan),
+                0.0, exhaustive=True, step_v=10.0)
 
 
 class TestFullEstimation:

@@ -12,9 +12,9 @@ replay stays what it was:
   Jones elements and Algorithm 1's first iteration exactly ``T²``, with
   the optima equal to the per-station searches;
 * the noisy receiver's ``measure_grid`` receives the shared row and
-  answers the full ``(n, k)`` grid, the ``measure_batch`` fallback still
-  receives full voltage grids, and actuator faults still draw one fault
-  per probed cell;
+  answers the full ``(n, k)`` grid, the scalar-instrument adapter is
+  called in the scalar sweep's probe order, and actuator faults still
+  draw one fault per probed cell;
 * exhaustive and Algorithm-1 grid sweeps through a noisy receiver and
   through stuck + quantize actuator faults replay to pinned digests.
 """
@@ -110,21 +110,16 @@ class TestJonesCount:
 
 
 class _Recording:
-    """Forwards one probe method and records the voltage shapes."""
+    """Forwards ``measure_grid`` and records the voltage shapes."""
 
-    def __init__(self, backend, method):
+    def __init__(self, backend):
         self.shapes = []
         self.results = []
-        self._probe = getattr(backend, method)
-        setattr(self, method, self._record)
+        self._backend = backend
 
-    def _record(self, *args):
-        if isinstance(args[0], ProbeGrid):
-            vx, vy = args[0].shaped("vx"), args[0].shaped("vy")
-        else:
-            vx, vy = args
-        self.shapes.append((np.shape(vx), np.shape(vy)))
-        result = self._probe(*args)
+    def measure_grid(self, grid):
+        self.shapes.append((grid.shaped("vx").shape, grid.shaped("vy").shape))
+        result = self._backend.measure_grid(grid)
         self.results.append(np.shape(result))
         return result
 
@@ -133,8 +128,7 @@ class TestFallbackBackends:
     def test_receiver_backend_answers_full_grids(self):
         link = TransmissiveScenario().link()
         receiver = SimulatedReceiver(link, seed=5)
-        backend = _Recording(ReceiverSweepBackend(receiver, duration_s=2e-4),
-                             "measure_grid")
+        backend = _Recording(ReceiverSweepBackend(receiver, duration_s=2e-4))
         controller = CentralizedController(SWEEP)
         grid = ProbeGrid.product(tx_power=np.array([-5.0, 0.0, 5.0]))
         controller.full_sweep_grid(backend, grid, step_v=STEP_V)
@@ -146,7 +140,7 @@ class TestFallbackBackends:
         assert backend.results == (
             [(3, LATTICE)] + [(3, window)] * SWEEP.iterations)
 
-    def test_batch_backend_keeps_the_scalar_probe_order(self):
+    def test_callable_backend_keeps_the_scalar_probe_order(self):
         link = TransmissiveScenario().link()
         probes = []
 
@@ -155,7 +149,7 @@ class TestFallbackBackends:
             return link.received_power_dbm(vx, vy)
 
         callable_backend = CallableBackend(measure)
-        backend = _Recording(callable_backend, "measure_batch")
+        backend = _Recording(callable_backend)
         controller = CentralizedController(SWEEP)
         result = controller.full_sweep_grid(backend, ProbeGrid.product(),
                                             step_v=STEP_V)

@@ -1,5 +1,5 @@
-"""FaultyBackend: zero-fault parity across every probe protocol, and
-the behaviour of each fault kind when it does fire."""
+"""FaultyBackend: zero-fault parity across every grid layout, and the
+behaviour of each fault kind when it does fire."""
 
 import numpy as np
 import pytest
@@ -22,10 +22,17 @@ from repro.faults import (
 
 LEVELS = np.arange(0.0, 30.0 + 1.0, 6.0)
 VX, VY = np.meshgrid(LEVELS, LEVELS, indexing="ij")
+#: The bias lattice as one aligned probe grid.
+GRID = ProbeGrid.aligned(vx=VX, vy=VY)
 
-#: Parity bar from the issue: zero-fault wrapping must be bit-identical
-#: (<= 1e-12 dB) to the bare backend on every protocol.
+#: Zero-fault wrapping must be bit-identical (<= 1e-12 dB) to the bare
+#: backend on every grid layout.
 PARITY_DB = 1e-12
+
+
+def point(backend, vx, vy) -> float:
+    """Received power at one bias pair, probed as a 0-d grid."""
+    return float(backend.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy)))
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +55,12 @@ class TestZeroFaultParity:
         # plane must still be on the fast path.
         return FaultyBackend(bare, FaultSchedule(request.param, seed=0))
 
-    def test_measure(self, bare, wrapped):
-        assert abs(wrapped.measure(12.0, 18.0)
-                   - bare.measure(12.0, 18.0)) <= PARITY_DB
+    def test_zero_d_grid(self, bare, wrapped):
+        assert abs(point(wrapped, 12.0, 18.0)
+                   - point(bare, 12.0, 18.0)) <= PARITY_DB
 
-    def test_measure_batch(self, bare, wrapped):
-        delta = np.abs(wrapped.measure_batch(VX, VY)
-                       - bare.measure_batch(VX, VY))
+    def test_aligned_bias_grid(self, bare, wrapped):
+        delta = np.abs(wrapped.measure_grid(GRID) - bare.measure_grid(GRID))
         assert float(np.max(delta)) <= PARITY_DB
 
     def test_measure_grid_link_axis(self, bare, wrapped):
@@ -69,7 +75,7 @@ class TestZeroFaultParity:
         assert float(np.max(delta)) <= PARITY_DB
 
     def test_fast_path_consumes_no_streams(self, bare, wrapped):
-        wrapped.measure_batch(VX, VY)
+        wrapped.measure_grid(GRID)
         assert wrapped.schedule.trace.events == ()
         # The stream dictionary itself stays untouched (no draws at all).
         assert wrapped.schedule._streams == {}
@@ -100,23 +106,23 @@ class TestDisabledInjectionTwin:
         monkeypatch.setattr(WirelessLink, "_budget_power_dbm", spy)
         return results
 
-    @pytest.mark.parametrize("protocol", ["measure_batch", "measure_grid"])
-    def test_no_extra_pass_copy_or_draw(self, link, engine_results,
-                                        protocol):
+    @pytest.mark.parametrize("layout", ["aligned", "product"])
+    def test_no_extra_pass_copy_or_draw(self, link, engine_results, layout):
         schedule = FaultSchedule(seed=0)
         wrapped = RetryingBackend(FaultyBackend(LinkBackend(link), schedule),
                                   RetryPolicy(), schedule=schedule)
         bare = LinkBackend(link)
         jitter = schedule.stream("retry.jitter").bit_generator.state
-        if protocol == "measure_batch":
-            args = np.meshgrid(self.LEVELS, self.LEVELS, indexing="ij")
+        if layout == "aligned":
+            vx, vy = np.meshgrid(self.LEVELS, self.LEVELS, indexing="ij")
+            grid = ProbeGrid.aligned(vx=vx, vy=vy)
         else:
-            args = (ProbeGrid.product(vx=self.LEVELS, vy=self.LEVELS),)
+            grid = ProbeGrid.product(vx=self.LEVELS, vy=self.LEVELS)
 
         before = probe_evaluations()
-        expected = getattr(bare, protocol)(*args)
+        expected = bare.measure_grid(grid)
         middle = probe_evaluations()
-        actual = getattr(wrapped, protocol)(*args)
+        actual = wrapped.measure_grid(grid)
         assert probe_evaluations() - middle == middle - before == 1
         np.testing.assert_array_equal(actual, expected)
         # The wrapped stack hands back the engine's own array.
@@ -130,27 +136,28 @@ class TestDataPlaneFaults:
     def test_dropouts_are_nans_at_the_masked_cells(self, bare):
         spec = FaultSpec(probe_dropout_rate=0.25)
         schedule = FaultSchedule(spec, seed=3)
-        powers = FaultyBackend(bare, schedule).measure_batch(VX, VY)
+        powers = FaultyBackend(bare, schedule).measure_grid(GRID)
         mask = schedule.replay().fault_mask("probe.dropout", VX.shape,
                                             spec.probe_dropout_rate)
         assert np.isnan(powers[mask]).all()
         np.testing.assert_allclose(powers[~mask],
-                                   bare.measure_batch(VX, VY)[~mask])
+                                   bare.measure_grid(GRID)[~mask])
 
     def test_noise_bursts_offset_by_exactly_the_burst_magnitude(self, bare):
         spec = FaultSpec(noise_burst_rate=0.3, noise_burst_db=6.0)
         schedule = FaultSchedule(spec, seed=5)
-        powers = FaultyBackend(bare, schedule).measure_batch(VX, VY)
-        clean = bare.measure_batch(VX, VY)
+        powers = FaultyBackend(bare, schedule).measure_grid(GRID)
+        clean = bare.measure_grid(GRID)
         offsets = np.abs(powers - clean)
         hit = offsets > 0
         np.testing.assert_allclose(offsets[hit], spec.noise_burst_db)
         assert hit.any()
 
-    def test_scalar_measure_goes_through_the_fault_plane(self, bare):
+    def test_scalar_measure_goes_through_the_fault_plane(self):
         spec = FaultSpec(probe_dropout_rate=1.0)
-        power = FaultyBackend(bare, FaultSchedule(spec, seed=0)).measure(
-            6.0, 6.0)
+        session = LinkSession(TransmissiveScenario().configuration(),
+                              fault_schedule=FaultSchedule(spec, seed=0))
+        power = session.measure(6.0, 6.0)
         assert isinstance(power, float) and np.isnan(power)
 
 
@@ -158,26 +165,26 @@ class TestActuatorFaults:
     def test_stuck_actuators_probe_the_stuck_voltage(self, bare):
         spec = FaultSpec(stuck_rate=1.0, stuck_voltage_v=0.0)
         powers = FaultyBackend(bare, FaultSchedule(spec, seed=0)) \
-            .measure_batch(VX, VY)
-        stuck = bare.measure(0.0, 0.0)
+            .measure_grid(GRID)
+        stuck = point(bare, 0.0, 0.0)
         np.testing.assert_allclose(powers, np.full(VX.shape, stuck))
 
     def test_quantization_snaps_commanded_voltages(self, bare):
         spec = FaultSpec(quantize_step_v=10.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
-        assert wrapped.measure(14.0, 14.0) == pytest.approx(
-            bare.measure(10.0, 10.0))
-        assert wrapped.measure(16.0, 16.0) == pytest.approx(
-            bare.measure(20.0, 20.0))
+        assert point(wrapped, 14.0, 14.0) == pytest.approx(
+            point(bare, 10.0, 10.0))
+        assert point(wrapped, 16.0, 16.0) == pytest.approx(
+            point(bare, 20.0, 20.0))
 
     def test_brownouts_clip_voltages_from_above(self, bare):
         spec = FaultSpec(brownout_rate=1.0, brownout_clip_v=18.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
-        assert wrapped.measure(25.0, 30.0) == pytest.approx(
-            bare.measure(18.0, 18.0))
+        assert point(wrapped, 25.0, 30.0) == pytest.approx(
+            point(bare, 18.0, 18.0))
         # Voltages already under the clip are untouched.
-        assert wrapped.measure(6.0, 9.0) == pytest.approx(
-            bare.measure(6.0, 9.0))
+        assert point(wrapped, 6.0, 9.0) == pytest.approx(
+            point(bare, 6.0, 9.0))
 
     def test_grid_probe_rebuilds_voltage_axes(self, bare):
         grid = ProbeGrid.product(vx=LEVELS, vy=LEVELS)
@@ -185,7 +192,7 @@ class TestActuatorFaults:
         powers = FaultyBackend(bare, FaultSchedule(spec, seed=0)) \
             .measure_grid(grid)
         np.testing.assert_allclose(
-            powers, np.full(grid.shape, bare.measure(3.0, 3.0)))
+            powers, np.full(grid.shape, point(bare, 3.0, 3.0)))
 
 
 class TestCallFaults:
@@ -193,7 +200,7 @@ class TestCallFaults:
         spec = FaultSpec(probe_error_rate=1.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
         with pytest.raises(ProbeFaultError):
-            wrapped.measure_batch(VX, VY)
+            wrapped.measure_grid(GRID)
 
 
 class TestAccounting:
@@ -202,7 +209,7 @@ class TestAccounting:
         monitor = HealthMonitor()
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0),
                                 monitor=monitor)
-        wrapped.measure_batch(VX, VY)
+        wrapped.measure_grid(GRID)
         report = monitor.report()
         assert report.probes == 1
         assert report.faults_seen["probe.dropout"] == VX.size
@@ -212,8 +219,8 @@ class TestAccounting:
         spec = FaultSpec(probe_dropout_rate=0.2, noise_burst_rate=0.2,
                          stuck_rate=0.1)
         schedule = FaultSchedule(spec, seed=9)
-        first = FaultyBackend(bare, schedule).measure_batch(VX, VY)
+        first = FaultyBackend(bare, schedule).measure_grid(GRID)
         replayed = schedule.replay()
-        second = FaultyBackend(bare, replayed).measure_batch(VX, VY)
+        second = FaultyBackend(bare, replayed).measure_grid(GRID)
         np.testing.assert_array_equal(first, second)
         assert schedule.trace.digest() == replayed.trace.digest()

@@ -15,6 +15,7 @@ from repro.faults import (
     RetryingBackend,
     TransientFaultError,
 )
+from repro.channel.grid import ProbeGrid
 from repro.faults.errors import DEFAULT_RETRYABLE, is_retryable
 from repro.hardware.visa import VisaError, VisaTimeoutError
 
@@ -202,31 +203,25 @@ class _CountingBackend:
         if self.calls <= self.failures:
             raise ProbeFaultError("flaky")
 
-    def measure(self, vx, vy):
-        self._maybe_fail()
-        return vx + vy
-
-    def measure_batch(self, vx, vy):
-        self._maybe_fail()
-        return np.asarray(vx, dtype=float) + np.asarray(vy, dtype=float)
-
     def measure_grid(self, grid):
         self._maybe_fail()
-        return np.zeros(grid.shape)
+        vx, vy = grid.bias_points()
+        return vx + vy
 
 
 class TestRetryingBackend:
-    def test_every_protocol_recovers(self):
-        from repro.channel.grid import ProbeGrid
+    def test_every_grid_layout_recovers(self):
         grid = ProbeGrid.product(vx=np.arange(3.0), vy=np.arange(2.0))
         axis_grid = ProbeGrid.aligned(frequency=[5.0])
         monitor = HealthMonitor()
         backend = RetryingBackend(_CountingBackend(failures=1),
                                   RetryPolicy(max_attempts=3),
                                   monitor=monitor)
-        assert backend.measure(1.0, 2.0) == 3.0
+        assert float(backend.measure_grid(
+            ProbeGrid.aligned(vx=1.0, vy=2.0))) == 3.0
         np.testing.assert_array_equal(
-            backend.measure_batch([1.0], [2.0]), [3.0])
+            backend.measure_grid(ProbeGrid.aligned(vx=[1.0], vy=[2.0])),
+            [3.0])
         assert backend.measure_grid(axis_grid).shape == (1,)
         assert backend.measure_grid(grid).shape == (3, 2)
         assert monitor.probes == 4
@@ -236,7 +231,7 @@ class TestRetryingBackend:
         backend = RetryingBackend(_CountingBackend(failures=10),
                                   RetryPolicy(max_attempts=2))
         with pytest.raises(ProbeFaultError):
-            backend.measure(0.0, 0.0)
+            backend.measure_grid(ProbeGrid.aligned(vx=0.0, vy=0.0))
 
     def test_default_policy_and_infinite_deadline(self):
         backend = RetryingBackend(_CountingBackend())

@@ -398,20 +398,12 @@ class TestStackedPlanes:
         with pytest.raises(KeyError):
             deployment.rssi_matrix(0.0, 0.0, names=["missing"])
 
-
-class TestDeprecatedBatchShims:
-    """The pre-fleet per-station batch entry points still work — and warn."""
-
-    def test_rssi_dbm_batch_warns_and_matches_matrix_row(self, deployment):
+    def test_single_station_rows_match_scalar_probes(self, deployment):
         levels = np.arange(0.0, 30.1, 10.0)
-        with pytest.warns(DeprecationWarning, match="rssi_matrix"):
-            shim = deployment.rssi_dbm_batch("tilted", levels, levels)
-        stacked = deployment.rssi_matrix(levels, levels, names=["tilted"])
-        assert np.max(np.abs(shim - stacked[0])) <= 1e-9
-
-    def test_rate_mbps_batch_warns_and_matches_matrix_row(self, deployment):
-        levels = np.arange(0.0, 30.1, 10.0)
-        with pytest.warns(DeprecationWarning, match="rate_matrix"):
-            shim = deployment.rate_mbps_batch("tilted", levels, levels)
-        stacked = deployment.rate_matrix(levels, levels, names=["tilted"])
-        assert np.max(np.abs(shim - stacked[0])) <= 1e-9
+        rssi = deployment.rssi_matrix(levels, levels, names=["tilted"])[0]
+        rates = deployment.rate_matrix(levels, levels, names=["tilted"])[0]
+        for index, level in enumerate(levels):
+            assert rssi[index] == pytest.approx(
+                deployment.rssi_dbm("tilted", level, level), abs=1e-9)
+            assert rates[index] == deployment.rate_mbps("tilted", level,
+                                                        level)

@@ -9,6 +9,7 @@ isolation.
 import numpy as np
 import pytest
 
+from repro.api import CallableBackend
 from repro.channel.antenna import directional_antenna
 from repro.channel.geometry import LinkGeometry
 from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
@@ -57,7 +58,8 @@ class TestSurfaceToJonesConsistency:
         surface's achievable range)."""
         controller = CentralizedController(
             VoltageSweepConfig(iterations=2, switches_per_axis=6))
-        result = controller.coarse_to_fine_sweep(mismatched_link.received_power_dbm)
+        result = controller.coarse_to_fine_sweep(
+            CallableBackend(mismatched_link.received_power_dbm))
         rotation = abs(surface.rotation_angle_deg(2.44e9, result.best_vx,
                                                   result.best_vy))
         maximum = surface.rotation_range_deg(2.44e9, 0.0, 30.0)[1]
@@ -70,10 +72,10 @@ class TestNoisyControlLoop:
         noise) still finds a near-optimal bias pair at normal SNR."""
         receiver = SimulatedReceiver(mismatched_link, seed=9)
         controller = CentralizedController()
-        noisy = controller.coarse_to_fine_sweep(
-            lambda vx, vy: receiver.measure_power_dbm(vx=vx, vy=vy))
+        noisy = controller.coarse_to_fine_sweep(CallableBackend(
+            lambda vx, vy: receiver.measure_power_dbm(vx=vx, vy=vy)))
         noiseless = controller.coarse_to_fine_sweep(
-            mismatched_link.received_power_dbm)
+            CallableBackend(mismatched_link.received_power_dbm))
         achieved = mismatched_link.received_power_dbm(noisy.best_vx, noisy.best_vy)
         assert achieved >= noiseless.best_power_dbm - 2.0
 
