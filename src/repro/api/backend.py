@@ -73,16 +73,16 @@ class CallableBackend:
         if not callable(measure):
             raise TypeError("CallableBackend needs a measure(vx, vy, "
                             "**link_axes) callable")
-        self._measure = measure
+        self._instrument = measure
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Call the instrument once per grid point."""
         vx, vy = (points.ravel() for points in grid.bias_points())
         axes = {axis.name: grid.expand(axis.name).ravel()
                 for axis in grid.axes if axis.name not in VOLTAGE_AXES}
-        powers = [self._measure(float(vx[index]), float(vy[index]),
-                                **{name: float(values[index])
-                                   for name, values in axes.items()})
+        powers = [self._instrument(float(vx[index]), float(vy[index]),
+                                   **{name: float(values[index])
+                                      for name, values in axes.items()})
                   for index in range(vx.size)]
         return np.array(powers, dtype=float).reshape(grid.shape)
 
