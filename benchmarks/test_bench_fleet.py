@@ -80,11 +80,12 @@ def run_fleet_comparison():
     # steady-state costs rather than first-touch overheads.
     warmup = build_fleet()
     looped_grid_probe(warmup)
-    warmup.measure_grid(VX_GRID, VY_GRID)
+    warmup.measure_aligned(VX_GRID[None], VY_GRID[None])
 
     fleet = build_fleet()
     looped, loop_s = timed(looped_grid_probe, fleet)
-    stacked, fleet_s = timed(fleet.measure_grid, VX_GRID, VY_GRID)
+    stacked, fleet_s = timed(fleet.measure_aligned, VX_GRID[None],
+                             VY_GRID[None])
     rows.append(speedup_row(
         f"bias-grid probe ({STATION_COUNT} stations)", points, loop_s,
         fleet_s, float(np.max(np.abs(stacked - looped)))))
@@ -92,7 +93,8 @@ def run_fleet_comparison():
     fleet = build_fleet()
     looped_utility, loop_s = timed(looped_compromise_utility, fleet)
     stacked_utility, fleet_s = timed(
-        lambda: fleet.rate_grid(VX_GRID, VY_GRID).sum(axis=0))
+        lambda: wifi_rate_for_rssi_mbps(fleet.measure_aligned(
+            VX_GRID[None], VY_GRID[None])).sum(axis=0))
     rows.append(speedup_row(
         f"compromise utility scan ({STATION_COUNT} stations)", points,
         loop_s, fleet_s,

@@ -34,11 +34,12 @@ def main() -> None:
     print(f"Fleet: {len(spec.stations)} stations on the "
           f"{spec.surface!r} surface (seed {spec.environment_seed})")
 
-    # 2. One session owns the whole fleet.  measure_grid stacks every
-    #    station along the leading axis: shape (stations, |Vx|, |Vy|).
+    # 2. One session owns the whole fleet.  measure_aligned stacks every
+    #    station along the leading axis; a leading 1 shares the bias grid
+    #    with every station: shape (stations, |Vx|, |Vy|).
     fleet = FleetSession(spec)
     levels = np.arange(0.0, 30.5, 5.0)
-    powers = fleet.measure_grid(levels[:, None], levels[None, :])
+    powers = fleet.measure_aligned(levels[None, :, None], levels[None, None, :])
     print(f"\nStacked probe over a {levels.size}x{levels.size} bias grid: "
           f"shape {powers.shape} (one NumPy pass)")
 

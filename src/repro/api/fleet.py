@@ -18,7 +18,7 @@ links, and that is what this module provides:
   (distance / transmit power / antenna orientation) along a leading
   ``station`` axis of the grid engine
   (:class:`~repro.channel.ensemble.LinkEnsemble`):
-  :meth:`~FleetSession.measure_grid` probes every station over every
+  :meth:`~FleetSession.measure_aligned` probes every station over every
   bias pair at once, :meth:`~FleetSession.optimize_grid` runs Algorithm
   1 for every station simultaneously (one batched probe per refinement
   iteration), and :meth:`~FleetSession.schedule` drives the TDMA
@@ -34,7 +34,7 @@ Migration from the per-station loop idiom::
 
     # after: one fleet, one pass
     fleet = FleetSession(FleetSpec.random_home(station_count=8))
-    powers = fleet.measure_grid(vx, vy)          # (8,) + grid shape
+    powers = fleet.measure_aligned(vx[None], vy[None])  # (8,) + grid shape
     schedule = fleet.schedule("polarization-reuse")
 """
 
@@ -76,7 +76,11 @@ from repro.network.access_control import (
     AccessControlResult,
     polarization_access_control,
 )
-from repro.network.deployment import DenseDeployment, StationPlacement
+from repro.network.deployment import (
+    DenseDeployment,
+    StationPlacement,
+    _validate_station,
+)
 from repro.network.scheduler import (
     FixedBiasScheduler,
     PerStationScheduler,
@@ -110,10 +114,7 @@ class StationSpec:
     traffic_demand_mbps: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError("distance must be positive")
-        if self.traffic_demand_mbps <= 0:
-            raise ValueError("traffic demand must be positive")
+        _validate_station(self)
 
     def to_dict(self) -> Dict[str, Union[str, float]]:
         """Plain-data form (JSON-ready)."""
@@ -583,62 +584,37 @@ class FleetSession:
     # ------------------------------------------------------------------ #
     # Measurement plane (station-stacked)
     # ------------------------------------------------------------------ #
-    def measure_grid(self, vx, vy,
-                     stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Received power of every station at every bias pair, one pass.
+    def measure_aligned(self, vx, vy,
+                        stations: Optional[Sequence[str]] = None) -> np.ndarray:
+        """Received power of every station at its bias pairs, one pass.
 
-        ``vx`` / ``vy`` may be scalars or mutually broadcastable arrays;
-        the result is ``(station_count,) + broadcast(vx, vy)`` with
-        stations stacked along the leading axis.  Row ``i`` matches a
+        The fault-free probe of the fleet.  ``stations`` selects (and
+        orders) the rows, repeats allowed; ``None`` is the whole fleet.
+        The voltages lead with the station axis (see
+        :meth:`~repro.channel.ensemble.LinkEnsemble.measure_aligned`):
+        ``(1, K)`` shares one lattice with every station and gives
+        ``(S, K)``; ``(S,)`` pairs give ``(S,)``.  Row ``i`` matches a
         per-station :class:`LinkSession` probing the same voltages to
         <= 1e-9 dB (pinned by the fleet parity suite).
         """
-        return self.deployment.rssi_matrix(vx, vy, stations)
-
-    def measure(self, station: str, vx: float = 0.0, vy: float = 0.0) -> float:
-        """Received power (dBm) of one station at one bias pair."""
-        return self.deployment.rssi_dbm(station, vx, vy)
-
-    def rate_grid(self, vx, vy,
-                  stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Achievable 802.11g PHY rates of every station, one pass."""
-        return self.deployment.rate_matrix(vx, vy, stations)
-
-    def measure_aligned(self, vx, vy,
-                        stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Per-station power at *per-station* bias pairs (one TDMA epoch)."""
-        return self.deployment.rssi_aligned(vx, vy, stations)
+        return self.deployment.ensemble_for(stations).measure_aligned(vx, vy)
 
     def probe_aligned(self, vx, vy,
                       stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Per-station power at per-station biases, resiliently probed.
+        """:meth:`measure_aligned`, probed through the resilience planes.
 
-        The serving plane's coalesced-probe entry point: one TDMA-epoch
-        shaped aligned grid (``stations`` may repeat — each occurrence
-        is its own stacked row, so a window's worth of measure requests
-        for the same station coalesces into one pass), evaluated
+        The serving plane's coalesced-probe entry point: a window's
+        worth of measure requests (``stations`` may repeat, each
+        occurrence its own stacked row) is one aligned grid, evaluated
         through the session's fault and retry planes when configured.
         With neither configured this is exactly
         :meth:`measure_aligned`'s probe — the zero-fault service parity
         the serve experiments pin to <= 1e-9 dB.
         """
-        names = self.station_names if stations is None else tuple(stations)
-        ensemble = self.deployment.ensemble_for(names)
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        grid = ProbeGrid.aligned(**ensemble.station_grid(0), vx=vx, vy=vy)
+        ensemble = self.deployment.ensemble_for(stations)
         backend = self._resilient_backend(LinkBackend(ensemble.link))
-        return np.asarray(backend.measure_grid(grid), dtype=float)
-
-    def baseline_rssi_dbm(
-            self, stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """No-surface received power of every station, one pass."""
-        return self.deployment.baseline_rssi_vector(stations)
-
-    def baseline_rate_mbps(
-            self, stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """No-surface achievable rate of every station, one pass."""
-        return self.deployment.baseline_rate_vector(stations)
+        return np.asarray(backend.measure_grid(ensemble.aligned_grid(vx, vy)),
+                          dtype=float)
 
     # ------------------------------------------------------------------ #
     # Search plane (station-stacked)
@@ -659,17 +635,6 @@ class FleetSession:
         """The single bias pair maximizing the stations' summed rate."""
         return self.deployment.compromise_bias(stations, step_v=step_v)
 
-    def station_grid(self) -> ProbeGrid:
-        """The fleet as an aligned probe grid over the station axis.
-
-        One ``(station_count,)``-shaped
-        :class:`~repro.channel.grid.ProbeGrid` whose distance / tx-power
-        / tx-orientation values co-vary per station — the grid the
-        grid-native controller consumes in :meth:`optimize_grid`.
-        """
-        ensemble = self.ensemble
-        return ProbeGrid.aligned(**ensemble.station_grid(0))
-
     def optimize_grid(self, exhaustive: bool = False,
                       step_v: float = 1.0,
                       stations: Optional[Sequence[str]] = None
@@ -685,18 +650,15 @@ class FleetSession:
         ``stations`` selects (and orders) the rows, repeats allowed;
         ``None`` runs every surviving station.  Algorithm 1 is
         independent per row, so a selection's rows equal those rows of
-        the all-survivor run.  Naming a quarantined station raises
-        ``ValueError``, an unknown one ``KeyError``.
+        the all-survivor run.  Naming an unknown station raises
+        ``KeyError``, a quarantined one ``ValueError``.
         """
-        if stations is None:
-            names = self.active_stations
-        else:
-            names = tuple(stations)
-            quarantined = sorted(set(names) & self._quarantined)
-            if quarantined:
-                raise ValueError(
-                    f"cannot optimize quarantined stations {quarantined}")
+        names = self.active_stations if stations is None else stations
         ensemble = self.deployment.ensemble_for(names)
+        quarantined = sorted(set(names) & self._quarantined)
+        if quarantined:
+            raise ValueError(
+                f"cannot optimize quarantined stations {quarantined}")
         grid = ProbeGrid.aligned(**ensemble.station_grid(0))
         return self.controller.optimize_grid(
             self._resilient_backend(LinkBackend(ensemble.link)), grid,

@@ -11,10 +11,13 @@ whose per-station parameter arrays co-vary along one leading ``station``
 axis, broadcast against whatever voltage grid is being probed.
 
 :class:`LinkEnsemble` packages that idea: it owns one base link and the
-per-station override arrays, and evaluates all stations at all bias
-pairs in a single NumPy pass of the link budget.  Scalar parity is
-pinned by ``tests/channel/test_ensemble.py``: row ``i`` of every
-stacked result equals probing the fresh per-station link of
+per-station override arrays, and its one probe,
+:meth:`LinkEnsemble.measure_aligned`, evaluates every station at its
+bias pairs in a single NumPy pass of the link budget.  The voltages'
+leading dimension is the station axis: 1 for a lattice every station
+shares, the station count for per-station pairs or windows.  Scalar
+parity is pinned by ``tests/channel/test_ensemble.py``: row ``i`` of
+every stacked result equals probing the fresh per-station link of
 :meth:`LinkEnsemble.link_for` to <= 1e-9 dB.
 """
 
@@ -136,45 +139,41 @@ class LinkEnsemble:
         return {STATION_AXES[name]: values.reshape(shape)
                 for name, values in self._parameters.items()}
 
-    def probe_grid(self, vx, vy) -> ProbeGrid:
-        """The aligned probe grid of all stations crossed with a bias grid.
+    def aligned_grid(self, vx, vy) -> ProbeGrid:
+        """The probe grid of :meth:`measure_aligned`, station axis leading.
 
-        ``vx`` / ``vy`` may be scalars or mutually broadcastable arrays;
-        the grid's shape is ``(station_count,) + broadcast(vx, vy)``.
+        ``vx`` / ``vy`` are scalars or arrays whose leading dimension is
+        1 (one voltage lattice shared by every station) or the station
+        count (per-station points or windows).  Every array is padded on
+        the right to the voltages' common rank, so the leading
+        dimension is always the station axis; any other leading size
+        raises ``ValueError``.
         """
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        trailing = len(np.broadcast_shapes(vx.shape, vy.shape))
-        return ProbeGrid.aligned(**self.station_grid(trailing), vx=vx, vy=vy)
-
-    def measure_batch(self, vx, vy) -> np.ndarray:
-        """Received power of every station at every bias pair, one pass.
-
-        The returned array is shaped ``(station_count,) +
-        broadcast(vx, vy)``; row ``i`` matches probing
-        :meth:`link_for` station ``i`` over the same voltages.
-        """
-        return self.link.evaluate_grid(self.probe_grid(vx, vy))
+        voltages = {"vx": np.asarray(vx, dtype=float),
+                    "vy": np.asarray(vy, dtype=float)}
+        rank = max(values.ndim for values in voltages.values())
+        for name, values in voltages.items():
+            if not values.ndim:
+                continue
+            if values.shape[0] not in (1, self._station_count):
+                raise ValueError(
+                    f"{name} leads with {values.shape[0]} points; a station "
+                    f"probe's voltages lead with 1 (shared by every "
+                    f"station) or the station count {self._station_count}")
+            voltages[name] = values.reshape(
+                values.shape + (1,) * (rank - values.ndim))
+        return ProbeGrid.aligned(**self.station_grid(max(rank - 1, 0)),
+                                 **voltages)
 
     def measure_aligned(self, vx, vy) -> np.ndarray:
-        """Per-station received power at *per-station* bias pairs.
+        """Received power of every station at its bias pairs, one pass.
 
-        Unlike :meth:`measure_batch`, the voltages align element-wise
-        with the station axis (scalars broadcast): ``vx[i]`` / ``vy[i]``
-        is the bias pair applied while station ``i`` transmits, and the
-        result is the ``(station_count,)`` power vector — the one probe
-        a TDMA epoch needs.
+        The station axis leads (see :meth:`aligned_grid`): a ``(1, K)``
+        lattice gives ``(station_count, K)``, per-station ``(S,)`` pairs
+        give ``(S,)`` and ``(S, k)`` windows give ``(S, k)``.  Row ``i``
+        matches probing :meth:`link_for` station ``i`` at its voltages.
         """
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        return self.link.evaluate_grid(
-            ProbeGrid.aligned(**self.station_grid(0), vx=vx, vy=vy))
-
-    def measure(self, station_index: int, vx: float = 0.0,
-                vy: float = 0.0) -> float:
-        """Scalar received power of one station at one bias pair."""
-        return float(self.measure_batch(vx, vy)[self._station_index(
-            station_index)])
+        return self.link.evaluate_grid(self.aligned_grid(vx, vy))
 
     def _station_index(self, index: int) -> int:
         if not -self._station_count <= index < self._station_count:
@@ -208,12 +207,6 @@ class LinkEnsemble:
     def link_for(self, station_index: int) -> WirelessLink:
         """A fresh scalar link for one station (parity reference)."""
         return WirelessLink(self.configuration_for(station_index))
-
-    def baseline(self) -> "LinkEnsemble":
-        """The matching ensemble with the metasurface removed."""
-        overrides = {name: values.copy()
-                     for name, values in self._parameters.items()}
-        return LinkEnsemble(self.configuration.without_surface(), **overrides)
 
 
 __all__ = ["STATION_AXES", "LinkEnsemble"]

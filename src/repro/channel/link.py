@@ -38,7 +38,8 @@ shared bias lattice crossed with stations — bias arrays and per-station
 distance / transmit-power / transmit-orientation overrides in disjoint
 blocks of dimensions, each side more than one point, as in the
 controller's ``(1, k)`` rows, the world's ``(k, 1, 1) x (1, T, N)``
-retune cube and the TDMA ``rssi_matrix`` — is separable: the received
+retune cube and the TDMA lattice probe (``(1, k)`` voltages through
+``LinkEnsemble.measure_aligned``) — is separable: the received
 field is affine in the surface's Jones matrix, so the pass is one
 small matrix product of lattice features by station features and never
 builds the per-cell field.  Everything else (aligned per-point windows,
@@ -678,7 +679,7 @@ class WirelessLink:
         frequency or a receive orientation — a shared bias lattice
         crossed with stations: the controller's ``(1, k)`` rows, the
         world's ``(k, 1, 1) x (1, T, N)`` candidate cube, the TDMA
-        ``rssi_matrix`` — the pass is separable and
+        lattice probe — the pass is separable and
         :meth:`_separable_power_dbm` evaluates it as one small matrix
         product (see :func:`_separable_layout`).  Every other shape
         (aligned per-point windows, frequency axes, bias-only or

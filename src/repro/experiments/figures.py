@@ -8,30 +8,33 @@ the result's shape.  The registry (``python -m repro.experiments list``)
 enumerates them; :class:`~repro.experiments.runner.Runner` executes them
 with overrides and caching.
 
-The historical ``figureN_*`` functions remain as thin shims delegating
-to the registry (same payload objects, same cache), so existing callers
-keep working unchanged.
+Run one with ``run_experiment(name, **params).payload`` (the same
+payload object and cache the CLI uses).  Four experiments keep a
+function each (``gain_surface_frequency_distance``,
+``coverage_map_txpower_distance``, ``deployment_scheduling_comparison``,
+``deployment_access_isolation``), as they also run on an explicit
+fleet spec or array axes the registry's parameter schema does not take.
 
-Index (registry name — legacy function):
+Index (registry name — paper artefact):
 
-* ``fig02``          — :func:`figure2_mismatch_impact`       (Fig. 2a/2b)
-* ``fig08_10``       — :func:`figure8_to_10_material_designs` (Figs. 8-10)
-* ``fig11``          — :func:`figure11_voltage_efficiency`   (Fig. 11)
-* ``table1``         — :func:`table1_rotation_degrees`       (Table 1)
-* ``fig12``          — :func:`figure12_rotation_estimation`  (Fig. 12)
-* ``fig15``          — :func:`figure15_voltage_heatmaps`     (Fig. 15a-h)
-* ``fig16``          — :func:`figure16_transmissive_gain`    (Fig. 16)
-* ``fig17``          — :func:`figure17_frequency_sweep`      (Fig. 17)
-* ``fig18_19``       — :func:`figure18_19_txpower_capacity`  (Figs. 18, 19)
-* ``fig20``          — :func:`figure20_iot_device_pdf`       (Fig. 20)
-* ``iot_families``   — :func:`iot_device_families`  (Fig. 20 x 3 familes)
-* ``fig21``          — :func:`figure21_reflective_heatmaps`  (Fig. 21)
-* ``fig22``          — :func:`figure22_reflective_gain`      (Fig. 22)
-* ``fig23``          — :func:`figure23_respiration_sensing`  (Fig. 23)
-* ``gain_surface``   — :func:`gain_surface_frequency_distance`
-* ``coverage_map``   — :func:`coverage_map_txpower_distance`
-* ``sec7_scheduling``— :func:`deployment_scheduling_comparison`
-* ``sec7_access``    — :func:`deployment_access_isolation`
+* ``fig02``           — Fig. 2a/2b, polarization-mismatch impact
+* ``fig08_10``        — Figs. 8-10, S21 efficiency of the three designs
+* ``fig11``           — Fig. 11, efficiency under bias combinations
+* ``table1``          — Table 1, rotation degrees vs (Vx, Vy)
+* ``fig12``           — Fig. 12, rotation-angle estimation
+* ``fig15``           — Fig. 15a-h, transmissive voltage heatmaps
+* ``fig16``           — Fig. 16, transmissive gain vs distance
+* ``fig17``           — Fig. 17, gain across the ISM band
+* ``fig18_19``        — Figs. 18, 19, capacity vs transmit power
+* ``fig20``           — Fig. 20, ESP8266 RSSI distributions
+* ``iot_families``    — Fig. 20 over the Wi-Fi, BLE and Zigbee families
+* ``fig21``           — Fig. 21, reflective voltage heatmaps
+* ``fig22``           — Fig. 22, reflective power and capacity
+* ``fig23``           — Fig. 23, respiration sensing at 5 mW
+* ``gain_surface``    — joint frequency x distance gain surface
+* ``coverage_map``    — joint tx-power x distance coverage map
+* ``sec7_scheduling`` — Sec. 7, every scheduling strategy over one fleet
+* ``sec7_access``     — Sec. 7, access control over every station pair
 """
 
 from __future__ import annotations
@@ -183,16 +186,6 @@ def _run_fig02(sample_count: int, seed: int) -> Dict[str, MismatchImpactResult]:
     return results
 
 
-def figure2_mismatch_impact(sample_count: int = 200,
-                            seed: int = 2021) -> Dict[str, MismatchImpactResult]:
-    """Fig. 2: matched vs mismatched RSSI PDFs for Wi-Fi and BLE links.
-
-    Legacy shim over the ``fig02`` registry experiment.
-    """
-    return run_experiment("fig02", sample_count=sample_count,
-                          seed=seed).payload
-
-
 # ---------------------------------------------------------------------- #
 # Figs. 8-10 — S21 efficiency for the three material designs
 # ---------------------------------------------------------------------- #
@@ -319,15 +312,6 @@ def _run_fig08_10(frequency_count: int) -> Dict[str, EfficiencyCurve]:
     }
 
 
-def figure8_to_10_material_designs(
-        frequency_count: int = 81) -> Dict[str, EfficiencyCurve]:
-    """Figs. 8-10: S21 efficiency of the three substrate/geometry designs.
-
-    Legacy shim over the ``fig08_10`` registry experiment.
-    """
-    return run_experiment("fig08_10", frequency_count=frequency_count).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 11 — efficiency vs frequency under different bias voltages
 # ---------------------------------------------------------------------- #
@@ -400,17 +384,6 @@ def _run_fig11(vx: float, vy_v: Tuple[float, ...],
             for f in frequencies)
     return VoltageEfficiencyResult(vx=vx, frequencies_hz=frequencies,
                                    curves_db=curves)
-
-
-def figure11_voltage_efficiency(vx: float = 8.0,
-                                vy_values: Sequence[float] = (2, 3, 4, 5, 6, 10, 15),
-                                frequency_count: int = 41) -> VoltageEfficiencyResult:
-    """Fig. 11: S21 efficiency under different bias-voltage combinations.
-
-    Legacy shim over the ``fig11`` registry experiment.
-    """
-    return run_experiment("fig11", vx=vx, vy_v=tuple(vy_values),
-                          frequency_count=frequency_count).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -490,17 +463,6 @@ def _run_table1(voltage_v: Tuple[float, ...],
                                rotation_deg=rotation)
 
 
-def table1_rotation_degrees(
-        voltages_v: Sequence[float] = TABLE1_VOLTAGES_V,
-        frequency_hz: float = DEFAULT_CENTER_FREQUENCY_HZ) -> RotationTableResult:
-    """Table 1: simulated polarization rotation vs (Vx, Vy).
-
-    Legacy shim over the ``table1`` registry experiment.
-    """
-    return run_experiment("table1", voltage_v=tuple(voltages_v),
-                          frequency_hz=frequency_hz).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 12 — rotation-angle estimation procedure
 # ---------------------------------------------------------------------- #
@@ -567,14 +529,6 @@ def _run_fig12(distance_m: float) -> RotationEstimationResult:
         max_rotation_deg=estimate.max_rotation_deg,
         power_slope_sign=float(np.sign(slope)),
     )
-
-
-def figure12_rotation_estimation(distance_m: float = 0.42) -> RotationEstimationResult:
-    """Fig. 12: estimate the min/max rotation angle from power sweeps.
-
-    Legacy shim over the ``fig12`` registry experiment.
-    """
-    return run_experiment("fig12", distance_m=distance_m).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -675,17 +629,6 @@ def _run_fig15(distance_cm: Tuple[float, ...],
                           rotation_ranges_deg=rotation_ranges)
 
 
-def figure15_voltage_heatmaps(
-        distances_cm: Sequence[float] = TRANSMISSIVE_DISTANCES_CM,
-        voltage_step_v: float = 5.0) -> Figure15Result:
-    """Fig. 15: received-power heatmaps vs (Vx, Vy) at each Tx-Rx distance.
-
-    Legacy shim over the ``fig15`` registry experiment.
-    """
-    return run_experiment("fig15", distance_cm=tuple(distances_cm),
-                          voltage_step_v=voltage_step_v).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 16 — transmissive received power with/without the surface
 # ---------------------------------------------------------------------- #
@@ -763,17 +706,6 @@ def _run_fig16(distance_cm: Tuple[float, ...],
     )
 
 
-def figure16_transmissive_gain(
-        distances_cm: Sequence[float] = TRANSMISSIVE_DISTANCES_CM,
-        exhaustive: bool = False) -> GainVsDistanceResult:
-    """Fig. 16: transmissive received power with/without the metasurface.
-
-    Legacy shim over the ``fig16`` registry experiment.
-    """
-    return run_experiment("fig16", distance_cm=tuple(distances_cm),
-                          exhaustive=exhaustive).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 17 — received power vs operating frequency
 # ---------------------------------------------------------------------- #
@@ -844,21 +776,6 @@ def _run_fig17(frequency_hz: Tuple[float, ...],
         power_with_dbm=tuple(point.power_with_dbm for point in points),
         power_without_dbm=tuple(point.power_without_dbm for point in points),
     )
-
-
-def figure17_frequency_sweep(
-        frequencies_hz: Optional[Sequence[float]] = None,
-        distance_m: float = 0.42) -> FrequencySweepResult:
-    """Fig. 17: power improvement across 2.40-2.50 GHz.
-
-    Legacy shim over the ``fig17`` registry experiment.
-    """
-    if frequencies_hz is None:
-        frequencies_hz = FIG17_FREQUENCIES_HZ
-    return run_experiment("fig17",
-                          frequency_hz=tuple(float(f)
-                                             for f in frequencies_hz),
-                          distance_m=distance_m).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1033,20 +950,6 @@ def _run_fig18_19(tx_power_mw: Tuple[float, ...],
     }
 
 
-def figure18_19_txpower_capacity(
-        tx_powers_mw: Sequence[float] = FIG18_19_TX_POWERS_MW,
-        distance_m: float = 0.42) -> Dict[str, CapacityVsPowerResult]:
-    """Figs. 18 and 19: capacity vs transmit power.
-
-    Returns four series: omni/directional antennas in the absorber-covered
-    chamber (Fig. 18a/b) and in the multipath-rich laboratory
-    (Fig. 19a/b).  Legacy shim over the ``fig18_19`` registry experiment.
-    """
-    return run_experiment("fig18_19",
-                          tx_power_mw=tuple(float(p) for p in tx_powers_mw),
-                          distance_m=distance_m).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 20 — commodity IoT links with/without the surface
 # ---------------------------------------------------------------------- #
@@ -1144,17 +1047,6 @@ def _run_fig20(sample_count: int, distance_m: float,
     return _device_pdf(with_config, without_config, sample_count, seed)
 
 
-def figure20_iot_device_pdf(sample_count: int = 200,
-                            distance_m: float = 3.0,
-                            seed: int = 2021) -> IoTDeviceResult:
-    """Fig. 20: ESP8266 Wi-Fi link RSSI with/without the metasurface.
-
-    Legacy shim over the ``fig20`` registry experiment.
-    """
-    return run_experiment("fig20", sample_count=sample_count,
-                          distance_m=distance_m, seed=seed).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 20 generalised — all three commodity IoT device families
 # ---------------------------------------------------------------------- #
@@ -1199,17 +1091,6 @@ def _run_iot_families(sample_count: int,
         results[family] = _device_pdf(with_config, without_config,
                                       sample_count, seed)
     return results
-
-
-def iot_device_families(sample_count: int = 150,
-                        seed: int = 2021) -> Dict[str, IoTDeviceResult]:
-    """Fig. 20 extended to the Wi-Fi, BLE and Zigbee device families.
-
-    Legacy-style entry point over the ``iot_families`` registry
-    experiment.
-    """
-    return run_experiment("iot_families", sample_count=sample_count,
-                          seed=seed).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1263,17 +1144,6 @@ def _run_fig21(distance_cm: Tuple[float, ...],
         heatmaps.append(HeatmapResult(distance_cm=float(distance),
                                       grid_dbm=grid))
     return tuple(heatmaps)
-
-
-def figure21_reflective_heatmaps(
-        distances_cm: Sequence[float] = REFLECTIVE_DISTANCES_CM,
-        voltage_step_v: float = 5.0) -> Tuple[HeatmapResult, ...]:
-    """Fig. 21: reflective received-power heatmaps vs Tx-surface distance.
-
-    Legacy shim over the ``fig21`` registry experiment.
-    """
-    return run_experiment("fig21", distance_cm=tuple(distances_cm),
-                          voltage_step_v=voltage_step_v).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1367,17 +1237,6 @@ def _run_fig22(distance_cm: Tuple[float, ...],
         efficiency_with=tuple(float(e) for e in eff_with),
         efficiency_without=tuple(float(e) for e in eff_without),
     )
-
-
-def figure22_reflective_gain(
-        distances_cm: Sequence[float] = REFLECTIVE_DISTANCES_CM,
-        exhaustive: bool = False) -> ReflectiveGainResult:
-    """Fig. 22: reflective power/capacity with and without the surface.
-
-    Legacy shim over the ``fig22`` registry experiment.
-    """
-    return run_experiment("fig22", distance_cm=tuple(distances_cm),
-                          exhaustive=exhaustive).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1722,17 +1581,6 @@ def _run_fig23(tx_power_mw: float, duration_s: float,
     )
 
 
-def figure23_respiration_sensing(tx_power_mw: float = 5.0,
-                                 duration_s: float = 60.0,
-                                 seed: int = 11) -> RespirationSensingResult:
-    """Fig. 23: respiration sensing at 5 mW with/without the metasurface.
-
-    Legacy shim over the ``fig23`` registry experiment.
-    """
-    return run_experiment("fig23", tx_power_mw=tx_power_mw,
-                          duration_s=duration_s, seed=seed).payload
-
-
 # ---------------------------------------------------------------------- #
 # Sec. 7 / conclusion — dense-deployment scheduling and access control
 # ---------------------------------------------------------------------- #
@@ -1909,8 +1757,9 @@ def _access_isolation(spec: "FleetSpec", step_v: float) -> AccessIsolationResult
     session = FleetSession(spec)
     levels = bias_lattice(step_v)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
-    rssi = session.measure_grid(vx_grid.ravel(), vy_grid.ravel())
-    baseline = session.baseline_rssi_dbm()
+    rssi = session.measure_aligned(vx_grid.ravel()[None],
+                                   vy_grid.ravel()[None])
+    baseline = session.baseline_ensemble.measure_aligned(0.0, 0.0)
     pairs: List[Tuple[str, str]] = []
     isolation: List[float] = []
     improvement: List[float] = []
@@ -1999,36 +1848,22 @@ __all__ = [
     "COVERAGE_MAP_TX_POWERS_DBM",
     "COVERAGE_MAP_DISTANCES_M",
     "MismatchImpactResult",
-    "figure2_mismatch_impact",
     "EfficiencyCurve",
-    "figure8_to_10_material_designs",
     "VoltageEfficiencyResult",
-    "figure11_voltage_efficiency",
     "RotationTableResult",
-    "table1_rotation_degrees",
     "RotationEstimationResult",
-    "figure12_rotation_estimation",
     "HeatmapResult",
     "Figure15Result",
-    "figure15_voltage_heatmaps",
     "GainVsDistanceResult",
-    "figure16_transmissive_gain",
     "FrequencySweepResult",
-    "figure17_frequency_sweep",
     "CapacityVsPowerResult",
-    "figure18_19_txpower_capacity",
     "IoTDeviceResult",
-    "figure20_iot_device_pdf",
-    "iot_device_families",
-    "figure21_reflective_heatmaps",
     "ReflectiveGainResult",
-    "figure22_reflective_gain",
     "GainSurfaceResult",
     "gain_surface_frequency_distance",
     "CoverageMapResult",
     "coverage_map_txpower_distance",
     "RespirationSensingResult",
-    "figure23_respiration_sensing",
     "DeploymentSchedulingResult",
     "deployment_scheduling_comparison",
     "AccessIsolationResult",

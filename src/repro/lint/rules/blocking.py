@@ -17,9 +17,8 @@ _BLOCKING_IO_ATTRIBUTES = frozenset({
 #: ``async def`` is the per-request probing shape the coalescing window
 #: exists to eliminate.
 _PROBE_CALL_NAMES = frozenset({
-    "measure", "measure_batch", "measure_grid",
-    "measure_aligned", "probe_aligned", "evaluate", "evaluate_grid",
-    "rssi_dbm", "rssi_aligned", "rssi_matrix",
+    "measure", "measure_grid", "measure_aligned", "probe_aligned",
+    "evaluate", "evaluate_grid",
 })
 
 
@@ -44,8 +43,8 @@ class AsyncBlockingRule(Rule):
       ``write_bytes`` / ``readlines``) — results must flow through the
       in-memory response plane and be serialized by the sync caller,
       not written from inside the service loop.
-    * A probe call (``measure*`` / ``probe_aligned`` / ``evaluate*`` /
-      ``rssi_*``) inside a loop of an ``async def`` — the per-request
+    * A probe call (``measure*`` / ``probe_aligned`` / ``evaluate*``)
+      inside a loop of an ``async def`` — the per-request
       probing shape the batching window exists to remove.  Coalesce
       the window's requests into one stacked
       :class:`~repro.channel.grid.ProbeGrid` pass instead.

@@ -16,12 +16,13 @@ single-link machinery:
   control: choosing a bias pair that serves the intended station while
   keeping an unauthorised receiver below its decoding threshold.
 
-Since PR 4 every utility search in this package is *fleet-stacked*: the
-deployment exposes whole-fleet planes (``rssi_matrix``,
-``best_bias_per_station``, ``compromise_bias``) that evaluate all
-stations in one NumPy pass of the link budget via
-:class:`repro.channel.ensemble.LinkEnsemble`; the declarative session
-facade lives in :mod:`repro.api.fleet`.
+Every utility search in this package is *fleet-stacked*: it probes
+``deployment.ensemble_for(names)`` — a
+:class:`repro.channel.ensemble.LinkEnsemble` with the stations on the
+leading axis — through its one probe, ``measure_aligned``, so all
+stations evaluate in one NumPy pass of the link budget
+(``best_bias_per_station`` and ``compromise_bias`` are such searches).
+The declarative session facade lives in :mod:`repro.api.fleet`.
 """
 
 from repro.network.deployment import DenseDeployment, StationPlacement

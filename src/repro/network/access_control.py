@@ -74,13 +74,15 @@ def polarization_access_control(deployment: DenseDeployment,
     for name in names:
         deployment.station(name)
 
-    baselines = deployment.baseline_rssi_vector(names)
+    baselines = deployment.ensemble_for(
+        names, with_surface=False).measure_aligned(0.0, 0.0)
     baseline_isolation = float(baselines[0] - baselines[1])
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
     vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
     # One fleet-stacked probe evaluates both stations over the whole
     # grid; row 0 is the intended station, row 1 the unauthorised one.
-    rssi = deployment.rssi_matrix(vx_flat, vy_flat, names)
+    rssi = deployment.ensemble_for(names).measure_aligned(vx_flat[None],
+                                                          vy_flat[None])
     intended, unauthorized = rssi[0], rssi[1]
     isolation = intended - unauthorized
     allowed = (np.ones_like(intended, dtype=bool)

@@ -2,21 +2,24 @@
 
 A deployment is a set of IoT stations at different positions and —
 crucially for LLAMA — different antenna orientations, all talking to one
-access point through (or past) one shared metasurface.  Since PR 4 the
-deployment's data plane is *fleet-stacked*: the per-station parameters
-(distance, transmit power, transmit-antenna orientation) form a
-:class:`~repro.channel.ensemble.LinkEnsemble`, so the received power of
-**every** station over **every** probed bias pair evaluates in a single
-NumPy pass of the link budget (:meth:`DenseDeployment.rssi_matrix`).
-The schedulers in :mod:`repro.network.scheduler`, the access-control
-search and the :class:`repro.api.fleet.FleetSession` facade all ride on
-those stacked planes; the scalar per-station entry points
-(:meth:`rssi_dbm`, :meth:`rate_mbps`, ...) probe cached per-station
-links.
+access point through (or past) one shared metasurface.  The deployment's
+data plane is *fleet-stacked*: the per-station parameters (distance,
+transmit power, transmit-antenna orientation) form a
+:class:`~repro.channel.ensemble.LinkEnsemble`, and
+:meth:`DenseDeployment.ensemble_for` hands out the ensemble of any
+station selection, with or without the surface.  Its one probe,
+:meth:`~repro.channel.ensemble.LinkEnsemble.measure_aligned`, evaluates
+**every** selected station over **every** probed bias pair in a single
+NumPy pass of the link budget.  The schedulers in
+:mod:`repro.network.scheduler`, the access-control search and the
+:class:`repro.api.fleet.FleetSession` facade all probe through it;
+:meth:`DenseDeployment.link_for` / :meth:`baseline_link_for` are the
+cached scalar per-station links the parity suites compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +35,25 @@ from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
 from repro.devices.wifi import netgear_access_point, wifi_rate_for_rssi_mbps
 from repro.metasurface.design import llama_design
 from repro.metasurface.surface import Metasurface
+
+
+def _validate_station(station) -> None:
+    """The field checks of :class:`StationPlacement` and its serializable
+    twin :class:`repro.api.fleet.StationSpec`.
+
+    The orientation stays free: a non-finite one anchors its own
+    orientation group.
+    """
+    if not (math.isfinite(station.distance_m) and station.distance_m > 0):
+        raise ValueError(f"distance must be positive and finite, got "
+                         f"{station.distance_m!r}")
+    if not math.isfinite(station.tx_power_dbm):
+        raise ValueError(f"transmit power must be finite, got "
+                         f"{station.tx_power_dbm!r}")
+    if not (math.isfinite(station.traffic_demand_mbps)
+            and station.traffic_demand_mbps > 0):
+        raise ValueError(f"traffic demand must be positive and finite, got "
+                         f"{station.traffic_demand_mbps!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +81,7 @@ class StationPlacement:
     traffic_demand_mbps: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError("distance must be positive")
-        if self.traffic_demand_mbps <= 0:
-            raise ValueError("traffic demand must be positive")
+        _validate_station(self)
 
 
 class DenseDeployment:
@@ -173,8 +192,9 @@ class DenseDeployment:
                      with_surface: bool = True) -> LinkEnsemble:
         """The stacked link ensemble of a set of stations.
 
-        ``names`` selects (and orders) the stations on the leading axis;
-        ``None`` stacks the whole deployment.  Only the two whole-fleet
+        ``names``, a sequence of station names (a bare name raises
+        ``TypeError``), selects and orders the stations on the leading
+        axis; ``None`` stacks the whole deployment.  Only the two whole-fleet
         ensembles (with and without the surface) are built and cached.
         Any other selection is a row view of one of them: a new ensemble
         carrying the selected rows of the per-station arrays over the
@@ -202,6 +222,10 @@ class DenseDeployment:
                                     for station in self.stations])
         if names is None:
             return full
+        if isinstance(names, str):
+            raise TypeError(
+                f"station selections are sequences of names, got the bare "
+                f"name {names!r}; pass [{names!r}]")
         names = tuple(names)
         if names == self._station_names:
             return full
@@ -210,57 +234,20 @@ class DenseDeployment:
             parameter: full.parameter(parameter)[rows] for parameter
             in ("distance_m", "tx_power_dbm", "tx_orientation_deg")})
 
-    def rssi_matrix(self, vx, vy,
-                    names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Uplink RSSI of every station at every bias pair, one pass.
-
-        ``vx`` / ``vy`` may be scalars or mutually broadcastable arrays;
-        the result is shaped ``(station_count,) + broadcast(vx, vy)``
-        with stations stacked along the leading axis in ``names`` order
-        (deployment order when ``None``).
-        """
-        return self.ensemble_for(names).measure_batch(vx, vy)
-
-    def rate_matrix(self, vx, vy,
-                    names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Achievable 802.11g PHY rates of every station, one pass."""
-        return np.asarray(wifi_rate_for_rssi_mbps(
-            self.rssi_matrix(vx, vy, names)), dtype=float)
-
-    def rssi_aligned(self, vx, vy,
-                     names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Per-station RSSI at *per-station* bias pairs (element-wise).
-
-        ``vx`` / ``vy`` are scalars or arrays aligned with the station
-        axis (one bias pair per station); the result is ``(n,)``.
-        """
-        return self.ensemble_for(names).measure_aligned(vx, vy)
-
-    def baseline_rssi_vector(
-            self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """No-surface uplink RSSI of every station, one pass."""
-        return np.asarray(self.ensemble_for(
-            names, with_surface=False).measure_batch(0.0, 0.0))
-
-    def baseline_rate_vector(
-            self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """No-surface achievable rate of every station, one pass."""
-        return np.asarray(wifi_rate_for_rssi_mbps(
-            self.baseline_rssi_vector(names)), dtype=float)
-
     def best_bias_per_station(self, step_v: float = 5.0,
                               names: Optional[Sequence[str]] = None
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid-search every station's best bias pair in one stacked pass.
 
         Returns ``(vx, vy, rssi_dbm)`` arrays aligned with the station
-        axis; element ``i`` matches :meth:`best_bias_for` on station
-        ``i`` (same vx-major grid, same first-maximum semantics).
+        axis: element ``i`` is the first maximum of station ``i``'s row
+        over the vx-major lattice (NaN never wins).
         """
         levels = bias_lattice(step_v)
         vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
         vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
-        powers = self.rssi_matrix(vx_flat, vy_flat, names)
+        powers = self.ensemble_for(names).measure_aligned(vx_flat[None],
+                                                          vy_flat[None])
         masked = np.where(np.isnan(powers), -np.inf, powers)
         best = np.argmax(masked, axis=1)
         rows = np.arange(powers.shape[0])
@@ -275,41 +262,11 @@ class DenseDeployment:
         leading station axis.
         """
         levels = bias_lattice(step_v)
+        ensemble = self.ensemble_for(names)
         vx_flat, vy_flat, _utility, best_index = vectorized_grid_max(
-            levels, levels,
-            lambda vx, vy: self.rate_matrix(vx, vy, names).sum(axis=0))
+            levels, levels, lambda vx, vy: wifi_rate_for_rssi_mbps(
+                ensemble.measure_aligned(vx[None], vy[None])).sum(axis=0))
         return (float(vx_flat[best_index]), float(vy_flat[best_index]))
-
-    # ------------------------------------------------------------------ #
-    # Per-station metrics (thin shims over the cached links / the fleet)
-    # ------------------------------------------------------------------ #
-    def rssi_dbm(self, station_name: str, vx: float, vy: float) -> float:
-        """Uplink RSSI of a station at a given surface bias pair."""
-        return self.link_for(station_name).received_power_dbm(vx, vy)
-
-    def baseline_rssi_dbm(self, station_name: str) -> float:
-        """Uplink RSSI of a station with no surface deployed."""
-        return self.baseline_link_for(station_name).received_power_dbm()
-
-    def rate_mbps(self, station_name: str, vx: float, vy: float) -> float:
-        """Achievable 802.11g PHY rate of a station at a bias pair."""
-        return float(wifi_rate_for_rssi_mbps(self.rssi_dbm(station_name, vx, vy)))
-
-    def baseline_rate_mbps(self, station_name: str) -> float:
-        """Achievable rate of a station with no surface deployed."""
-        return float(wifi_rate_for_rssi_mbps(self.baseline_rssi_dbm(station_name)))
-
-    def best_bias_for(self, station_name: str,
-                      step_v: float = 5.0) -> Tuple[float, float, float]:
-        """Grid-search the bias pair maximizing one station's RSSI.
-
-        A single-station view of :meth:`best_bias_per_station` (one
-        stacked probe over the station's sub-ensemble).  Returns
-        ``(vx, vy, rssi_dbm)``.
-        """
-        vx, vy, power = self.best_bias_per_station(step_v=step_v,
-                                                   names=[station_name])
-        return (float(vx[0]), float(vy[0]), float(power[0]))
 
     def orientation_groups(self, tolerance_deg: float = 20.0) -> List[List[str]]:
         """Cluster stations whose antenna orientations are similar.

@@ -146,8 +146,8 @@ class _SchedulerBase:
         levels = bias_lattice(self.bias_search_step_v)
         vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
         vx_flat, vy_flat = vx_grid.ravel(), vy_grid.ravel()
-        return vx_flat, vy_flat, self.deployment.rssi_matrix(
-            vx_flat, vy_flat, self.station_names)
+        return vx_flat, vy_flat, self.deployment.ensemble_for(
+            self.station_names).measure_aligned(vx_flat[None], vy_flat[None])
 
     def _overhead_fraction(self, retune_count: int) -> float:
         """Fraction of the epoch burned by surface retuning."""
@@ -276,8 +276,9 @@ def baseline_without_surface(
         return ScheduleResult(scheduler_name="no-surface", allocations=(),
                               retune_count=0, retune_overhead_fraction=0.0)
     share = 1.0 / len(names)
-    rssi = deployment.baseline_rssi_vector(names)
-    rates = np.asarray(wifi_rate_for_rssi_mbps(rssi), dtype=float)
+    rssi = deployment.ensemble_for(names, with_surface=False).measure_aligned(
+        0.0, 0.0)
+    rates = wifi_rate_for_rssi_mbps(rssi)
     allocations = [
         StationAllocation(
             station=name, bias_pair=(0.0, 0.0),

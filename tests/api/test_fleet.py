@@ -18,6 +18,7 @@ from repro.api import (
     ProbeGrid,
     StationSpec,
 )
+from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.network.deployment import DenseDeployment, StationPlacement
 from repro.network.scheduler import (
     FixedBiasScheduler,
@@ -55,36 +56,39 @@ def looped_session(fleet, name) -> LinkSession:
 
 
 class TestStackedParity:
-    """measure_grid stacks stations; each row equals a looped session."""
+    """measure_aligned stacks stations; each row equals a looped session."""
 
-    def test_measure_grid_shape_and_parity(self, fleet):
-        stacked = fleet.measure_grid(VX_GRID, VY_GRID)
+    def test_shared_lattice_shape_and_parity(self, fleet):
+        stacked = fleet.measure_aligned(VX_GRID[None], VY_GRID[None])
         assert stacked.shape == (fleet.station_count,) + VX_GRID.shape
         for index, name in enumerate(fleet.station_names):
             looped = looped_session(fleet, name).measure_grid(
                 ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID))
             assert np.max(np.abs(stacked[index] - looped)) <= TOLERANCE_DB
 
-    def test_measure_grid_scalar_voltages(self, fleet):
-        stacked = fleet.measure_grid(7.0, 22.0)
+    def test_scalar_voltages(self, fleet):
+        stacked = fleet.measure_aligned(7.0, 22.0)
         assert stacked.shape == (fleet.station_count,)
         for index, name in enumerate(fleet.station_names):
             assert stacked[index] == pytest.approx(
-                fleet.measure(name, 7.0, 22.0), abs=TOLERANCE_DB)
+                fleet.deployment.link_for(name).received_power_dbm(7.0, 22.0),
+                abs=TOLERANCE_DB)
 
     def test_station_subset_selects_and_orders(self, fleet):
         subset = ("orthogonal", "aligned")
-        stacked = fleet.measure_grid(VX_GRID, VY_GRID, stations=subset)
-        full = fleet.measure_grid(VX_GRID, VY_GRID)
+        stacked = fleet.measure_aligned(VX_GRID[None], VY_GRID[None],
+                                        stations=subset)
+        full = fleet.measure_aligned(VX_GRID[None], VY_GRID[None])
         for row, name in enumerate(subset):
             assert np.array_equal(stacked[row],
                                   full[fleet.station_index(name)])
 
     def test_baseline_parity(self, fleet):
-        baseline = fleet.baseline_rssi_dbm()
+        baseline = fleet.baseline_ensemble.measure_aligned(0.0, 0.0)
         for index, name in enumerate(fleet.station_names):
             assert baseline[index] == pytest.approx(
-                fleet.deployment.baseline_rssi_dbm(name), abs=TOLERANCE_DB)
+                fleet.deployment.baseline_link_for(name).received_power_dbm(),
+                abs=TOLERANCE_DB)
 
     def test_measure_aligned_is_per_station_bias(self, fleet):
         vx = np.array([0.0, 7.0, 30.0, 12.0])
@@ -93,19 +97,34 @@ class TestStackedParity:
         assert aligned.shape == (fleet.station_count,)
         for index, name in enumerate(fleet.station_names):
             assert aligned[index] == pytest.approx(
-                fleet.measure(name, float(vx[index]), float(vy[index])),
+                fleet.deployment.link_for(name).received_power_dbm(
+                    float(vx[index]), float(vy[index])),
                 abs=TOLERANCE_DB)
 
-    def test_rate_grid_applies_wifi_table(self, fleet):
-        rates = fleet.rate_grid(VX_GRID, VY_GRID)
+    def test_rates_apply_the_wifi_table(self, fleet):
+        rates = wifi_rate_for_rssi_mbps(
+            fleet.measure_aligned(VX_GRID[None], VY_GRID[None]))
         assert rates.shape == (fleet.station_count,) + VX_GRID.shape
         assert np.all((rates >= 0.0) & (rates <= 54.0))
 
     def test_unknown_station_rejected(self, fleet):
         with pytest.raises(KeyError):
-            fleet.measure_grid(0.0, 0.0, stations=["missing"])
+            fleet.measure_aligned(0.0, 0.0, stations=["missing"])
         with pytest.raises(KeyError):
             fleet.station_index("missing")
+
+
+@pytest.mark.parametrize("probe", [
+    lambda fleet: fleet.measure_aligned(0.0, 0.0, stations="station-1"),
+    lambda fleet: fleet.probe_aligned(0.0, 0.0, stations="station-1"),
+    lambda fleet: fleet.optimize_grid(stations="station-1"),
+    lambda fleet: fleet.deployment.best_bias_per_station(names="station-1"),
+], ids=["measure_aligned", "probe_aligned", "optimize_grid",
+        "best_bias_per_station"])
+def test_bare_station_name_is_a_type_error(probe):
+    fleet = FleetSession(FleetSpec.random_home(station_count=3))
+    with pytest.raises(TypeError, match="'station-1'"):
+        probe(fleet)
 
 
 class TestStackedSearches:
@@ -144,9 +163,10 @@ class TestStackedSearches:
         plan = fleet.best_bias_plan(step_v=6.0)
         assert plan.station_names == fleet.station_names
         for name in fleet.station_names:
-            vx, vy, power = fleet.deployment.best_bias_for(name, step_v=6.0)
-            assert plan.bias_for(name) == (vx, vy)
-            assert plan.power_for(name) == pytest.approx(power,
+            vx, vy, power = fleet.deployment.best_bias_per_station(
+                step_v=6.0, names=[name])
+            assert plan.bias_for(name) == (float(vx[0]), float(vy[0]))
+            assert plan.power_for(name) == pytest.approx(float(power[0]),
                                                          abs=TOLERANCE_DB)
 
     def test_bias_plan_rows_iterate_in_station_order(self, fleet):
@@ -156,7 +176,6 @@ class TestStackedSearches:
 
     def test_compromise_bias_matches_looped_summed_rate(self, fleet):
         from repro.core.controller import vectorized_grid_max
-        from repro.devices.wifi import wifi_rate_for_rssi_mbps
 
         step = 6.0
         names = fleet.station_names
@@ -244,6 +263,16 @@ class TestFleetSpec:
             StationSpec("bad", 0.0, 0.0)
         with pytest.raises(ValueError):
             StationSpec("bad", 1.0, 0.0, traffic_demand_mbps=0.0)
+        for field, message in (("distance_m", "distance"),
+                               ("tx_power_dbm", "transmit power"),
+                               ("traffic_demand_mbps", "traffic demand")):
+            for value in (float("nan"), float("inf")):
+                data = StationSpec("bad", 3.0, 0.0).to_dict()
+                data[field] = value
+                with pytest.raises(ValueError, match=message):
+                    StationSpec.from_dict(data)
+                with pytest.raises(ValueError, match=message):
+                    FleetSpec.from_dict({"stations": [data]})
 
     def test_station_lookup(self):
         spec = cliff_spec()
@@ -299,8 +328,9 @@ class TestFleetSpec:
         plan = fleet.best_bias_plan(step_v=10.0,
                                     stations=iter(["tilted", "aligned"]))
         assert plan.station_names == ("tilted", "aligned")
-        assert plan.bias_for("tilted") == fleet.deployment.best_bias_for(
-            "tilted", step_v=10.0)[:2]
+        vx, vy, _power = fleet.deployment.best_bias_per_station(
+            step_v=10.0, names=["tilted"])
+        assert plan.bias_for("tilted") == (float(vx[0]), float(vy[0]))
 
     def test_build_materializes_the_described_deployment(self):
         spec = cliff_spec()
@@ -321,9 +351,9 @@ class TestSessionConstruction:
         assert (by_spec.station_names == by_list.station_names ==
                 by_placements.station_names == adopted.station_names)
         assert adopted.deployment is deployment
-        probe = by_spec.measure_grid(7.0, 22.0)
+        probe = by_spec.measure_aligned(7.0, 22.0)
         for other in (by_list, by_placements, adopted):
-            assert np.allclose(other.measure_grid(7.0, 22.0), probe,
+            assert np.allclose(other.measure_aligned(7.0, 22.0), probe,
                                atol=TOLERANCE_DB, rtol=0.0)
 
     def test_session_for_is_cached_and_probes_the_same_link(self, fleet):
@@ -331,7 +361,8 @@ class TestSessionConstruction:
         assert fleet.session_for("aligned") is session
         assert session.link is fleet.deployment.link_for("aligned")
         assert session.measure(7.0, 22.0) == pytest.approx(
-            fleet.measure("aligned", 7.0, 22.0), abs=TOLERANCE_DB)
+            float(fleet.measure_aligned(7.0, 22.0, stations=["aligned"])[0]),
+            abs=TOLERANCE_DB)
 
     def test_station_name_tuples_are_built_once(self, fleet):
         assert fleet.station_names is fleet.station_names

@@ -22,6 +22,21 @@ TX_POWERS_DBM = [-10.0, 0.0, 5.0, 13.0]
 LEVELS = np.arange(0.0, 30.1, 7.5)
 VX_GRID, VY_GRID = np.meshgrid(LEVELS, LEVELS, indexing="ij")
 
+PAIRS_X = np.array([0.0, 7.0, 30.0, 15.0])
+PAIRS_Y = np.array([2.0, 22.0, 0.0, 15.0])
+WINDOWS = np.linspace(0.0, 30.0, 4 * 3).reshape(4, 3)
+
+#: Voltage layout -> (vx, vy, station i's own voltages).
+LAYOUTS = {
+    "0-d": (7.0, 22.0, lambda i: (7.0, 22.0)),
+    "(S,)": (PAIRS_X, PAIRS_Y, lambda i: (PAIRS_X[i], PAIRS_Y[i])),
+    "(1, K)": (LEVELS[None], LEVELS[::-1][None],
+               lambda i: (LEVELS, LEVELS[::-1])),
+    "(S, k)": (WINDOWS, WINDOWS[:, ::-1],
+               lambda i: (WINDOWS[i], WINDOWS[i, ::-1])),
+    "(S,) x (1, K)": (PAIRS_X, LEVELS[None], lambda i: (PAIRS_X[i], LEVELS)),
+}
+
 
 def build_ensemble(scenario=None, **overrides) -> LinkEnsemble:
     scenario = scenario if scenario is not None else TransmissiveScenario(
@@ -42,7 +57,7 @@ class TestStackedParity:
     ])
     def test_rows_match_link_for(self, name, scenario):
         ensemble = build_ensemble(scenario)
-        stacked = ensemble.measure_batch(VX_GRID, VY_GRID)
+        stacked = ensemble.measure_aligned(VX_GRID[None], VY_GRID[None])
         assert stacked.shape == (4,) + VX_GRID.shape
         for index in range(ensemble.station_count):
             reference = ensemble.link_for(index).evaluate_grid(
@@ -50,9 +65,12 @@ class TestStackedParity:
             assert np.max(np.abs(stacked[index] - reference)) <= TOLERANCE_DB
 
     def test_baseline_rows_match_link_for(self):
-        baseline = build_ensemble().baseline()
+        baseline = LinkEnsemble(
+            TransmissiveScenario(absorber=False).configuration()
+            .without_surface(), distance_m=DISTANCES_M,
+            tx_orientation_deg=ORIENTATIONS_DEG, tx_power_dbm=TX_POWERS_DBM)
         assert baseline.configuration.metasurface is None
-        stacked = baseline.measure_batch(0.0, 0.0)
+        stacked = baseline.measure_aligned(0.0, 0.0)
         for index in range(baseline.station_count):
             assert stacked[index] == pytest.approx(
                 baseline.link_for(index).received_power_dbm(),
@@ -68,20 +86,48 @@ class TestStackedParity:
                 ensemble.link_for(index).received_power_dbm(
                     float(vx[index]), float(vy[index])), abs=TOLERANCE_DB)
 
-    def test_scalar_measure_indexes_the_stack(self):
+    def test_scalar_link_for_indexes_the_stack(self):
         ensemble = build_ensemble()
-        assert ensemble.measure(2, 7.0, 22.0) == pytest.approx(
-            float(ensemble.measure_batch(7.0, 22.0)[2]), abs=TOLERANCE_DB)
-        assert ensemble.measure(-1, 7.0, 22.0) == pytest.approx(
-            ensemble.measure(3, 7.0, 22.0))
+        assert ensemble.link_for(2).received_power_dbm(7.0, 22.0) == (
+            pytest.approx(float(ensemble.measure_aligned(7.0, 22.0)[2]),
+                          abs=TOLERANCE_DB))
+        assert ensemble.link_for(-1).received_power_dbm(7.0, 22.0) == (
+            pytest.approx(ensemble.link_for(3).received_power_dbm(7.0, 22.0)))
 
     def test_frequency_parameter_stacks_too(self):
         ensemble = build_ensemble(frequency_hz=[2.41e9, 2.45e9, 2.48e9])
-        stacked = ensemble.measure_batch(7.0, 22.0)
+        stacked = ensemble.measure_aligned(7.0, 22.0)
         for index in range(3):
             assert stacked[index] == pytest.approx(
                 ensemble.link_for(index).received_power_dbm(7.0, 22.0),
                 abs=TOLERANCE_DB)
+
+
+class TestVoltageLayouts:
+    """The station axis leads every voltage layout ``measure_aligned`` takes."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_row_i_equals_link_for(self, layout):
+        vx, vy, own_voltages = LAYOUTS[layout]
+        ensemble = build_ensemble()
+        stacked = ensemble.measure_aligned(vx, vy)
+        assert stacked.shape[0] == ensemble.station_count
+        for index in range(ensemble.station_count):
+            row_vx, row_vy = own_voltages(index)
+            reference = ensemble.link_for(index).evaluate_grid(
+                ProbeGrid.aligned(vx=row_vx, vy=row_vy))
+            assert stacked[index].shape == reference.shape
+            assert np.max(np.abs(stacked[index] - reference)) <= TOLERANCE_DB
+
+    @pytest.mark.parametrize("vx,vy", [
+        (LEVELS, 0.0),
+        (0.0, np.zeros((3, 2))),
+        (np.zeros(4), np.zeros(2)),
+    ])
+    def test_other_leading_sizes_name_the_station_count(self, vx, vy):
+        ensemble = build_ensemble()
+        with pytest.raises(ValueError, match="station count 4"):
+            ensemble.measure_aligned(vx, vy)
 
 
 class TestBookkeeping:
@@ -107,7 +153,7 @@ class TestBookkeeping:
         with pytest.raises(IndexError):
             ensemble.link_for(4)
         with pytest.raises(IndexError):
-            ensemble.measure(-5)
+            ensemble.link_for(-5)
 
     def test_validation(self):
         scenario = TransmissiveScenario()
@@ -123,8 +169,8 @@ class TestBookkeeping:
         ensemble = LinkEnsemble(TransmissiveScenario().configuration(),
                                 distance_m=[])
         assert ensemble.station_count == 0
-        assert ensemble.measure_batch(VX_GRID, VY_GRID).shape == (
+        assert ensemble.measure_aligned(VX_GRID[None], VY_GRID[None]).shape == (
             (0,) + VX_GRID.shape)
         assert ensemble.measure_aligned(np.array([]), np.array([])).shape == (0,)
         with pytest.raises(IndexError):
-            ensemble.measure(0)
+            ensemble.link_for(0)

@@ -297,11 +297,11 @@ class TestDispatch:
         assert jones_elements == [window, stations * window,
                                   stations * window]
 
-    def test_tdma_rssi_matrix(self, fleet, paths, jones_elements):
+    def test_tdma_lattice_probe(self, fleet, paths, jones_elements):
         levels = bias_lattice(STEP_V)
         vx, vy = np.repeat(levels, levels.size), np.tile(levels, levels.size)
         before = probe_evaluations()
-        rssi = fleet.deployment.rssi_matrix(vx, vy)
+        rssi = fleet.measure_aligned(vx[None], vy[None])
         assert probe_evaluations() - before == 1
         assert rssi.shape == (fleet.ensemble.station_count, LATTICE)
         assert paths == ["separable"]
@@ -327,7 +327,7 @@ class TestDispatch:
     def test_per_station_frequency_stays_general(self, paths):
         base = TransmissiveScenario().configuration()
         ensemble = LinkEnsemble(base, frequency_hz=[2.40e9, 2.44e9, 2.48e9])
-        ensemble.measure_batch(np.linspace(0.0, 30.0, 5), 4.0)
+        ensemble.measure_aligned(np.linspace(0.0, 30.0, 5)[None], 4.0)
         assert paths == ["general"]
 
     def test_per_station_rx_orientation_stays_general(self, paths):
@@ -347,7 +347,7 @@ class TestDispatch:
 
     def test_no_surface_stays_general(self, fleet, paths):
         ensemble = fleet.baseline_ensemble
-        ensemble.measure_batch(np.linspace(0.0, 30.0, 5), 4.0)
+        ensemble.measure_aligned(np.linspace(0.0, 30.0, 5)[None], 4.0)
         assert paths == ["general"]
 
     def test_single_link_bias_grid_stays_general(self, paths,

@@ -9,23 +9,23 @@ values that depend on the authors' hardware.
 import numpy as np
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, run_experiment
 
 
 @pytest.fixture(scope="module")
 def material_curves():
-    return figures.figure8_to_10_material_designs(frequency_count=41)
+    return run_experiment("fig08_10", frequency_count=41).payload
 
 
 @pytest.fixture(scope="module")
 def rotation_table():
-    return figures.table1_rotation_degrees()
+    return run_experiment("table1").payload
 
 
 class TestFigure2MismatchImpact:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure2_mismatch_impact(sample_count=60)
+        return run_experiment("fig02", sample_count=60).payload
 
     def test_wifi_penalty_close_to_10db(self, result):
         assert 6.0 <= result["wifi"].mismatch_penalty_db <= 16.0
@@ -77,7 +77,7 @@ class TestFigures8To10:
 class TestFigure11:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure11_voltage_efficiency(frequency_count=21)
+        return run_experiment("fig11", frequency_count=21).payload
 
     def test_every_bias_setting_has_a_curve(self, result):
         assert set(result.curves_db) == {2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 15.0}
@@ -119,21 +119,21 @@ class TestTable1:
 
 class TestFigure12:
     def test_estimation_within_achievable_range(self):
-        result = figures.figure12_rotation_estimation()
+        result = run_experiment("fig12").payload
         assert 0.0 <= result.min_rotation_deg <= result.max_rotation_deg
         assert result.max_rotation_deg <= 60.0
 
     def test_power_slope_is_negative(self):
         """Fig. 12a: linear received power falls as the mismatch grows."""
-        result = figures.figure12_rotation_estimation()
+        result = run_experiment("fig12").payload
         assert result.power_slope_sign < 0.0
 
 
 class TestFigure15:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure15_voltage_heatmaps(distances_cm=(24, 42, 60),
-                                                 voltage_step_v=7.5)
+        return run_experiment("fig15", distance_cm=(24, 42, 60),
+                              voltage_step_v=7.5).payload
 
     def test_one_heatmap_per_distance(self, result):
         assert len(result.heatmaps) == 3
@@ -162,7 +162,7 @@ class TestFigure15:
 class TestFigure16:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure16_transmissive_gain(distances_cm=(24, 42, 60))
+        return run_experiment("fig16", distance_cm=(24, 42, 60)).payload
 
     def test_improvement_at_every_distance(self, result):
         assert all(gain > 8.0 for gain in result.gains_db)
@@ -182,8 +182,8 @@ class TestFigure16:
 class TestFigure17:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure17_frequency_sweep(
-            frequencies_hz=np.arange(2.40e9, 2.501e9, 0.025e9))
+        return run_experiment("fig17", frequency_hz=tuple(
+            float(f) for f in np.arange(2.40e9, 2.501e9, 0.025e9))).payload
 
     def test_improvement_everywhere_in_band(self, result):
         """Paper: >10 dB improvement across the whole ISM band."""
@@ -197,8 +197,8 @@ class TestFigure17:
 class TestFigures18And19:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure18_19_txpower_capacity(
-            tx_powers_mw=(0.002, 0.2, 2.0, 200.0))
+        return run_experiment("fig18_19",
+                              tx_power_mw=(0.002, 0.2, 2.0, 200.0)).payload
 
     def test_four_series_produced(self, result):
         assert set(result) == {"fig18a_omni_clean", "fig18b_directional_clean",
@@ -233,7 +233,7 @@ class TestFigures18And19:
 class TestFigure20:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure20_iot_device_pdf(sample_count=60)
+        return run_experiment("fig20", sample_count=60).payload
 
     def test_improvement_close_to_10db(self, result):
         """Paper: ~10 dBm improvement for the ESP8266 link."""
@@ -251,12 +251,12 @@ class TestFigure20:
 class TestFigures21And22:
     @pytest.fixture(scope="class")
     def heatmaps(self):
-        return figures.figure21_reflective_heatmaps(distances_cm=(24, 42, 66),
-                                                    voltage_step_v=7.5)
+        return run_experiment("fig21", distance_cm=(24, 42, 66),
+                              voltage_step_v=7.5).payload
 
     @pytest.fixture(scope="class")
     def gains(self):
-        return figures.figure22_reflective_gain(distances_cm=(24, 42, 66))
+        return run_experiment("fig22", distance_cm=(24, 42, 66)).payload
 
     def test_one_heatmap_per_distance(self, heatmaps):
         assert len(heatmaps) == 3
@@ -280,7 +280,7 @@ class TestFigures21And22:
 class TestFigure23:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure23_respiration_sensing()
+        return run_experiment("fig23").payload
 
     def test_surface_enables_detection(self, result):
         """Fig. 23: breathing detectable only with the metasurface at 5 mW."""

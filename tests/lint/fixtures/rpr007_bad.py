@@ -26,7 +26,8 @@ async def journals_every_batch(batch):
 async def probes_one_request_at_a_time(fleet, batch):
     powers = []
     for request in batch:
-        powers.append(fleet.measure(request.station, request.vx, request.vy))
+        powers.append(fleet.measure_aligned(request.vx, request.vy,
+                                            stations=[request.station]))
     return powers
 
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.network.access_control import polarization_access_control
 from repro.network.deployment import DenseDeployment, StationPlacement
 from repro.network.scheduler import (
@@ -61,19 +62,32 @@ class TestDeployment:
             StationPlacement("bad", 0.0, 0.0)
         with pytest.raises(ValueError):
             StationPlacement("bad", 1.0, 0.0, traffic_demand_mbps=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="distance"):
+                StationPlacement("bad", value, 0.0)
+            with pytest.raises(ValueError, match="transmit power"):
+                StationPlacement("bad", 1.0, 0.0, tx_power_dbm=value)
+            with pytest.raises(ValueError, match="traffic demand"):
+                StationPlacement("bad", 1.0, 0.0, traffic_demand_mbps=value)
+        with pytest.raises(ValueError, match="transmit power"):
+            StationPlacement("bad", 1.0, 0.0, tx_power_dbm=float("-inf"))
 
     def test_rssi_depends_on_bias(self, deployment):
-        low = deployment.rssi_dbm("orthogonal", 15.0, 15.0)
-        high = deployment.rssi_dbm("orthogonal", 30.0, 0.0)
+        link = deployment.link_for("orthogonal")
+        low = link.received_power_dbm(15.0, 15.0)
+        high = link.received_power_dbm(30.0, 0.0)
         assert high != pytest.approx(low)
 
     def test_best_bias_helps_mismatched_station(self, deployment):
-        _vx, _vy, best_power = deployment.best_bias_for("orthogonal", step_v=7.5)
-        assert best_power > deployment.baseline_rssi_dbm("orthogonal") + 3.0
+        _vx, _vy, best_power = deployment.best_bias_per_station(
+            step_v=7.5, names=["orthogonal"])
+        assert best_power[0] > deployment.baseline_link_for(
+            "orthogonal").received_power_dbm() + 3.0
 
     def test_aligned_station_baseline_already_good(self, deployment):
-        aligned_baseline = deployment.baseline_rssi_dbm("aligned")
-        orthogonal_baseline = deployment.baseline_rssi_dbm("orthogonal")
+        aligned_baseline, orthogonal_baseline = deployment.ensemble_for(
+            ["aligned", "orthogonal"], with_surface=False).measure_aligned(
+                0.0, 0.0)
         assert aligned_baseline > orthogonal_baseline + 5.0
 
     def test_deployment_orientation_groups_pair_tilted_and_orthogonal(self, deployment):
@@ -106,7 +120,8 @@ class TestDeployment:
             s.orientation_deg for s in second.stations]
 
     def test_rate_uses_wifi_table(self, deployment):
-        rate = deployment.rate_mbps("aligned", 0.0, 0.0)
+        rate = wifi_rate_for_rssi_mbps(
+            deployment.link_for("aligned").received_power_dbm(0.0, 0.0))
         assert 0.0 <= rate <= 54.0
 
 
@@ -320,10 +335,8 @@ class TestLinkCaching:
 
         monkeypatch.setattr(deployment, "_configuration", counting)
         for _ in range(5):
-            deployment.rssi_dbm("aligned", 7.0, 22.0)
-            deployment.rate_mbps("aligned", 7.0, 22.0)
-            deployment.baseline_rssi_dbm("aligned")
-            deployment.baseline_rate_mbps("aligned")
+            deployment.link_for("aligned").received_power_dbm(7.0, 22.0)
+            deployment.baseline_link_for("aligned").received_power_dbm()
         # One with-surface and one baseline construction, ever.
         assert calls == [("aligned", True), ("aligned", False)]
 
@@ -337,9 +350,10 @@ class TestLinkCaching:
         assert subset.link is full.link
         levels = np.arange(0.0, 30.1, 10.0)
         rows = [deployment.station_index(name) for name in names]
-        assert np.allclose(subset.measure_batch(levels, levels[::-1]),
-                           full.measure_batch(levels, levels[::-1])[rows],
-                           atol=1e-9, rtol=0.0)
+        assert np.allclose(
+            subset.measure_aligned(levels[None], levels[::-1][None]),
+            full.measure_aligned(levels[None], levels[::-1][None])[rows],
+            atol=1e-9, rtol=0.0)
         selections = [selection for length in (1, 2, 3, 4) for selection
                       in itertools.product(deployment.station_names,
                                            repeat=length)][:50]
@@ -349,8 +363,8 @@ class TestLinkCaching:
         assert len(deployment._ensembles) <= 2
         with pytest.raises(KeyError, match="missing"):
             deployment.ensemble_for(["aligned", "missing"])
-        assert deployment.ensemble_for([]).measure_batch(
-            levels, levels).shape == (0, levels.size)
+        assert deployment.ensemble_for([]).measure_aligned(
+            levels[None], levels[None]).shape == (0, levels.size)
 
     def test_environment_and_ap_antenna_are_shared(self):
         deployment = small_deployment()
@@ -363,30 +377,37 @@ class TestLinkCaching:
 class TestStackedPlanes:
     """The fleet-stacked deployment planes match the per-station shims."""
 
-    def test_rssi_matrix_rows_match_scalar_probes(self, deployment):
+    def test_lattice_rows_match_scalar_probes(self, deployment):
         levels = np.arange(0.0, 30.1, 10.0)
         vx, vy = np.meshgrid(levels, levels, indexing="ij")
-        stacked = deployment.rssi_matrix(vx, vy)
+        stacked = deployment.ensemble_for().measure_aligned(vx[None], vy[None])
         assert stacked.shape == (3,) + vx.shape
         for index, station in enumerate(deployment.stations):
+            link = deployment.link_for(station.name)
             for i in range(vx.shape[0]):
                 for j in range(vx.shape[1]):
                     assert stacked[index, i, j] == pytest.approx(
-                        deployment.rssi_dbm(station.name, float(vx[i, j]),
-                                            float(vy[i, j])), abs=1e-9)
+                        link.received_power_dbm(float(vx[i, j]),
+                                                float(vy[i, j])), abs=1e-9)
 
     def test_baseline_vector_matches_scalar_baselines(self, deployment):
-        baseline = deployment.baseline_rssi_vector()
+        baseline = deployment.ensemble_for(
+            with_surface=False).measure_aligned(0.0, 0.0)
         for index, station in enumerate(deployment.stations):
             assert baseline[index] == pytest.approx(
-                deployment.baseline_rssi_dbm(station.name), abs=1e-9)
+                deployment.baseline_link_for(station.name).received_power_dbm(),
+                abs=1e-9)
 
-    def test_best_bias_per_station_matches_best_bias_for(self, deployment):
+    def test_best_bias_per_station_matches_single_station_search(
+            self, deployment):
         vx, vy, power = deployment.best_bias_per_station(step_v=7.5)
         for index, station in enumerate(deployment.stations):
-            single = deployment.best_bias_for(station.name, step_v=7.5)
-            assert (float(vx[index]), float(vy[index])) == single[:2]
-            assert float(power[index]) == pytest.approx(single[2], abs=1e-9)
+            single = deployment.best_bias_per_station(step_v=7.5,
+                                                      names=[station.name])
+            assert (float(vx[index]), float(vy[index])) == (
+                float(single[0][0]), float(single[1][0]))
+            assert float(power[index]) == pytest.approx(float(single[2][0]),
+                                                        abs=1e-9)
 
     def test_step_validation(self, deployment):
         with pytest.raises(ValueError):
@@ -396,14 +417,15 @@ class TestStackedPlanes:
 
     def test_unknown_station_in_subset_rejected(self, deployment):
         with pytest.raises(KeyError):
-            deployment.rssi_matrix(0.0, 0.0, names=["missing"])
+            deployment.ensemble_for(["missing"]).measure_aligned(0.0, 0.0)
 
     def test_single_station_rows_match_scalar_probes(self, deployment):
         levels = np.arange(0.0, 30.1, 10.0)
-        rssi = deployment.rssi_matrix(levels, levels, names=["tilted"])[0]
-        rates = deployment.rate_matrix(levels, levels, names=["tilted"])[0]
+        rssi = deployment.ensemble_for(["tilted"]).measure_aligned(
+            levels[None], levels[None])[0]
+        rates = wifi_rate_for_rssi_mbps(rssi)
+        link = deployment.link_for("tilted")
         for index, level in enumerate(levels):
-            assert rssi[index] == pytest.approx(
-                deployment.rssi_dbm("tilted", level, level), abs=1e-9)
-            assert rates[index] == deployment.rate_mbps("tilted", level,
-                                                        level)
+            scalar = link.received_power_dbm(level, level)
+            assert rssi[index] == pytest.approx(scalar, abs=1e-9)
+            assert rates[index] == wifi_rate_for_rssi_mbps(scalar)

@@ -1,13 +1,16 @@
 """Every surface scheduler serves an epoch from one stacked lattice pass.
 
 The schedulers read each station's bias pair, RSSI and rate off a single
-``(n, k²)`` RSSI matrix of the serving stations.  These tests pin that
-to a reference copy of the per-group formulation it replaced (one
-:meth:`DenseDeployment.compromise_bias` probe per orientation group, or
-:meth:`DenseDeployment.best_bias_per_station`, then an aligned
-:meth:`DenseDeployment.rssi_aligned` probe at the chosen pairs), and
-gate the work with the budget-engine counter: exactly one
-:func:`probe_evaluations` delta per surface-strategy epoch.
+``(n, k²)`` RSSI matrix of the serving stations: one
+``ensemble_for(names).measure_aligned`` probe of the shared ``(1, k²)``
+lattice.  These tests pin that to a reference copy of the per-group
+formulation it replaced (one :meth:`DenseDeployment.compromise_bias`
+probe per orientation group, or
+:meth:`DenseDeployment.best_bias_per_station`, then a per-station
+``(n,)`` ``measure_aligned`` probe at the chosen pairs), and gate the
+work with the budget-engine counter: exactly one
+:func:`probe_evaluations` delta per surface-strategy epoch.  The last
+class pins the same counter for every fleet probe entry point.
 """
 
 import numpy as np
@@ -52,7 +55,7 @@ def reference_schedule(session, strategy, step_v, tolerance_deg):
         retunes = len(groups)
     vx = np.array([bias[name][0] for name in names])
     vy = np.array([bias[name][1] for name in names])
-    rssi = deployment.rssi_aligned(vx, vy, names)
+    rssi = deployment.ensemble_for(names).measure_aligned(vx, vy)
     rates = np.asarray(wifi_rate_for_rssi_mbps(rssi), dtype=float)
     return retunes, [(name, bias[name], float(rssi[index]),
                       float(rates[index]))
@@ -155,3 +158,34 @@ class TestOnePassPerEpoch:
         session.quarantine(*session.station_names)
         for strategy in SURFACE_STRATEGIES:
             assert self._passes(session, strategy) == 0
+
+
+class TestFleetProbeWorkCounts:
+    """Budget passes per fleet probe entry point (the station axis leads
+    every one, so none of them loops over stations or groups)."""
+
+    ENTRY_POINTS = {
+        "measure_aligned": (1, lambda fleet: fleet.measure_aligned(
+            np.zeros((1, 9)), np.ones((1, 9)))),
+        "probe_aligned": (1, lambda fleet: fleet.probe_aligned(
+            np.arange(6.0), 3.0)),
+        "best_bias_per_station": (
+            1, lambda fleet: fleet.deployment.best_bias_per_station()),
+        "compromise_bias": (1, lambda fleet: fleet.compromise_bias()),
+        "access_control": (2, lambda fleet: fleet.access_control(
+            *fleet.station_names[:2])),
+        "optimize_grid": (2, lambda fleet: fleet.optimize_grid()),
+        **{f"schedule[{strategy}]": (
+            1, lambda fleet, strategy=strategy: fleet.schedule(strategy))
+           for strategy in SURFACE_STRATEGIES + ("no-surface",)},
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_passes(self, entry):
+        passes, call = self.ENTRY_POINTS[entry]
+        fleet = FleetSession(FleetSpec.office(6, seed=11))
+        # Several orientation groups, so a per-group probe would show.
+        assert len(fleet.orientation_groups(20.0)) > 1
+        before = probe_evaluations()
+        call(fleet)
+        assert probe_evaluations() - before == passes
