@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.units import positive_frequency
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -25,11 +26,10 @@ def free_space_path_loss_db(distance_m: ArrayLike,
     ``FSPL = 20 log10(4 pi d f / c)``.  Distances below one centimetre
     are clamped to avoid the unphysical near-field singularity.  Both
     arguments may be scalars or mutually broadcastable arrays, so a
-    whole frequency or distance sweep evaluates in one pass.
+    whole frequency or distance sweep evaluates in one pass.  A
+    frequency that is not positive and finite raises ``ValueError``.
     """
-    frequency = np.asarray(frequency_hz, dtype=float)
-    if np.any(frequency <= 0):
-        raise ValueError("frequency must be positive")
+    frequency = positive_frequency(frequency_hz)
     distance = np.maximum(np.asarray(distance_m, dtype=float), 0.01)
     value = 20.0 * np.log10(4.0 * math.pi * distance * frequency /
                             SPEED_OF_LIGHT)

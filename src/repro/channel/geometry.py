@@ -28,7 +28,7 @@ class Position:
 
     def distance_to(self, other: "Position") -> float:
         """Euclidean distance to another point (metres)."""
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
+        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
     def midpoint(self, other: "Position") -> "Position":
         """Midpoint between this point and another."""

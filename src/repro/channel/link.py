@@ -22,8 +22,17 @@ The model is a coherent field-summation budget:
    (with finite cross-polar isolation) to yield received power.
 
 Performance contract: :class:`LinkConfiguration` is frozen, so a
-:class:`WirelessLink` caches every voltage-independent quantity (the
-direct field, the pattern-weighted clutter field) on first use.  The
+:class:`WirelessLink` builds a plan (:class:`_LinkPlan`) on its first
+pass that holds everything the configuration alone determines: the
+antennas' Jones vectors and gains, the receive basis and cross-polar
+floor, the fixed-geometry distances with their free-space loss and
+carrier phasor, the pattern-weighted clutter field and the direct,
+clutter and incident fields at the configured point.  A pass then does
+only array math on its overrides: it recomputes a path's loss and phase
+only when a distance or frequency axis overrides them, rebuilds the
+direct and clutter fields only under a power, distance, frequency or
+transmit-orientation axis, and makes one Jones batch call for the bias
+half before it contracts and projects (or, separable, multiplies).  The
 budget itself exists exactly once, in the N-D grid engine behind
 :meth:`WirelessLink.evaluate`: hand it a
 :class:`~repro.channel.grid.ProbeGrid` over bias voltages and any
@@ -87,26 +96,48 @@ def probe_evaluations() -> int:
     return _BUDGET_EVALUATIONS
 
 
-def _rotated_jones(antenna: Antenna, angles_deg: np.ndarray) -> np.ndarray:
-    """Jones vectors of ``antenna`` rotated to each of ``angles_deg``.
+def _rotation_frame(base) -> np.ndarray:
+    """``[b, u, u_perp]`` of a base polarization vector ``b``: its unit
+    vector ``u`` and the quarter turn ``u_perp = (-u_y, u_x)``, the
+    constants of :func:`_rotated_jones` (complex ``(3, 2)``)."""
+    unit = np.array([base.x, base.y], dtype=complex) / base.amplitude
+    return np.array([[base.x, base.y], unit, [-unit[1], unit[0]]],
+                    dtype=complex)
 
-    The array form of ``antenna.rotated(angle).jones``, shaped
-    ``angles_deg.shape + (2,)``.  Like :meth:`Antenna.rotated`, an angle
-    *replaces* the configured orientation: the rotation applies to the
-    base polarization, and an angle of exactly 0 returns that base
-    vector unrotated (as :attr:`Antenna.effective_polarization` does).
+
+def _rotated_jones(frame: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
+    """Jones vectors of an antenna rotated to each of ``angles_deg``.
+
+    ``frame`` is the :func:`_rotation_frame` of the antenna's base
+    polarization.  The array form of ``antenna.rotated(angle).jones``,
+    shaped ``angles_deg.shape + (2,)``.  Like :meth:`Antenna.rotated`,
+    an angle *replaces* the configured orientation: the rotation applies
+    to the base polarization, and an angle of exactly 0 returns that
+    base vector unrotated (as :attr:`Antenna.effective_polarization`
+    does).  A rotation keeps the norm, so rotating the unit vector gives
+    the normalised result: ``R(theta) u = cos(theta) u + sin(theta)
+    u_perp``.
     """
     angles_deg = np.asarray(angles_deg, dtype=float)
-    base = antenna.polarization.jones
-    theta = np.radians(angles_deg)
-    cos, sin = np.cos(theta), np.sin(theta)
-    rotated = np.stack([cos * base.x - sin * base.y,
-                        sin * base.x + cos * base.y], axis=-1)
-    amplitude = np.sqrt(np.abs(rotated[..., 0]) ** 2 +
-                        np.abs(rotated[..., 1]) ** 2)
-    rotated /= amplitude[..., None]
-    return np.where((angles_deg == 0.0)[..., None],
-                    np.array([base.x, base.y], dtype=complex), rotated)
+    theta = np.radians(angles_deg)[..., None]
+    return np.where((angles_deg == 0.0)[..., None], frame[0],
+                    np.cos(theta) * frame[1] + np.sin(theta) * frame[2])
+
+
+def _propagation(distance_m, frequency_hz):
+    """Free-space path loss (dB) and carrier phasor ``e^{j phi}`` over
+    ``distance_m`` at ``frequency_hz`` (scalars or broadcastable
+    arrays)."""
+    wavelength = SPEED_OF_LIGHT / frequency_hz
+    return (free_space_path_loss_db(distance_m, frequency_hz),
+            np.exp(1j * np.asarray(2.0 * math.pi * distance_m / wavelength)))
+
+
+def _path_amplitude(tx_power_dbm, gain_db, loss_db):
+    """Field amplitude (relative to 1 mW into an isotropic antenna) of a
+    path with ``gain_db`` of antenna gains and ``loss_db`` of
+    propagation loss."""
+    return 10.0 ** ((tx_power_dbm + gain_db - loss_db) / 20.0)
 
 
 def _positive_finite(values: np.ndarray) -> np.ndarray:
@@ -224,16 +255,26 @@ class LinkConfiguration:
     interference_floor_dbm: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.noise_figure_db < 0:
-            raise ValueError("noise figure must be non-negative")
-        if self.surface_obstruction_db < 0:
-            raise ValueError("surface obstruction must be non-negative")
-        if self.clutter_blocking_db < 0:
-            raise ValueError("clutter blocking must be non-negative")
+        # Every check fails for NaN, so a non-finite number is rejected
+        # here rather than turning into NaN power (or a
+        # ZeroDivisionError) inside a budget pass.
+        for name, value in (("frequency", self.frequency_hz),
+                            ("bandwidth", self.bandwidth_hz)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
+        for name, value in (("noise figure", self.noise_figure_db),
+                            ("surface obstruction",
+                             self.surface_obstruction_db),
+                            ("clutter blocking", self.clutter_blocking_db)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {value!r}")
+        for name, value in (("transmit power", self.tx_power_dbm),
+                            ("interference floor",
+                             self.interference_floor_dbm)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if (self.deployment is not DeploymentMode.NONE and
                 self.metasurface is None):
             raise ValueError(
@@ -265,22 +306,89 @@ class LinkReport:
     clutter_power_dbm: float
 
 
+@dataclass(frozen=True, eq=False)
+class _LinkPlan:
+    """Everything a budget pass reads from a link's frozen configuration.
+
+    Built once per :class:`WirelessLink` (lazily, on its first pass), so
+    a pass does only array math on its overrides: no geometry norms, no
+    free-space loss or carrier phase at the configured distances and no
+    antenna lookups.
+
+    Attributes
+    ----------
+    frequency_hz, tx_power_dbm:
+        The configured carrier (validated by the configuration) and
+        transmit power.
+    tx_frame, rx_frame:
+        :func:`_rotation_frame` of each antenna's base polarization (the
+        orientation axes rotate it).
+    tx_jones:
+        The configured transmit antenna's complex ``(2,)`` Jones vector.
+    basis:
+        Rows ``conj(r)`` and ``conj(r⊥)`` of the receive basis of the
+        separable path.
+    floor:
+        Linear cross-polar isolation floor of the receive antenna.
+    direct_distance_m, via_distance_m, surface_fraction:
+        The fixed geometry: Tx-Rx distance, Tx-surface-Rx path length
+        and the surface's fractional position (the distance axis keeps
+        it; 0.5 for a non-canonical layout).
+    direct_gain_db, via_gain_db, clutter_gain_db:
+        Antenna gains (less the obstruction or the clutter shadowing) of
+        the direct, via-surface and clutter paths.
+    obstruction_db:
+        Direct-path obstruction loss (the aimed-gain overrides keep it).
+    direct_path, via_path:
+        ``(free-space loss in dB, carrier phasor)`` of the two fixed
+        paths.
+    clutter_unit:
+        Pattern-weighted unit clutter field, complex ``(2,)``.
+    background:
+        Direct plus clutter field at the configured point.
+    incident:
+        Via-surface incident field at the configured point (zero
+        without a surface).
+    """
+
+    frequency_hz: float
+    tx_power_dbm: float
+    tx_frame: np.ndarray
+    rx_frame: np.ndarray
+    tx_jones: np.ndarray
+    basis: np.ndarray
+    floor: float
+    direct_distance_m: float
+    via_distance_m: float
+    surface_fraction: float
+    direct_gain_db: float
+    via_gain_db: float
+    clutter_gain_db: float
+    obstruction_db: float
+    direct_path: tuple
+    via_path: tuple
+    clutter_unit: np.ndarray
+    background: np.ndarray
+    incident: np.ndarray
+
+
 class WirelessLink:
     """Evaluates :class:`LinkConfiguration` instances.
 
     The link object is stateless apart from its (frozen) configuration
-    and the caches derived from it, so the controller can probe
-    arbitrary bias voltages cheaply and reproducibly.  The direct and
-    clutter fields are voltage-independent and computed exactly once
-    per link; every probe after the first only pays for the surface
-    response.
+    and the plan derived from it, so the controller can probe arbitrary
+    bias voltages cheaply and reproducibly.  Everything that depends on
+    the configuration alone — the direct and clutter fields, the fixed
+    path losses, the antennas' vectors — is computed exactly once per
+    link; every probe after the first only pays for its overrides and
+    the surface response.
     """
 
     def __init__(self, configuration: LinkConfiguration):
         self._configuration = configuration
+        self._plan_cache: Optional[_LinkPlan] = None
         self._direct_field_cache: Optional[JonesVector] = None
         self._clutter_field_cache: Optional[JonesVector] = None
-        self._clutter_unit_cache: Optional[np.ndarray] = None
 
     @property
     def configuration(self) -> LinkConfiguration:
@@ -292,34 +400,85 @@ class WirelessLink:
         """
         return self._configuration
 
+    @property
+    def _plan(self) -> _LinkPlan:
+        """The link's :class:`_LinkPlan`, built on first use."""
+        if self._plan_cache is None:
+            self._plan_cache = self._build_plan()
+        return self._plan_cache
+
+    def _build_plan(self) -> _LinkPlan:
+        """Everything the configuration alone determines, computed once."""
+        config = self._configuration
+        geometry = config.geometry
+        tx, rx = config.tx_antenna, config.rx_antenna
+        direct_distance = geometry.direct_distance_m
+        via_distance = geometry.tx_to_surface_m + geometry.surface_to_rx_m
+        fraction = geometry.tx_to_surface_m / direct_distance
+        if not (0.0 < fraction < 1.0):
+            # Degenerate/non-canonical layout: keep the surface midway,
+            # which is where every canonical transmissive setup puts it.
+            fraction = 0.5
+        # Antenna aiming convention: in direct/transmissive layouts the
+        # endpoints face each other, so the direct path is on boresight;
+        # with ``aim_at_surface`` (the paper's reflective experiments)
+        # the antennas point at the surface position, so the direct path
+        # suffers each antenna's pattern roll-off at the angle between
+        # its peer and the surface — both with and without the surface
+        # present.  The surface itself sits on boresight in both the
+        # transmissive layout (colinear) and the reflective layout (the
+        # endpoints are aimed at it), so the via-surface path gets the
+        # full antenna gains.
+        if config.deployment is DeploymentMode.TRANSMISSIVE:
+            direct_gains = 0.0  # no direct path (see _direct_fields)
+        elif config.aim_at_surface:
+            direct_gains = (
+                tx.gain_dbi_towards(geometry.angle_at_transmitter_deg()) +
+                rx.gain_dbi_towards(geometry.angle_at_receiver_deg()))
+        else:
+            direct_gains = tx.gain_dbi + rx.gain_dbi
+        obstruction = (config.surface_obstruction_db
+                       if config.deployment is DeploymentMode.NONE else 0.0)
+        blocking = (config.clutter_blocking_db
+                    if config.deployment is DeploymentMode.TRANSMISSIVE
+                    else 0.0)
+        direct_path = _propagation(direct_distance, config.frequency_hz)
+        via_loss, via_rotation = via_path = _propagation(via_distance,
+                                                         config.frequency_hz)
+        arrays = config.environment.ray_arrays()
+        clutter_unit = (np.zeros(2, dtype=complex) if arrays.count == 0
+                        else arrays.unit_field(extra_gain_db=rx.pattern_gain_db(
+                            arrays.arrival_angle_deg)))
+        tx_jones = np.array([tx.jones.x, tx.jones.y], dtype=complex)
+        rx_jones = np.array([rx.jones.x, rx.jones.y], dtype=complex)
+        via_gain = tx.gain_dbi + rx.gain_dbi
+        incident = (_path_amplitude(config.tx_power_dbm, via_gain, via_loss)
+                    * via_rotation * tx_jones if self._has_surface()
+                    else np.zeros(2, dtype=complex))
+        plan = _LinkPlan(
+            frequency_hz=config.frequency_hz,
+            tx_power_dbm=config.tx_power_dbm,
+            tx_frame=_rotation_frame(tx.polarization.jones),
+            rx_frame=_rotation_frame(rx.polarization.jones),
+            tx_jones=tx_jones,
+            # Rows conj(r) and conj(r⊥), with r⊥ = (-conj(r_y), conj(r_x)).
+            basis=np.array([rx_jones.conj(), [-rx_jones[1], rx_jones[0]]]),
+            floor=10.0 ** (-rx.cross_pol_isolation_db / 10.0),
+            direct_distance_m=direct_distance, via_distance_m=via_distance,
+            surface_fraction=fraction,
+            direct_gain_db=direct_gains - obstruction, via_gain_db=via_gain,
+            clutter_gain_db=tx.gain_dbi + rx.gain_dbi - blocking,
+            obstruction_db=obstruction,
+            direct_path=direct_path, via_path=via_path,
+            clutter_unit=clutter_unit, background=np.zeros(2, dtype=complex),
+            incident=incident)
+        return replace(plan, background=(
+            self._direct_fields(plan, {}, direct_path) +
+            self._clutter_fields(plan, {}, direct_path)))
+
     # ------------------------------------------------------------------ #
     # Field-level building blocks
     # ------------------------------------------------------------------ #
-    def _path_amplitude(self, distance_m, extra_gain_db=0.0,
-                        frequency_hz=None, tx_power_dbm=None):
-        """Field amplitude (relative to 1 mW into an isotropic antenna)
-        after free-space propagation over ``distance_m``.
-
-        All arguments may be scalars or mutually broadcastable arrays;
-        frequency and transmit power default to the configuration.
-        """
-        config = self._configuration
-        frequency = (config.frequency_hz if frequency_hz is None
-                     else frequency_hz)
-        tx_power = (config.tx_power_dbm if tx_power_dbm is None
-                    else tx_power_dbm)
-        path_db = (tx_power + extra_gain_db -
-                   free_space_path_loss_db(distance_m, frequency))
-        return 10.0 ** (path_db / 20.0)
-
-    def _phase_for_distance(self, distance_m, frequency_hz=None):
-        """Carrier phase accumulated over a propagation distance."""
-        config = self._configuration
-        frequency = (config.frequency_hz if frequency_hz is None
-                     else frequency_hz)
-        wavelength = SPEED_OF_LIGHT / frequency
-        return 2.0 * math.pi * distance_m / wavelength
-
     def _direct_field(self) -> JonesVector:
         """Field of the direct Tx->Rx path (cached: voltage-independent)."""
         if self._direct_field_cache is None:
@@ -328,187 +487,9 @@ class WirelessLink:
 
     def _compute_direct_field(self) -> JonesVector:
         """The cached scalar view of :meth:`_direct_fields`."""
-        fields = self._direct_fields()
+        plan = self._plan
+        fields = self._direct_fields(plan, {}, plan.direct_path)
         return JonesVector(complex(fields[0]), complex(fields[1]))
-
-    def _direct_fields(self, frequency_hz=None, tx_power_dbm=None,
-                       distance_m=None, tx_gain_dbi=None,
-                       rx_gain_dbi=None, tx_jones=None) -> np.ndarray:
-        """Field of the direct Tx->Rx path (no surface interaction).
-
-        The single implementation of the direct-path budget: arguments
-        may be ``None`` (use the configuration) or mutually
-        broadcastable arrays; the result is a complex ``(..., 2)``
-        array of Jones fields.
-
-        Antenna aiming convention: in direct/transmissive layouts the
-        endpoints face each other, so the direct path is on boresight;
-        with ``aim_at_surface`` (the paper's reflective experiments) the
-        antennas point at the surface position, so the direct path
-        suffers each antenna's pattern roll-off at the angle between its
-        peer and the surface — both with and without the surface present.
-        """
-        config = self._configuration
-        geometry = config.geometry
-        if config.deployment is DeploymentMode.TRANSMISSIVE:
-            # In the transmissive layout the only Tx->Rx route crosses
-            # the surface; there is no separate unobstructed direct path.
-            return np.zeros(2, dtype=complex)
-        blocked_db = (config.surface_obstruction_db
-                      if (config.deployment is DeploymentMode.NONE and
-                          config.surface_obstruction_db) else 0.0)
-        if tx_gain_dbi is None:
-            if config.aim_at_surface:
-                tx_gain_dbi = config.tx_antenna.gain_dbi_towards(
-                    geometry.angle_at_transmitter_deg())
-                rx_gain_dbi = config.rx_antenna.gain_dbi_towards(
-                    geometry.angle_at_receiver_deg())
-            else:
-                tx_gain_dbi = config.tx_antenna.gain_dbi
-                rx_gain_dbi = config.rx_antenna.gain_dbi
-        distance = (geometry.direct_distance_m if distance_m is None
-                    else distance_m)
-        amplitude = self._path_amplitude(
-            distance, extra_gain_db=tx_gain_dbi + rx_gain_dbi - blocked_db,
-            frequency_hz=frequency_hz, tx_power_dbm=tx_power_dbm)
-        phase = self._phase_for_distance(distance, frequency_hz=frequency_hz)
-        phasor = np.asarray(amplitude) * np.exp(1j * np.asarray(phase))
-        if tx_jones is None:
-            tx_jones = np.array([config.tx_antenna.jones.x,
-                                 config.tx_antenna.jones.y], dtype=complex)
-        return phasor[..., None] * tx_jones
-
-    def _surface_field(self, vx: float, vy: float) -> JonesVector:
-        """Scalar view of :meth:`_surface_fields_batch` at one bias pair."""
-        fields = self._surface_fields_batch(vx, vy)
-        return JonesVector(complex(fields[..., 0]), complex(fields[..., 1]))
-
-    def _surface_fields_batch(self, vx, vy, frequency_hz=None,
-                              tx_power_dbm=None,
-                              via_distance_m=None,
-                              tx_jones=None) -> np.ndarray:
-        """Field of the path that interacts with the metasurface.
-
-        The single implementation of the via-surface budget: ``vx`` /
-        ``vy`` and the optional frequency, transmit-power,
-        via-surface-distance and transmit-polarization overrides
-        broadcast against each other; returns a complex ``(..., 2)``
-        array of via-surface Jones fields, one per broadcast operating
-        point.  ``tx_jones`` is an optional ``(..., 2)`` array of
-        transmit Jones vectors (defaults to the configured antenna).
-
-        The surface's Jones matrices (:meth:`_surface_jones`) depend
-        only on (frequency, Vx, Vy) and are evaluated at the broadcast
-        shape of those three alone: a bias lattice shared by many
-        operating points (the controller hands it over as one ``(1, k)``
-        row) costs one Jones batch of ``k`` elements, not one per cell.
-        The path phasor is folded into the incident polarization
-        (:meth:`_incident_fields`) before the contraction, so the
-        full-size work is the contraction itself.
-        """
-        config = self._configuration
-        shape = np.broadcast_shapes(
-            np.shape(vx), np.shape(vy),
-            np.shape(frequency_hz) if frequency_hz is not None else (),
-            np.shape(tx_power_dbm) if tx_power_dbm is not None else (),
-            np.shape(via_distance_m) if via_distance_m is not None else (),
-            np.shape(tx_jones)[:-1] if tx_jones is not None else ())
-        if config.metasurface is None or config.deployment is DeploymentMode.NONE:
-            return np.zeros(shape + (2,), dtype=complex)
-        jones = self._surface_jones(vx, vy, frequency_hz=frequency_hz)
-        incident = self._incident_fields(
-            frequency_hz=frequency_hz, tx_power_dbm=tx_power_dbm,
-            via_distance_m=via_distance_m, tx_jones=tx_jones)
-        # Contract the (..., 2, 2) Jones matrices against the (..., 2)
-        # incident fields with full leading-dimension broadcasting
-        # (written out: several times faster than a broadcast einsum).
-        transformed = (jones[..., 0] * incident[..., None, 0] +
-                       jones[..., 1] * incident[..., None, 1])
-        return np.broadcast_to(transformed, shape + (2,))
-
-    def _surface_jones(self, vx, vy, frequency_hz=None) -> np.ndarray:
-        """The deployed surface's ``(..., 2, 2)`` Jones matrices.
-
-        Transmission or reflection matrices per the deployment mode, at
-        the broadcast shape of (frequency, Vx, Vy) — the bias half of
-        every via-surface field.
-        """
-        config = self._configuration
-        frequency = (config.frequency_hz if frequency_hz is None
-                     else frequency_hz)
-        if config.deployment is DeploymentMode.TRANSMISSIVE:
-            return config.metasurface.jones_matrix_batch(frequency, vx, vy)
-        return config.metasurface.reflection_jones_matrix_batch(
-            frequency, vx, vy)
-
-    def _incident_fields(self, frequency_hz=None, tx_power_dbm=None,
-                         via_distance_m=None, tx_jones=None) -> np.ndarray:
-        """Via-surface path phasor folded into the transmit polarization.
-
-        The voltage-independent half of every via-surface field, a
-        complex ``(..., 2)`` array at the broadcast shape of the
-        overrides alone: the surface field is this vector transformed
-        by :meth:`_surface_jones`.
-        """
-        config = self._configuration
-        geometry = config.geometry
-        legs = (geometry.tx_to_surface_m + geometry.surface_to_rx_m
-                if via_distance_m is None else via_distance_m)
-        # Antenna aiming convention (see _direct_fields): the surface
-        # sits on boresight both in the transmissive layout (colinear)
-        # and in the reflective layout (the endpoints are aimed at the
-        # surface), so the via-surface path gets the full antenna gains.
-        tx_gain = config.tx_antenna.gain_dbi
-        rx_gain = config.rx_antenna.gain_dbi
-        amplitude = self._path_amplitude(legs, extra_gain_db=tx_gain + rx_gain,
-                                         frequency_hz=frequency_hz,
-                                         tx_power_dbm=tx_power_dbm)
-        phase = self._phase_for_distance(legs, frequency_hz=frequency_hz)
-        if tx_jones is None:
-            tx_jones = np.array([config.tx_antenna.jones.x,
-                                 config.tx_antenna.jones.y], dtype=complex)
-        phasor = np.asarray(amplitude) * np.exp(1j * np.asarray(phase))
-        return phasor[..., None] * np.asarray(tx_jones, dtype=complex)
-
-    def _clutter_unit(self) -> np.ndarray:
-        """Pattern-weighted unit clutter field (cached complex ``(2,)``).
-
-        The coherent reduction over the environment's stacked ray
-        arrays, with each ray weighted by the receive antenna pattern at
-        its arrival angle; the total clutter field is this unit vector
-        times the (axis-dependent) direct-path reference amplitude.
-        """
-        if self._clutter_unit_cache is None:
-            config = self._configuration
-            arrays = config.environment.ray_arrays()
-            if arrays.count == 0:
-                self._clutter_unit_cache = np.zeros(2, dtype=complex)
-            else:
-                self._clutter_unit_cache = arrays.unit_field(
-                    extra_gain_db=config.rx_antenna.pattern_gain_db(
-                        arrays.arrival_angle_deg))
-        return self._clutter_unit_cache
-
-    def _clutter_blocking_db(self) -> float:
-        """Clutter shadowing applied by a deployed transmissive surface."""
-        config = self._configuration
-        return (config.clutter_blocking_db
-                if config.deployment is DeploymentMode.TRANSMISSIVE
-                else 0.0)
-
-    def _clutter_reference_amplitude(self, frequency_hz=None,
-                                     tx_power_dbm=None,
-                                     direct_distance_m=None):
-        """Direct-path reference amplitude the clutter rays scale from."""
-        config = self._configuration
-        distance = (config.geometry.direct_distance_m
-                    if direct_distance_m is None else direct_distance_m)
-        return self._path_amplitude(
-            distance,
-            extra_gain_db=(config.tx_antenna.gain_dbi +
-                           config.rx_antenna.gain_dbi -
-                           self._clutter_blocking_db()),
-            frequency_hz=frequency_hz, tx_power_dbm=tx_power_dbm)
 
     def _clutter_field(self) -> JonesVector:
         """Total clutter field weighted by the receive antenna pattern
@@ -519,11 +500,140 @@ class WirelessLink:
         ``clutter_blocking_db``.
         """
         if self._clutter_field_cache is None:
-            reference = self._clutter_reference_amplitude()
-            unit = self._clutter_unit()
-            self._clutter_field_cache = JonesVector(
-                complex(reference * unit[0]), complex(reference * unit[1]))
+            plan = self._plan
+            fields = self._clutter_fields(plan, {}, plan.direct_path)
+            self._clutter_field_cache = JonesVector(complex(fields[0]),
+                                                    complex(fields[1]))
         return self._clutter_field_cache
+
+    def _surface_field(self, vx: float, vy: float) -> JonesVector:
+        """The via-surface field at one bias pair (zero without a
+        surface)."""
+        fields = (self._surface_fields(vx, vy, {})
+                  if self._has_surface() else np.zeros(2, dtype=complex))
+        return JonesVector(complex(fields[..., 0]), complex(fields[..., 1]))
+
+    def _has_surface(self) -> bool:
+        config = self._configuration
+        return (config.metasurface is not None and
+                config.deployment is not DeploymentMode.NONE)
+
+    @staticmethod
+    def _path(plan: _LinkPlan, params: Dict, via: bool):
+        """``(free-space loss in dB, carrier phasor)`` of the direct or
+        the via-surface path at the pass's overrides: the plan's own
+        unless a distance or frequency axis overrides them."""
+        distance = params.get("via_distance_m" if via else
+                              "direct_distance_m")
+        frequency = params.get("frequency_hz")
+        if distance is None and frequency is None:
+            return plan.via_path if via else plan.direct_path
+        if distance is None:
+            distance = plan.via_distance_m if via else plan.direct_distance_m
+        return _propagation(distance, plan.frequency_hz if frequency is None
+                            else frequency)
+
+    def _direct_fields(self, plan: _LinkPlan, params: Dict,
+                       path) -> np.ndarray:
+        """Field of the direct Tx->Rx path (no surface interaction).
+
+        The single implementation of the direct-path budget: ``params``
+        holds the pass's override arrays (see :meth:`_axis_parameters`),
+        any of which may be absent, and ``path`` is the direct
+        :meth:`_path` at them; the result is a complex ``(..., 2)``
+        array of Jones fields.
+        """
+        if self._configuration.deployment is DeploymentMode.TRANSMISSIVE:
+            # In the transmissive layout the only Tx->Rx route crosses
+            # the surface; there is no separate unobstructed direct path.
+            return np.zeros(2, dtype=complex)
+        loss, rotation = path
+        tx_gain = params.get("direct_tx_gain_dbi")
+        gain = (plan.direct_gain_db if tx_gain is None else
+                tx_gain + params["direct_rx_gain_dbi"] - plan.obstruction_db)
+        amplitude = _path_amplitude(params.get("tx_power_dbm",
+                                               plan.tx_power_dbm), gain, loss)
+        tx_jones = params.get("tx_jones", plan.tx_jones)
+        return (amplitude * rotation)[..., None] * tx_jones
+
+    def _clutter_fields(self, plan: _LinkPlan, params: Dict,
+                        path) -> np.ndarray:
+        """Clutter field at the pass's overrides, complex ``(..., 2)``.
+
+        The pattern-weighted unit clutter field scaled by the direct
+        path's reference amplitude (``path`` is the direct :meth:`_path`;
+        the clutter rays' polarizations come from
+        the scattering environment, so it is independent of the
+        transmit polarization).
+        """
+        loss, _rotation = path
+        reference = _path_amplitude(
+            params.get("tx_power_dbm", plan.tx_power_dbm),
+            plan.clutter_gain_db, loss)
+        return np.asarray(reference)[..., None] * plan.clutter_unit
+
+    def _background(self, plan: _LinkPlan, params: Dict) -> np.ndarray:
+        """Direct plus clutter field, at the small shape of the
+        overrides they depend on (the plan's field without any)."""
+        if not (params.keys() - {"via_distance_m", "rx_jones"}):
+            return plan.background
+        path = self._path(plan, params, via=False)
+        return (self._direct_fields(plan, params, path) +
+                self._clutter_fields(plan, params, path))
+
+    def _incident_fields(self, plan: _LinkPlan, params: Dict) -> np.ndarray:
+        """Via-surface path phasor folded into the transmit polarization.
+
+        The voltage-independent half of every via-surface field, a
+        complex ``(..., 2)`` array at the broadcast shape of the
+        overrides alone: the surface field is this vector transformed
+        by :meth:`_surface_jones`.
+        """
+        if not (params.keys() - {"direct_distance_m", "rx_jones",
+                                 "direct_tx_gain_dbi", "direct_rx_gain_dbi"}):
+            return plan.incident
+        loss, rotation = self._path(plan, params, via=True)
+        amplitude = _path_amplitude(
+            params.get("tx_power_dbm", plan.tx_power_dbm), plan.via_gain_db,
+            loss)
+        return (amplitude * rotation)[..., None] * params.get(
+            "tx_jones", plan.tx_jones)
+
+    def _surface_jones(self, vx, vy, frequency_hz) -> np.ndarray:
+        """The deployed surface's ``(..., 2, 2)`` Jones matrices.
+
+        Transmission or reflection matrices per the deployment mode, at
+        the broadcast shape of (frequency, Vx, Vy) — the bias half of
+        every via-surface field.  A bias lattice shared by many
+        operating points (the controller hands it over as one ``(1, k)``
+        row) costs one Jones batch of ``k`` elements, not one per cell.
+        """
+        config = self._configuration
+        if config.deployment is DeploymentMode.TRANSMISSIVE:
+            return config.metasurface.jones_matrix_batch(frequency_hz, vx, vy)
+        return config.metasurface.reflection_jones_matrix_batch(
+            frequency_hz, vx, vy)
+
+    def _surface_fields(self, vx, vy, params: Dict) -> np.ndarray:
+        """Field of the path that interacts with the metasurface.
+
+        The single implementation of the via-surface budget on a link
+        with a surface: the Jones matrices of :meth:`_surface_jones`
+        contracted against the incident fields of
+        :meth:`_incident_fields`, a complex ``(..., 2)`` array at the
+        broadcast shape of the bias arrays and the overrides.  The path
+        phasor is folded into the incident polarization before the
+        contraction, so the full-size work is the contraction itself.
+        """
+        plan = self._plan
+        jones = self._surface_jones(
+            vx, vy, params.get("frequency_hz", plan.frequency_hz))
+        incident = self._incident_fields(plan, params)
+        # Contract the (..., 2, 2) Jones matrices against the (..., 2)
+        # incident fields with full leading-dimension broadcasting
+        # (written out: several times faster than a broadcast einsum).
+        return (jones[..., 0] * incident[..., None, 0] +
+                jones[..., 1] * incident[..., None, 1])
 
     # ------------------------------------------------------------------ #
     # Shared power projection
@@ -538,15 +648,11 @@ class WirelessLink:
         Applies the same finite cross-polar-isolation floor as the
         scalar :meth:`Antenna.polarization_coupling` path.
         """
-        config = self._configuration
         ex, ey = fields[..., 0], fields[..., 1]
-        if rx_jones is None:
-            jones_x = config.rx_antenna.jones.x
-            jones_y = config.rx_antenna.jones.y
-        else:
-            jones_x, jones_y = rx_jones[..., 0], rx_jones[..., 1]
+        rx_conj = (self._plan.basis[0] if rx_jones is None
+                   else np.conj(rx_jones))
         intensity = ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2
-        projected = np.conj(jones_x) * ex + np.conj(jones_y) * ey
+        projected = rx_conj[..., 0] * ex + rx_conj[..., 1] * ey
         return self._clamped_power_dbm(
             projected.real ** 2 + projected.imag ** 2, intensity)
 
@@ -557,13 +663,11 @@ class WirelessLink:
         the field's ``|E|²``.  ``matched`` is scratch: the clamps run in
         place on it.
         """
-        floor = 10.0 ** (-self._configuration.rx_antenna.cross_pol_isolation_db
-                         / 10.0)
         # |<rx|E>|^2 clamped into [floor, 1] x intensity: the matched
         # fraction never exceeds one nor falls below the cross-polar
         # isolation floor, and a zero field stays exactly zero.
         power = np.asarray(matched)
-        np.maximum(power, floor * intensity, out=power)
+        np.maximum(power, self._plan.floor * intensity, out=power)
         np.minimum(power, intensity, out=power)
         np.maximum(power, 1e-20, out=power)
         return 10.0 * np.log10(power, out=power)
@@ -584,16 +688,11 @@ class WirelessLink:
         :meth:`~repro.channel.ensemble.LinkEnsemble.configuration_for`).
         """
         config = self._configuration
-        geometry = config.geometry
+        plan = self._plan
         if config.deployment is DeploymentMode.REFLECTIVE or config.aim_at_surface:
-            return LinkGeometry.reflective(geometry.direct_distance_m,
-                                           distance_m)
-        fraction = geometry.tx_to_surface_m / geometry.direct_distance_m
-        if not (0.0 < fraction < 1.0):
-            # Degenerate/non-canonical layout: keep the surface midway,
-            # which is where every canonical transmissive setup puts it.
-            fraction = 0.5
-        return LinkGeometry.transmissive(distance_m, surface_fraction=fraction)
+            return LinkGeometry.reflective(plan.direct_distance_m, distance_m)
+        return LinkGeometry.transmissive(
+            distance_m, surface_fraction=plan.surface_fraction)
 
     def _axis_parameters(self, axis: str, values: np.ndarray) -> Dict:
         """Per-point parameter arrays for one link-parameter grid axis.
@@ -604,7 +703,6 @@ class WirelessLink:
         :meth:`_budget_power_dbm` engine; parameters not overridden stay
         at their configured scalar values.
         """
-        config = self._configuration
         if axis == "frequency":
             if not _positive_finite(values).all():
                 raise ValueError("frequencies must be positive and finite")
@@ -616,8 +714,8 @@ class WirelessLink:
         if axis == "distance":
             return self._distance_parameters(values)
         if axis == "rx_orientation":
-            return {"rx_jones": _rotated_jones(config.rx_antenna, values)}
-        return {"tx_jones": _rotated_jones(config.tx_antenna, values)}
+            return {"rx_jones": _rotated_jones(self._plan.rx_frame, values)}
+        return {"tx_jones": _rotated_jones(self._plan.tx_frame, values)}
 
     def _distance_parameters(self, values: np.ndarray) -> Dict:
         """The ``distance`` axis in closed form, one array pass.
@@ -630,14 +728,14 @@ class WirelessLink:
         factories.
         """
         config = self._configuration
-        geometry = config.geometry
+        plan = self._plan
         values = np.asarray(values, dtype=float)
         if config.deployment is DeploymentMode.REFLECTIVE or config.aim_at_surface:
             # Endpoints fixed `separation` apart; the surface sits
             # `values` out on their perpendicular bisector.
             if not _positive_finite(values).all():
                 raise ValueError("surface offset must be positive and finite")
-            separation = geometry.direct_distance_m
+            separation = plan.direct_distance_m
             half = separation / 2.0
             leg = np.sqrt(half * half + values * values)
             overrides = {"direct_distance_m": np.full(values.shape,
@@ -654,10 +752,7 @@ class WirelessLink:
             return overrides
         if not _positive_finite(values).all():
             raise ValueError("Tx-Rx distance must be positive and finite")
-        fraction = geometry.tx_to_surface_m / geometry.direct_distance_m
-        if not (0.0 < fraction < 1.0):
-            fraction = 0.5  # same fallback as _geometry_at_distance
-        to_surface = values * fraction
+        to_surface = values * plan.surface_fraction
         return {"direct_distance_m": values,
                 "via_distance_m": to_surface + (values - to_surface)}
 
@@ -668,10 +763,10 @@ class WirelessLink:
         carries the per-axis override arrays built by
         :meth:`_axis_parameters`.  Everything broadcasts against
         everything, so a single pass covers scalar probes, bias grids,
-        single-axis sweeps and full N-D product grids alike.  The
-        voltage-independent direct and clutter fields are reused from
-        the link's caches whenever no axis overrides a parameter they
-        depend on.
+        single-axis sweeps and full N-D product grids alike.  Whatever
+        the link's configuration alone determines comes from its plan
+        (:class:`_LinkPlan`); a pass computes only what its overrides
+        change, at their own (small) shapes.
 
         Two paths, chosen by the broadcast shapes alone.  When the bias
         arrays and the overrides span disjoint blocks of dimensions,
@@ -689,75 +784,35 @@ class WirelessLink:
         """
         global _BUDGET_EVALUATIONS
         _BUDGET_EVALUATIONS += 1
+        plan = self._plan
         vx = np.asarray(vx, dtype=float)
         vy = np.asarray(vy, dtype=float)
-        frequency = params.get("frequency_hz")
-        tx_power = params.get("tx_power_dbm")
-        direct_distance = params.get("direct_distance_m")
-        via_distance = params.get("via_distance_m")
-        rx_jones = params.get("rx_jones")
-        tx_jones = params.get("tx_jones")
+        overrides = [value[..., 0] if key in ("rx_jones", "tx_jones")
+                     else value for key, value in params.items()]
+        station_shapes = [np.shape(value) for value in overrides]
+        shape = np.broadcast(vx, vy, *overrides).shape
+        # The direct and clutter fields are voltage-independent: they
+        # sum first, at the small shape of the overrides they depend on.
+        background = self._background(plan, params)
+        if not self._has_surface():
+            return self._project_power_dbm(
+                np.broadcast_to(background, shape + (2,)),
+                rx_jones=params.get("rx_jones"))
 
-        station_shapes = [np.shape(value)[:-1] if key in ("rx_jones",
-                                                          "tx_jones")
-                          else np.shape(value)
-                          for key, value in params.items()]
-        shape = np.broadcast_shapes(vx.shape, vy.shape, *station_shapes)
-
-        # Direct and clutter fields are voltage-independent: reuse the
-        # cached scalars unless an axis overrides a parameter they
-        # depend on (any axis that does only pays for the dimensions it
-        # actually spans — the overrides keep their own slot shapes).
-        # The clutter field is additionally transmit-polarization
-        # independent (the rays' polarizations come from the scattering
-        # environment), so a tx_jones override alone keeps it cached.
-        path_overridden = (frequency is not None or tx_power is not None or
-                           direct_distance is not None)
-        if (not path_overridden and tx_jones is None and
-                "direct_tx_gain_dbi" not in params):
-            direct_field = self._direct_field()
-            direct = np.array([direct_field.x, direct_field.y], dtype=complex)
-        else:
-            direct = self._direct_fields(
-                frequency_hz=frequency, tx_power_dbm=tx_power,
-                distance_m=direct_distance,
-                tx_gain_dbi=params.get("direct_tx_gain_dbi"),
-                rx_gain_dbi=params.get("direct_rx_gain_dbi"),
-                tx_jones=tx_jones)
-        if not path_overridden:
-            clutter_field = self._clutter_field()
-            clutter = np.array([clutter_field.x, clutter_field.y],
-                               dtype=complex)
-        else:
-            reference = self._clutter_reference_amplitude(
-                frequency_hz=frequency, tx_power_dbm=tx_power,
-                direct_distance_m=direct_distance)
-            clutter = np.asarray(reference)[..., None] * self._clutter_unit()
-        # The voltage-independent direct and clutter fields sum first,
-        # at their own (small) shape.
-        background = direct + clutter
-
-        config = self._configuration
         layout = (_separable_layout(shape, (vx.shape, vy.shape),
                                     station_shapes)
-                  if (params and frequency is None and rx_jones is None
-                      and config.metasurface is not None
-                      and config.deployment is not DeploymentMode.NONE)
+                  if (params and "frequency_hz" not in params and
+                      "rx_jones" not in params)
                   else None)
         if layout is not None:
-            incident = self._incident_fields(
-                tx_power_dbm=tx_power, via_distance_m=via_distance,
-                tx_jones=tx_jones)
-            return self._separable_power_dbm(vx, vy, incident, background,
-                                             shape, *layout)
-
-        surface = self._surface_fields_batch(
-            vx, vy, frequency_hz=frequency, tx_power_dbm=tx_power,
-            via_distance_m=via_distance, tx_jones=tx_jones)
+            return self._separable_power_dbm(
+                vx, vy, self._incident_fields(plan, params), background,
+                shape, *layout)
         # The surface field is the one full-size term, so the total
         # costs a single full-size add.
-        fields = np.broadcast_to(surface + background, shape + (2,))
-        return self._project_power_dbm(fields, rx_jones=rx_jones)
+        fields = np.broadcast_to(
+            self._surface_fields(vx, vy, params) + background, shape + (2,))
+        return self._project_power_dbm(fields, rx_jones=params.get("rx_jones"))
 
     def _separable_power_dbm(self, vx, vy, incident, background, shape,
                              station, bias_first) -> np.ndarray:
@@ -782,11 +837,9 @@ class WirelessLink:
         ``(S, K)`` in the order the two blocks take in ``shape``, so the
         result is a reshape of it.
         """
-        rx = self._configuration.rx_antenna.jones
-        # Rows conj(r) and conj(r⊥), with r⊥ = (-conj(r_y), conj(r_x)).
-        basis = np.array([[rx.x.conjugate(), rx.y.conjugate()],
-                          [-rx.y, rx.x]], dtype=complex)
-        jones = self._surface_jones(vx, vy).reshape(-1, 2, 2)
+        plan = self._plan
+        basis = plan.basis
+        jones = self._surface_jones(vx, vy, plan.frequency_hz).reshape(-1, 2, 2)
         # terms[0, j, k] = conj([basis_j · J(k), unit vector j]) and
         # terms[1] = 1j·terms[0]: dotted with the interleaved station
         # features, the float view of conj(t) gives Re(t·x) and that of

@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.core.jones import JonesMatrix, quarter_wave_plate
 from repro.metasurface.materials import SubstrateMaterial, FR4
-from repro.metasurface.phase_shifter import (PhaseShifterLayer,
-                                             _positive_frequency)
+from repro.metasurface.phase_shifter import PhaseShifterLayer
+from repro.units import positive_frequency
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,33 @@ class BirefringentLayer:
     def __post_init__(self) -> None:
         if not self.x_layers or not self.y_layers:
             raise ValueError("need at least one phase-shifter layer per axis")
-        # Stack constants of diagonal_batch: each axis's distinct layers
-        # with their repeat counts and their voltage-independent
-        # (dielectric) amplitude, grouped once here rather than hashed
-        # on every call.
-        object.__setattr__(self, "_axis_groups", tuple(
-            tuple((layer, count,
-                   10.0 ** (-count * layer.dielectric_insertion_loss_db / 20.0))
-                  for layer, count in Counter(layers).items())
-            for layers in (self.x_layers, self.y_layers)))
+        # Stack constants of the Jones batch, laid out ``(constant,
+        # varactor, row, axis)``: row ``i`` of an axis is its ``i``-th
+        # distinct layer, and each distinct varactor gets its own copy
+        # of the rows in which the layers it does not drive (and the
+        # padding of an axis with fewer distinct layers) have zero
+        # count, so they add exactly nothing.  One ``repeat`` spreads
+        # the constants over both axes' points.
+        groups = [list(Counter(layers).items())
+                  for layers in (self.x_layers, self.y_layers)]
+        depth = max(len(group) for group in groups)
+        varactors = tuple(dict.fromkeys(layer.varactor for group in groups
+                                        for layer, _count in group))
+
+        def row(varactor, layer, count):
+            count *= layer.varactor == varactor
+            return [2.0 * math.pi * math.sqrt(layer.inductance_h),
+                    layer.loading_factor, layer.detuning_loss_coefficient,
+                    0.5 * math.log(10.0) * count, -count,
+                    -count * math.log(10.0) *
+                    layer.dielectric_insertion_loss_db / 20.0]
+
+        object.__setattr__(self, "_varactors", varactors)
+        object.__setattr__(self, "_row_constants", np.array(
+            [[[row(varactor, *(group[index] if index < len(group)
+                               else (group[0][0], 0)))
+               for group in groups] for index in range(depth)]
+             for varactor in varactors]).transpose(3, 0, 1, 2))
 
     @staticmethod
     def symmetric(layer: PhaseShifterLayer,
@@ -211,28 +229,45 @@ class BirefringentLayer:
         ``frequency_hz`` may be a scalar or an array that broadcasts
         against the voltage arrays, so a frequency axis sweeps in the
         same vectorized pass as a bias grid.
-
-        Written out per axis, with ``d = f/fr(V) - fr(V)/f`` the detuning
-        of each distinct layer repeated ``n`` times in the stack:
-        ``phi = -sum n arctan(k d)`` and
-        ``t = prod r^n (1 + (c d)^2)^(-n/2)``, where ``k`` is the loading
-        factor, ``c`` the detuning-loss coefficient and ``r`` the
-        dielectric amplitude.  The varactor capacitance and the
-        resonance are evaluated once per distinct layer per axis (twice
-        in all for the symmetric two-layer LLAMA stack); the grouping and
-        the ``r^n`` factors are hoisted to construction, and the
-        frequency is validated once per call.
         """
-        return self._diagonal(_positive_frequency(frequency_hz),
-                              np.asarray(vx, dtype=float),
-                              np.asarray(vy, dtype=float))
+        points, shapes = axis_points(positive_frequency(frequency_hz), vx, vy)
+        return split_axes(self._diagonal(points, shapes), shapes)
 
-    def _diagonal(self, frequency: np.ndarray, vx: np.ndarray,
-                  vy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`diagonal_batch` on an already validated frequency."""
-        x_groups, y_groups = self._axis_groups
-        return (_axis_transmission(x_groups, frequency, vx),
-                _axis_transmission(y_groups, frequency, vy))
+    def _diagonal(self, points: np.ndarray, shapes) -> np.ndarray:
+        """Both axes' complex transmission ``t e^{j phi}``, one pass.
+
+        ``points`` and ``shapes`` are the layout of :func:`axis_points`
+        (the frequency already validated, the voltages effective
+        junction voltages); returns the complex diagonal of every point,
+        X points first.  Each distinct layer of an axis is one row of a
+        stacked ``(varactors, rows, points)`` pass, with
+        ``d = f/fr(V) - fr(V)/f`` its detuning and ``m`` its repeat
+        count: an axis's transmission is ``exp`` of the sum over its
+        rows of ``m ln r - (m/2) ln(1 + (c d)^2) - j m arctan(k d)``, where
+        ``k`` is the loading factor, ``c`` the detuning-loss
+        coefficient and ``r`` the dielectric amplitude.  The varactor
+        law runs once per distinct varactor (once for every factory
+        design) and each further step is one array operation for both
+        axes.
+        """
+        frequency, voltages = points
+        split = math.prod(shapes[0])
+        (tank, loading, detuning_loss, mismatch_weight, phase_count,
+         log_dielectric) = np.repeat(self._row_constants,
+                                     (split, voltages.size - split), axis=-1)
+        # With fr = 1/(2 pi sqrt(L C)) = 1/(tank sqrt(C)), the detuning
+        # f/fr - fr/f is s - 1/s for s = f tank sqrt(C).
+        ratio = (frequency * np.sqrt(np.array(
+            [varactor.capacitance_f(voltages)
+             for varactor in self._varactors])))[:, None, :] * tank
+        detuning = ratio - 1.0 / ratio
+        # log10 rather than ln: the dB conversions already run its
+        # kernel, and a pass that first touches another one pays its
+        # code pages in resident memory.
+        mismatch = np.log10(1.0 + np.square(detuning_loss * detuning))
+        log_transmission = ((log_dielectric - mismatch_weight * mismatch) +
+                            1j * (phase_count * np.arctan(loading * detuning)))
+        return np.exp(log_transmission.sum(axis=(0, 1)))
 
     def phase_difference_range_rad(self, frequency_hz: float,
                                    voltage_low_v: float = 0.0,
@@ -247,21 +282,32 @@ class BirefringentLayer:
         return max(corners)
 
 
-def _axis_transmission(groups, frequency: np.ndarray,
-                       voltages: np.ndarray) -> np.ndarray:
-    """Complex transmission ``t e^{j phi}`` of one axis's layer stack.
+def axis_points(frequency: np.ndarray, vx, vy):
+    """Lay the X and Y operating points of a diagonal pass out flat.
 
-    ``groups`` holds ``(layer, count, dielectric amplitude ** count)``
-    per distinct layer: one detuning evaluation serves the phase and the
-    mismatch loss of all ``count`` copies.
+    The X transmission depends on (frequency, Vx) alone and the Y one
+    on (frequency, Vy), so each axis is evaluated at its own broadcast
+    shape: a product bias grid costs ``n + k`` points, not ``2 n k``.
+    Returns ``points``, the ``(2, n)`` rows of frequency and voltage of
+    the X points followed by the Y points, and ``shapes``, the two
+    broadcast shapes (see :func:`split_axes`).
     """
-    phase, amplitude = 0.0, 1.0
-    for layer, count, dielectric in groups:
-        detuning = layer._detuning(frequency, voltages)
-        phase = phase - count * np.arctan(layer.loading_factor * detuning)
-        mismatch = 1.0 + (layer.detuning_loss_coefficient * detuning) ** 2
-        amplitude = amplitude * dielectric * mismatch ** (-0.5 * count)
-    return amplitude * np.exp(1j * phase)
+    shapes = (np.broadcast(frequency, vx).shape,
+              np.broadcast(frequency, vy).shape)
+    split = math.prod(shapes[0])
+    points = np.empty((2, split + math.prod(shapes[1])))
+    for row, value in enumerate((frequency, vx)):
+        points[row, :split].reshape(shapes[0])[...] = value
+    for row, value in enumerate((frequency, vy)):
+        points[row, split:].reshape(shapes[1])[...] = value
+    return points, shapes
+
+
+def split_axes(values: np.ndarray, shapes):
+    """``(X, Y)`` parts of a flat :func:`axis_points` result, each at its
+    axis's broadcast shape."""
+    split = math.prod(shapes[0])
+    return values[:split].reshape(shapes[0]), values[split:].reshape(shapes[1])
 
 
 __all__ = ["QuarterWavePlateLayer", "BirefringentLayer"]

@@ -38,19 +38,7 @@ import numpy as np
 
 from repro.metasurface.materials import SubstrateMaterial, FR4
 from repro.metasurface.varactor import VaractorDiode, SMV1233
-
-
-def _positive_frequency(frequency_hz) -> np.ndarray:
-    """``frequency_hz`` as a float array, rejecting non-positive values.
-
-    The frequency check of the metasurface batch paths: each public
-    entry point runs it once and hands the array to the unchecked
-    internals.  NaN passes (it fails no ``<= 0`` comparison).
-    """
-    frequency = np.asarray(frequency_hz, dtype=float)
-    if (frequency <= 0).any():
-        raise ValueError("frequency must be positive")
-    return frequency
+from repro.units import positive_frequency
 
 
 @dataclass(frozen=True)
@@ -145,8 +133,8 @@ class PhaseShifterLayer:
         response and the mismatch loss are built on.
 
         ``frequency`` must already be a validated positive array (see
-        :func:`_positive_frequency`); callers evaluating several
-        quantities of one layer validate it once.
+        :func:`repro.units.positive_frequency`); callers evaluating
+        several quantities of one layer validate it once.
         """
         resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
         return frequency / resonant - resonant / frequency
@@ -159,7 +147,7 @@ class PhaseShifterLayer:
         against ``bias_voltages_v``, so whole frequency sweeps evaluate
         in the same pass as bias grids.
         """
-        detuning = self._detuning(_positive_frequency(frequency_hz),
+        detuning = self._detuning(positive_frequency(frequency_hz),
                                   bias_voltages_v)
         return -np.arctan(self.loading_factor * detuning)
 
@@ -199,7 +187,7 @@ class PhaseShifterLayer:
         be a scalar or an array broadcastable against
         ``bias_voltages_v``.
         """
-        detuning = self._detuning(_positive_frequency(frequency_hz),
+        detuning = self._detuning(positive_frequency(frequency_hz),
                                   bias_voltages_v)
         return 10.0 * np.log10(
             1.0 + (self.detuning_loss_coefficient * detuning) ** 2)

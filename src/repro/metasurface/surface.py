@@ -36,8 +36,9 @@ from repro.constants import (
     PROTOTYPE_UNIT_COUNT,
 )
 from repro.core.jones import JonesMatrix, JonesVector
-from repro.metasurface.layers import BirefringentLayer, QuarterWavePlateLayer
-from repro.metasurface.phase_shifter import _positive_frequency
+from repro.metasurface.layers import (BirefringentLayer, QuarterWavePlateLayer,
+                                      axis_points, split_axes)
+from repro.units import positive_frequency
 
 
 class SurfaceMode(Enum):
@@ -183,9 +184,15 @@ class Metasurface:
         # T_y = front[:, 1] (x) back[1, :], weighting dx and dy.
         front = self.front_qwp.jones_matrix(self.design_frequency_hz).as_array()
         back = self.back_qwp.jones_matrix(self.design_frequency_hz).as_array()
-        object.__setattr__(self, "_cascade_terms",
-                           (np.outer(front[:, 0], back[0, :]),
-                            np.outer(front[:, 1], back[1, :])))
+        object.__setattr__(self, "_cascade_terms", np.stack(
+            [np.outer(front[:, 0], back[0, :]),
+             np.outer(front[:, 1], back[1, :])]))
+        object.__setattr__(self, "_pass_band_centers", np.array(
+            [self.design_frequency_hz - self.axis_detuning_hz,
+             self.design_frequency_hz + self.axis_detuning_hz]))
+        # The cascade weights of the last scalar frequency probed: a link
+        # probes one carrier pass after pass.
+        object.__setattr__(self, "_scalar_weights", {})
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -199,34 +206,32 @@ class Metasurface:
                     f"[{BIAS_VOLTAGE_MIN_V}, {BIAS_VOLTAGE_MAX_V}] V")
 
     @staticmethod
-    def _validate_voltage_arrays(vx: np.ndarray,
-                                 vy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Validate bias-voltage arrays and return them as float arrays."""
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        for name, values in (("Vx", vx), ("Vy", vy)):
-            # NaN fails both comparisons, so it is rejected here just
-            # like the scalar _validate_voltages path rejects it.
-            if not ((values >= BIAS_VOLTAGE_MIN_V) &
-                    (values <= BIAS_VOLTAGE_MAX_V)).all():
-                raise ValueError(
-                    f"{name} contains voltages outside the supported bias "
-                    f"range [{BIAS_VOLTAGE_MIN_V}, {BIAS_VOLTAGE_MAX_V}] V")
-        return vx, vy
+    def _validate_axis_voltages(voltages: np.ndarray, split: int) -> None:
+        """Validate the flat voltages of an :func:`axis_points` layout,
+        the Vx points the first ``split``."""
+        # NaN fails both comparisons, so it is rejected here just like
+        # the scalar _validate_voltages path rejects it.
+        inside = ((voltages >= BIAS_VOLTAGE_MIN_V) &
+                  (voltages <= BIAS_VOLTAGE_MAX_V))
+        if not inside.all():
+            raise ValueError(
+                f"{'Vx' if not inside[:split].all() else 'Vy'} contains "
+                f"voltages outside the supported bias range "
+                f"[{BIAS_VOLTAGE_MIN_V}, {BIAS_VOLTAGE_MAX_V}] V")
 
-    def _effective_voltages(self, vx: float, vy: float) -> Tuple[float, float]:
+    def _effective_voltages(self, voltages):
         """Map terminal bias voltages to effective junction voltages.
 
         Identity for the idealised structure; the prototype derating maps
         the 0-30 V terminal range onto the designed junction range.
+        ``voltages`` is a scalar or an array of either axis's voltages.
         """
         if self.bias_derating is None:
-            return (vx, vy)
+            return voltages
         low, high = self.bias_derating
         span = BIAS_VOLTAGE_MAX_V - BIAS_VOLTAGE_MIN_V
         scale = (high - low) / span
-        return (low + (vx - BIAS_VOLTAGE_MIN_V) * scale,
-                low + (vy - BIAS_VOLTAGE_MIN_V) * scale)
+        return low + (voltages - BIAS_VOLTAGE_MIN_V) * scale
 
     # ------------------------------------------------------------------ #
     # Structure-level band-pass response
@@ -237,23 +242,42 @@ class Metasurface:
         ``frequency_hz`` may be a scalar (returns a float) or a NumPy
         array (returns the element-wise roll-off with the same shape).
         """
-        frequency = _positive_frequency(frequency_hz)
+        frequency = positive_frequency(frequency_hz)
         if axis not in ("x", "y"):
             raise ValueError("axis must be 'x' or 'y'")
-        value = 10.0 * np.log10(self._bandpass_excess(frequency, axis))
+        value = 10.0 * np.log10(self._bandpass_excess(frequency)[
+            ..., "xy".index(axis)])
         if np.isscalar(frequency_hz):
             return float(value)
         return value
 
-    def _bandpass_excess(self, frequency: np.ndarray,
-                         axis: str) -> np.ndarray:
-        """Band-pass power loss factor ``1 + x^(2 order)`` of one axis,
-        ``x`` the normalised offset from the axis's pass-band centre, on
-        an already validated frequency."""
-        center = self.design_frequency_hz + (
-            self.axis_detuning_hz if axis == "y" else -self.axis_detuning_hz)
-        normalized = 2.0 * self.selectivity_q * (frequency - center) / center
+    def _bandpass_excess(self, frequency: np.ndarray) -> np.ndarray:
+        """Band-pass power loss factor ``1 + x^(2 order)`` of both axes,
+        ``(..., 2)``, ``x`` the normalised offset from each axis's
+        pass-band centre, on an already validated frequency."""
+        centers = self._pass_band_centers
+        normalized = (2.0 * self.selectivity_q * (frequency[..., None] -
+                                                  centers) / centers)
         return 1.0 + normalized ** (2 * self.filter_order)
+
+    def _cascade_weights(self, frequency: np.ndarray) -> np.ndarray:
+        """The cascade's ``(..., 2, 2, 2)`` weights ``(W_x, W_y)``.
+
+        ``W_a[i, j] = T_a[i, j] c_j``: the QWP outer product of BFS axis
+        ``a`` with ``c_j``, the band-pass field amplitude of input axis
+        ``j``, folded in, so ``J = dx W_x + dy W_y``.  They depend on the
+        (validated) frequency alone, so the last scalar frequency's
+        weights are kept for the next call.
+        """
+        key = float(frequency) if frequency.ndim == 0 else None
+        weights = self._scalar_weights.get(key)
+        if weights is None:
+            amplitudes = self._bandpass_excess(frequency) ** -0.5
+            weights = self._cascade_terms * amplitudes[..., None, None, :]
+            if key is not None:
+                self._scalar_weights.clear()
+                self._scalar_weights[key] = weights
+        return weights
 
     # ------------------------------------------------------------------ #
     # Transmissive response
@@ -282,32 +306,24 @@ class Metasurface:
         matrices equal the scalar :meth:`jones_matrix` at each
         (frequency, voltage) operating point.
 
-        The cascade is written out entry by entry into one output array:
-        ``J[..., i, j] = (T_x[i, j] dx + T_y[i, j] dy) a_j``, where
-        ``(dx, dy)`` is the BFS diagonal
-        (:meth:`BirefringentLayer.diagonal_batch`), ``a_j`` the band-pass
-        field amplitude of input axis ``j`` and ``T_x``, ``T_y`` the
-        QWP outer products hoisted to construction (the QWP matrices
-        are frequency-independent, so no call rebuilds them).
+        The cascade is written out as ``J = dx W_x + dy W_y``: ``(dx,
+        dy)`` is the BFS diagonal, evaluated for both axes in one
+        stacked pass (:meth:`BirefringentLayer._diagonal`) with the
+        voltages validated once, and ``W_x``, ``W_y`` the ``(2, 2)``
+        weights of :meth:`_cascade_weights`, the QWP outer products
+        hoisted to construction (the QWP matrices are
+        frequency-independent) with the band-pass field amplitude of
+        each input axis folded in.
         """
-        vx, vy = self._validate_voltage_arrays(vx, vy)
-        frequency = _positive_frequency(frequency_hz)
-        dx, dy = self.birefringent._diagonal(
-            frequency, *self._effective_voltages(vx, vy))
-        # Band-pass field amplitude per input axis: the field form of
-        # bandpass_loss_db.
-        amplitudes = (self._bandpass_excess(frequency, "x") ** -0.5,
-                      self._bandpass_excess(frequency, "y") ** -0.5)
-        terms_x, terms_y = self._cascade_terms
-        jones = np.empty(np.broadcast_shapes(dx.shape, dy.shape) + (2, 2),
-                         dtype=complex)
-        for j, amplitude in enumerate(amplitudes):
-            column_x, column_y = dx * amplitude, dy * amplitude
-            for i in range(2):
-                entry = jones[..., i, j]
-                np.multiply(terms_x[i, j], column_x, out=entry)
-                entry += terms_y[i, j] * column_y
-        return jones
+        frequency = positive_frequency(frequency_hz)
+        points, shapes = axis_points(frequency, vx, vy)
+        self._validate_axis_voltages(points[1], math.prod(shapes[0]))
+        points[1] = self._effective_voltages(points[1])
+        dx, dy = split_axes(self.birefringent._diagonal(points, shapes),
+                            shapes)
+        weights = self._cascade_weights(frequency)
+        return (dx[..., None, None] * weights[..., 0, :, :] +
+                dy[..., None, None] * weights[..., 1, :, :])
 
     def rotation_angle_deg(self, frequency_hz: float, vx: float,
                            vy: float) -> float:
@@ -317,9 +333,9 @@ class Metasurface:
         sign convention is such that the magnitude matches Table 1.
         """
         self._validate_voltages(vx, vy)
-        effective_vx, effective_vy = self._effective_voltages(vx, vy)
         delta = self.birefringent.differential_phase_rad(
-            frequency_hz, effective_vx, effective_vy)
+            frequency_hz, self._effective_voltages(vx),
+            self._effective_voltages(vy))
         return math.degrees(delta) / 2.0
 
     def transmission_efficiency(self, frequency_hz: float, vx: float,

@@ -73,8 +73,8 @@ class VaractorDiode:
         controller sweeps 0-30 V and the physical diode simply saturates
         at its minimum capacitance near the top of that range.
         """
-        voltage = np.clip(np.asarray(reverse_voltage_v, dtype=float),
-                          0.0, self.max_reverse_voltage_v)
+        voltage = np.minimum(np.maximum(reverse_voltage_v, 0.0),
+                             self.max_reverse_voltage_v)
         capacitance = (self.junction_capacitance_f /
                        np.power(1.0 + voltage / self.junction_potential_v,
                                 self.grading_coefficient) +

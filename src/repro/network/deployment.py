@@ -129,6 +129,7 @@ class DenseDeployment:
         self._links: Dict[str, WirelessLink] = {}
         self._baselines: Dict[str, WirelessLink] = {}
         self._ensembles: Dict[bool, LinkEnsemble] = {}
+        self._orientation_groups: Dict[float, Tuple[Tuple[str, ...], ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Link construction
@@ -276,14 +277,24 @@ class DenseDeployment:
         polarization-reuse scheduler exploits (one bias pair can serve a
         whole group well).  The lowest-index unassigned station anchors
         each next group and claims every unassigned station in tolerance.
+        The stations are fixed, so each tolerance is clustered once;
+        every call returns fresh lists.
         """
         if tolerance_deg <= 0:
             raise ValueError("tolerance must be positive")
+        groups = self._orientation_groups.get(tolerance_deg)
+        if groups is None:
+            groups = self._orientation_groups[tolerance_deg] = (
+                self._cluster_orientations(tolerance_deg))
+        return [list(group) for group in groups]
+
+    def _cluster_orientations(self, tolerance_deg: float
+                              ) -> Tuple[Tuple[str, ...], ...]:
         names = self.station_names
         orientations = np.array([station.orientation_deg % 180.0
                                  for station in self.stations])
         unassigned = np.ones(len(names), dtype=bool)
-        groups: List[List[str]] = []
+        groups = []
         while unassigned.any():
             anchor = int(np.argmax(unassigned))
             difference = np.abs(orientations - orientations[anchor]) % 180.0
@@ -291,8 +302,9 @@ class DenseDeployment:
             members = unassigned & (difference <= tolerance_deg)
             members[anchor] = True
             unassigned &= ~members
-            groups.append([names[index] for index in np.flatnonzero(members)])
-        return groups
+            groups.append(tuple(names[index]
+                                for index in np.flatnonzero(members)))
+        return tuple(groups)
 
     @staticmethod
     def random_home(station_count: int = 6, seed: int = 7,

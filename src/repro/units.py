@@ -141,6 +141,22 @@ def polarization_angle_difference(angle_a_deg: ArrayLike,
     return folded
 
 
+def positive_frequency(frequency_hz: ArrayLike) -> FloatArray:
+    """``frequency_hz`` as a float array, rejecting any element that is
+    not positive and finite (NaN and +inf included).
+
+    The one frequency check of the free-space and metasurface batch
+    paths: each public entry point runs it once and hands the array to
+    its unchecked internals.
+    """
+    frequencies: FloatArray = _as_array(frequency_hz)
+    if not ((frequencies > 0) & (frequencies < math.inf)).all():
+        raise ValueError("frequency must be positive"
+                         if (frequencies <= 0).any()
+                         else "frequency must be positive and finite")
+    return frequencies
+
+
 def frequency_to_wavelength(frequency_hz: ArrayLike,
                             speed_of_light: float = 299_792_458.0
                             ) -> FloatArray:
@@ -180,6 +196,7 @@ __all__ = [
     "wrap_angle_degrees",
     "wrap_angle_180",
     "polarization_angle_difference",
+    "positive_frequency",
     "frequency_to_wavelength",
     "wavelength_to_frequency",
 ]

@@ -39,6 +39,15 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             free_space_path_loss_db(1.0, 0.0)
 
+    @pytest.mark.parametrize("frequency", [float("nan"), float("inf"),
+                                           float("-inf")])
+    def test_non_finite_frequency_raises(self, frequency):
+        """Before, a NaN frequency returned a NaN loss."""
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            free_space_path_loss_db(3.0, frequency)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            free_space_path_loss_db(3.0, np.array([2.4e9, frequency]))
+
     @given(st.floats(min_value=0.1, max_value=100.0),
            st.floats(min_value=1e9, max_value=1e10))
     @settings(max_examples=40)

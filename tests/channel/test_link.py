@@ -77,6 +77,43 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             transmissive_config(surface, clutter_blocking_db=-1.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("frequency_hz", float("nan"), "frequency must be positive and "
+                                       "finite"),
+        ("frequency_hz", float("inf"), "frequency must be positive and "
+                                       "finite"),
+        ("bandwidth_hz", float("inf"), "bandwidth must be positive and "
+                                       "finite"),
+        ("bandwidth_hz", float("nan"), "bandwidth must be positive and "
+                                       "finite"),
+        ("noise_figure_db", float("nan"), "noise figure must be "
+                                          "non-negative and finite"),
+        ("noise_figure_db", float("inf"), "noise figure must be "
+                                          "non-negative and finite"),
+        ("surface_obstruction_db", float("nan"), "surface obstruction"),
+        ("surface_obstruction_db", float("inf"), "surface obstruction"),
+        ("clutter_blocking_db", float("nan"), "clutter blocking"),
+        ("clutter_blocking_db", float("inf"), "clutter blocking"),
+        ("tx_power_dbm", float("nan"), "transmit power must be finite"),
+        ("tx_power_dbm", float("-inf"), "transmit power must be finite"),
+        ("interference_floor_dbm", float("nan"), "interference floor must "
+                                                 "be finite"),
+        ("interference_floor_dbm", float("-inf"), "interference floor must "
+                                                  "be finite"),
+    ])
+    def test_non_finite_numbers_raise(self, surface, field, value, message):
+        """Before, a NaN frequency or power gave NaN power and an
+        infinite frequency a ZeroDivisionError inside the pass."""
+        with pytest.raises(ValueError, match=message):
+            transmissive_config(surface, **{field: value})
+
+    def test_finite_edges_stay_valid(self, surface):
+        config = transmissive_config(
+            surface, noise_figure_db=0.0, surface_obstruction_db=0.0,
+            clutter_blocking_db=0.0, tx_power_dbm=-30.0,
+            interference_floor_dbm=-90.0)
+        assert WirelessLink(config).received_power_dbm(5.0, 9.0) < 0.0
+
 
 class TestMismatchBaseline:
     def test_mismatch_costs_10_to_15_db(self):

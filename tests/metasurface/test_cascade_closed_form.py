@@ -294,6 +294,33 @@ class TestPhysics:
             with pytest.raises(ValueError, match="^frequency must be positive$"):
                 call(bad, 1.0, 2.0)
 
+    @pytest.mark.parametrize("method", ["jones_matrix_batch",
+                                        "reflection_jones_matrix_batch",
+                                        "bandpass_loss_db"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_frequency_raises(self, method, bad):
+        """Before, NaN gave NaN matrices and +inf all-zero ones."""
+        surface = llama_design().build()
+        call = getattr(surface, method)
+        args = () if method == "bandpass_loss_db" else (1.0, 2.0)
+        message = ("^frequency must be positive$" if bad < 0 else
+                   "^frequency must be positive and finite$")
+        for frequency in (bad, np.array([[2.4e9], [bad]])):
+            with pytest.raises(ValueError, match=message):
+                call(frequency, *args)
+
+    def test_layer_batches_reject_non_finite_frequency(self):
+        birefringent = llama_design().build().birefringent
+        layer = birefringent.x_layers[0]
+        for call in (lambda: birefringent.diagonal_batch(math.nan, 1.0, 2.0),
+                     lambda: layer.transmission_phase_rad_batch(math.inf,
+                                                                3.0),
+                     lambda: layer.detuning_loss_db_batch(
+                         np.array([2.4e9, math.nan]), 3.0)):
+            with pytest.raises(ValueError, match="positive and finite$"):
+                call()
+
     def test_layer_batches_reject_non_positive_frequency(self):
         birefringent = llama_design().build().birefringent
         layer = birefringent.x_layers[0]
@@ -344,19 +371,20 @@ class TestWorkCounts:
         surface = llama_design().build()
         counts = spy_work()
         getattr(surface, method)(2.44e9, self.VX, self.VY)
-        # Two identical layers per axis: one varactor evaluation per
-        # axis, and the QWP matrices are constants of the built surface.
-        assert counts == {"capacitance_f": 2, "quarter_wave_plate": 0}
+        # Both axes' layers share one varactor: one evaluation for the
+        # stacked axes, and the QWP matrices are constants of the built
+        # surface.
+        assert counts == {"capacitance_f": 1, "quarter_wave_plate": 0}
 
-    def test_three_layer_stack_still_two_evaluations(self, spy_work):
+    def test_three_layer_stack_still_one_evaluation(self, spy_work):
         surface = rogers_reference_design().build()
         assert surface.birefringent.layers_per_axis == 3
         counts = spy_work()
         surface.jones_matrix_batch(np.array([[2.4e9], [2.5e9]]),
                                    self.VX, self.VY)
-        assert counts == {"capacitance_f": 2, "quarter_wave_plate": 0}
+        assert counts == {"capacitance_f": 1, "quarter_wave_plate": 0}
 
-    def test_distinct_layers_each_evaluated_once(self, spy_work):
+    def test_distinct_layers_share_one_varactor_evaluation(self, spy_work):
         base = llama_design().build()
         layer = base.birefringent.x_layers[0]
         other = layer.with_inductance(1.1 * layer.inductance_h)
@@ -364,4 +392,17 @@ class TestWorkCounts:
             x_layers=(layer, other, layer), y_layers=(other,)))
         counts = spy_work()
         surface.jones_matrix_batch(2.44e9, self.VX, self.VY)
-        assert counts == {"capacitance_f": 3, "quarter_wave_plate": 0}
+        assert counts == {"capacitance_f": 1, "quarter_wave_plate": 0}
+
+    def test_each_distinct_varactor_evaluated_once(self, spy_work):
+        base = llama_design().build()
+        layer = base.birefringent.x_layers[0]
+        other = replace(layer, varactor=replace(
+            layer.varactor, name="other", junction_capacitance_f=4.9e-12))
+        surface = replace(base, birefringent=BirefringentLayer(
+            x_layers=(layer, other, layer), y_layers=(other,)))
+        counts = spy_work()
+        jones = surface.jones_matrix_batch(2.44e9, self.VX, self.VY)
+        assert counts == {"capacitance_f": 2, "quarter_wave_plate": 0}
+        assert np.max(np.abs(jones - reference_jones(
+            surface, 2.44e9, self.VX, self.VY))) <= TOLERANCE

@@ -81,3 +81,34 @@ class TestAnchorMajorGroups:
         assert (deployment_groups(orientations, 20.0)
                 == reference_groups(orientations, 20.0)
                 == [["s0", "s2", "s4"], ["s1"], ["s3"]])
+
+
+class TestClusteredOncePerTolerance:
+    """The stations are an immutable tuple, so each tolerance's groups
+    are clustered once; callers get fresh lists every time."""
+
+    def test_each_tolerance_clusters_once(self, monkeypatch):
+        deployment = DenseDeployment.random_home(8, seed=3)
+        calls = []
+        cluster = DenseDeployment._cluster_orientations
+
+        def spy(self, tolerance_deg):
+            calls.append(tolerance_deg)
+            return cluster(self, tolerance_deg)
+
+        monkeypatch.setattr(DenseDeployment, "_cluster_orientations", spy)
+        first = deployment.orientation_groups(20.0)
+        for _ in range(3):
+            assert deployment.orientation_groups(20.0) == first
+        deployment.orientation_groups(45.0)
+        deployment.orientation_groups(45.0)
+        assert calls == [20.0, 45.0]
+
+    def test_returned_lists_cannot_corrupt_the_cache(self):
+        deployment = DenseDeployment.random_home(8, seed=3)
+        groups = deployment.orientation_groups(20.0)
+        expected = [list(group) for group in groups]
+        groups[0].append("intruder")
+        groups.append(["ghost"])
+        assert deployment.orientation_groups(20.0) == expected
+        assert deployment.orientation_groups(20.0) is not groups
