@@ -1,12 +1,13 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the wall-clock benchmark gates.
 
-Each benchmark regenerates one table or figure of the paper's evaluation
-and prints the same rows/series the paper reports (see DESIGN.md for the
-experiment index and EXPERIMENTS.md for the paper-vs-measured summary).
-The figure runners are deterministic simulations, so a single
-measurement round per benchmark is sufficient and keeps the whole suite
-fast; the shared scaffolding (``run_once``, the speedup and table
-helpers) lives in :mod:`bench_utils`.
+Every test here asserts on a clock reading: a speedup of a batched path
+over its scalar reference loop, an overhead fraction, or a time budget.
+They run outside the default pytest suite (``testpaths`` names
+``tests`` and ``perfbench`` only), as ``python -m pytest benchmarks -q
+-s``, so a busy machine can fail a gate here without failing the
+correctness suite.  Each gate has a work-count twin under ``tests/``
+that pins the passes, calls or copies the speedup comes from.  The
+shared timing helpers live in :mod:`bench_utils`.
 """
 
 import os

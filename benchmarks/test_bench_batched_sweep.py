@@ -9,13 +9,7 @@ numerical precision.
 
 import numpy as np
 
-from bench_utils import (
-    assert_speedup,
-    print_speedup_table,
-    run_once,
-    speedup_row,
-    timed,
-)
+from bench_utils import assert_speedup, print_speedup_table, speedup_row, timed
 from repro.channel.grid import ProbeGrid
 from repro.experiments.scenarios import ReflectiveScenario, TransmissiveScenario
 
@@ -47,8 +41,8 @@ def run_sweep_comparison():
     return rows
 
 
-def test_bench_batched_sweep(benchmark):
-    rows = run_once(benchmark, run_sweep_comparison)
+def test_bench_batched_sweep():
+    rows = run_sweep_comparison()
 
     print_speedup_table(
         "Batched measurement plane vs scalar loop "

@@ -4,17 +4,13 @@ The fault plane promises a pure-delegation fast path: an inactive
 ``FaultySchedule`` draws from no stream and a ``RetryingBackend`` adds
 one guarded call per probe, so wrapping the whole resilience stack
 around the measurement backend must cost <5% on amortized batched
-probes — and stay bit-identical.  The timed rows land in the current
-PR's ``BENCH_<n>.json`` archive (``trajectory.write_bench_rows``) so
-the gate's evidence ships with the tree; ``BENCH_7.json`` remains the
-PR 7 measurement.
+probes — and stay bit-identical.
 """
 
 import time
 
 import numpy as np
 
-from bench_utils import run_once, write_bench_rows
 from repro.api.backend import LinkBackend
 from repro.api.session import LinkSession
 from repro.channel.grid import ProbeGrid
@@ -101,8 +97,8 @@ def run_overhead_comparison():
         for label, grid in grids]
 
 
-def test_bench_disabled_injection_overhead(benchmark):
-    rows = run_once(benchmark, run_overhead_comparison)
+def test_bench_disabled_injection_overhead():
+    rows = run_overhead_comparison()
 
     print()
     print(format_table(
@@ -112,10 +108,6 @@ def test_bench_disabled_injection_overhead(benchmark):
           row["overhead_fraction"], row["max_error_db"]] for row in rows],
         precision=4,
         title="Resilience stack overhead with injection disabled"))
-
-    write_bench_rows(
-        "disabled-injection resilience overhead", rows,
-        meta={"max_overhead_fraction": MAX_OVERHEAD_FRACTION})
 
     for row in rows:
         assert row["max_error_db"] <= PARITY_DB, row

@@ -12,19 +12,9 @@ fleet while the loop recomputes it per station; the scheduling searches
 
 import numpy as np
 
-from bench_utils import (
-    assert_speedup,
-    print_speedup_table,
-    run_once,
-    speedup_row,
-    speedup_rows_as_records,
-    timed,
-    write_bench_rows,
-)
+from bench_utils import assert_speedup, print_speedup_table, speedup_row, timed
 from repro.api import FleetSession, FleetSpec, LinkSession, ProbeGrid
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
-from repro.experiments.figures import deployment_scheduling_comparison
-from repro.experiments.reporting import format_table
 
 STATION_COUNT = 12
 STEP_V = 2.0
@@ -111,44 +101,14 @@ def run_fleet_comparison():
     return rows
 
 
-def test_bench_fleet_stacking(benchmark):
-    rows = run_once(benchmark, run_fleet_comparison)
+def test_bench_fleet_stacking():
+    rows = run_fleet_comparison()
 
     print_speedup_table(
         "Fleet-stacked scheduling planes vs per-station LinkSession loops",
         rows, row_label="plane", count_label="probes",
         slow_label="session loop", fast_label="fleet-stacked")
 
-    write_bench_rows(
-        "fleet stacking vs session loops",
-        speedup_rows_as_records(rows, row_label="plane",
-                                count_label="probes"),
-        meta={"min_speedup_x": 3.0, "stations": STATION_COUNT,
-              "grid_shape": [int(LEVELS.size), int(LEVELS.size)]})
-
     # Acceptance bar for the fleet API: >= 3x per scheduling plane.
     assert_speedup(rows, min_speedup=3.0)
 
-
-def test_bench_fleet_scheduling_comparison(benchmark):
-    """The Sec. 7 deployment figure: every strategy over one epoch."""
-    result = run_once(benchmark, deployment_scheduling_comparison)
-
-    print()
-    print(format_table(
-        ["scheduler", "net throughput (Mbit/s)", "worst station (Mbit/s)",
-         "Jain fairness", "retunes"],
-        result.rows(), precision=2,
-        title=f"Deployment scheduling over one "
-              f"{result.epoch_duration_s:.0f} s epoch "
-              f"({len(result.spec.stations)} stations)"))
-
-    reuse = result.result_for("polarization-reuse")
-    per_station = result.result_for("per-station")
-    baseline = result.result_for("no-surface")
-    # Shape: the surface lifts the worst-served station, and clustering
-    # retunes less often than per-station tuning at comparable
-    # throughput — the paper's polarization-reuse claim.
-    assert reuse.worst_station_rate_mbps >= baseline.worst_station_rate_mbps
-    assert result.reuse_retune_savings > 0
-    assert reuse.total_throughput_mbps > 0.9 * per_station.total_throughput_mbps

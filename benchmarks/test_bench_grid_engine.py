@@ -11,15 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bench_utils import (
-    assert_speedup,
-    print_speedup_table,
-    run_once,
-    speedup_row,
-    speedup_rows_as_records,
-    timed,
-    write_bench_rows,
-)
+from bench_utils import assert_speedup, print_speedup_table, speedup_row, timed
 from repro.channel.geometry import LinkGeometry
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
@@ -72,20 +64,13 @@ def run_grid_engine_comparison():
     return rows
 
 
-def test_bench_grid_engine(benchmark):
-    rows = run_once(benchmark, run_grid_engine_comparison)
+def test_bench_grid_engine():
+    rows = run_grid_engine_comparison()
 
     print_speedup_table(
         "N-D grid engine vs looping one-axis frequency grids over the "
         "second axis", rows, row_label="grid", count_label="points",
         slow_label="looped sweep", fast_label="grid engine")
-
-    write_bench_rows(
-        "grid engine vs looped sweep",
-        speedup_rows_as_records(rows, row_label="grid"),
-        meta={"min_speedup_x": 3.0,
-              "grid_shape": [int(FREQUENCIES.size), int(TX_POWERS_DBM.size),
-                             int(VOLTAGE_PAIRS[0].size)]})
 
     # Acceptance bar for the grid engine: >= 3x per joint grid.
     assert_speedup(rows, min_speedup=3.0)

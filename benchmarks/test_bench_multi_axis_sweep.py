@@ -13,13 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bench_utils import (
-    assert_speedup,
-    print_speedup_table,
-    run_once,
-    speedup_row,
-    timed,
-)
+from bench_utils import assert_speedup, print_speedup_table, speedup_row, timed
 from repro.api.backend import CallableBackend, ReceiverSweepBackend
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
@@ -119,8 +113,8 @@ def run_multi_axis_comparison():
     return [run_fig17_frequency_sweep(), run_fig18_txpower_sweep()]
 
 
-def test_bench_multi_axis_sweep(benchmark):
-    rows = run_once(benchmark, run_multi_axis_comparison)
+def test_bench_multi_axis_sweep():
+    rows = run_multi_axis_comparison()
 
     print_speedup_table(
         "Multi-axis sweep engine vs scalar per-point loops "

@@ -1,7 +1,6 @@
-"""Sharded ``run_all`` executor and persistent result store gates.
+"""Parallel ``run_all`` executor and persistent result store gates.
 
-Two acceptance bars from the issue, both archived in the perf
-trajectory (``BENCH_<pr>.json``):
+Two acceptance bars:
 
 * ``run_all`` of the figure tag with 4 workers beats serial by >= 2x
   against a cold store.  The registered experiments are fast at their
@@ -9,9 +8,8 @@ trajectory (``BENCH_<pr>.json``):
   scales the compute-heavy knobs up via per-experiment ``overrides`` —
   the parity requirement is unchanged: every sharded result must be
   ``equal`` (<= 1e-9 dB) to its serial twin.  The speedup gate only
-  applies on >= 4-core machines; the measurement itself always runs
-  and is always archived (with the core count in the row) so the
-  trajectory records what this machine actually did.
+  applies on >= 4-core machines; the measurement and the parity check
+  always run, and the printed line names the core count.
 * A second ``run_all`` against the warm store — fresh runner, empty
   memory tier, every result re-hydrated from disk — is >= 10x faster
   than the cold computing pass.
@@ -21,7 +19,7 @@ import gc
 import os
 import tempfile
 
-from bench_utils import run_once, timed, write_bench_rows
+from bench_utils import timed
 from repro.experiments import REGISTRY
 from repro.experiments.parallel import default_mp_context
 from repro.experiments.runner import Runner
@@ -106,13 +104,8 @@ def run_store_comparison():
     }
 
 
-def test_bench_parallel_run_all(benchmark):
-    row = run_once(benchmark, run_parallel_comparison)
-    write_bench_rows(
-        "parallel run-all (sharded executor)", [row],
-        meta={"min_speedup_x": MIN_PARALLEL_SPEEDUP,
-              "gated_when": f"os.cpu_count() >= {WORKERS}",
-              "overrides": SCALE_OVERRIDES})
+def test_bench_parallel_run_all():
+    row = run_parallel_comparison()
 
     print(f"\nparallel run-all: {row['slow_ms']:.0f} ms serial vs "
           f"{row['fast_ms']:.0f} ms with {WORKERS} workers "
@@ -125,11 +118,8 @@ def test_bench_parallel_run_all(benchmark):
         assert row["speedup_x"] >= MIN_PARALLEL_SPEEDUP, row
 
 
-def test_bench_warm_store_run_all(benchmark):
-    row = run_once(benchmark, run_store_comparison)
-    write_bench_rows(
-        "warm result store vs cold compute", [row],
-        meta={"min_speedup_x": MIN_WARM_SPEEDUP})
+def test_bench_warm_store_run_all():
+    row = run_store_comparison()
 
     print(f"\nwarm store run-all: {row['slow_ms']:.0f} ms cold vs "
           f"{row['fast_ms']:.1f} ms warm ({row['speedup_x']:.0f}x)")

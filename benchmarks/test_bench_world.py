@@ -12,7 +12,7 @@ engine rather than multiplying scalar probes.
 
 import numpy as np
 
-from bench_utils import timed, write_bench_rows
+from bench_utils import timed
 from repro.api.fleet import FleetSpec
 from repro.world import MobilityTrace, RotationTrace, WorldTimeline
 
@@ -58,12 +58,8 @@ def run_world_comparison():
     }
 
 
-def test_bench_batched_world_timeline(benchmark):
-    row = benchmark.pedantic(run_world_comparison, rounds=1, iterations=1)
-    write_bench_rows(
-        "world batched timeline vs scalar reference", [row],
-        meta={"min_speedup_x": MIN_SPEEDUP, "parity_db": PARITY_DB,
-              "duration_s": DURATION_S, "time_step_s": TIME_STEP_S})
+def test_bench_batched_world_timeline():
+    row = run_world_comparison()
 
     print(f"\nworld timeline: {row['probe_cells']} probe cells, "
           f"{row['slow_ms']:.1f} ms scalar vs {row['fast_ms']:.1f} ms "

@@ -77,8 +77,6 @@ _EXPERIMENT_EXPORTS = {
     "Runner": ("repro.experiments.runner", "Runner"),
     "ResultStore": ("repro.experiments.store", "ResultStore"),
     "ProgressReporter": ("repro.experiments.parallel", "ProgressReporter"),
-    "evaluate_grid_sharded": ("repro.experiments.parallel",
-                              "evaluate_grid_sharded"),
 }
 
 #: Serving-layer exports, also lazy: the service facade sits *above*
@@ -138,7 +136,6 @@ __all__ = [
     "Runner",
     "ResultStore",
     "ProgressReporter",
-    "evaluate_grid_sharded",
     "LoadProfile",
     "RequestMix",
     "RequestTrace",

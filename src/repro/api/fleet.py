@@ -79,6 +79,7 @@ from repro.network.access_control import (
 from repro.network.deployment import (
     DenseDeployment,
     StationPlacement,
+    _validate_deployment,
     _validate_station,
 )
 from repro.network.scheduler import (
@@ -224,6 +225,8 @@ class FleetSpec:
             raise ValueError(
                 f"unknown surface design {self.surface!r}; expected one of "
                 f"{sorted(SURFACE_DESIGNS)}")
+        _validate_deployment(self.ap_orientation_deg, self.frequency_hz,
+                             self.environment_seed)
 
     # ------------------------------------------------------------------ #
     # Introspection

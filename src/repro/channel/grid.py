@@ -229,7 +229,7 @@ class ProbeGrid:
                 for axis in self.axes}
 
     # ------------------------------------------------------------------ #
-    # Sharding (the parallel executor's slice plan)
+    # Splitting (bounded slices of one probe)
     # ------------------------------------------------------------------ #
     def split_dim(self) -> Optional[int]:
         """The result dimension :meth:`split` shards along.
@@ -246,7 +246,7 @@ class ProbeGrid:
     def largest_axis(self) -> Optional[str]:
         """Name of the first axis spanning the longest grid dimension.
 
-        This is the axis the parallel executor shards along: slicing its
+        This is the axis :meth:`split` cuts along: slicing its
         points slices the evaluation result along :meth:`split_dim`.
         ``None`` when the grid is unsplittable (see :meth:`split_dim`).
         """
@@ -292,8 +292,8 @@ class ProbeGrid:
         chunks; each shard is a valid :class:`ProbeGrid` over the same
         axes.  Concatenating the shards' evaluation results along
         ``split_dim()`` — in order — reproduces the full grid's result
-        bit-for-bit, which is the reassembly contract of
-        :func:`repro.experiments.parallel.evaluate_grid_sharded`.
+        bit-for-bit, which is how :class:`repro.world.WorldTimeline`
+        streams its retune cube in bounded slices.
         Unsplittable grids and ``parts <= 1`` return ``(self,)``.
         """
         if parts <= 1:

@@ -43,10 +43,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.store import ResultStore, code_fingerprint
-from repro.experiments.parallel import (
-    ProgressReporter,
-    evaluate_grid_sharded,
-)
+from repro.experiments.parallel import ProgressReporter
 from repro.experiments import figures
 from repro.experiments import robustness
 from repro.experiments import serving
@@ -75,7 +72,6 @@ __all__ = [
     "ResultStore",
     "ProgressReporter",
     "code_fingerprint",
-    "evaluate_grid_sharded",
     "default_runner",
     "run_experiment",
     "figures",

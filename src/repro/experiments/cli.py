@@ -16,9 +16,6 @@
 * ``coverage [--json PATH]``      — which scenarios,
   :data:`~repro.channel.grid.SWEEP_AXES` and ``repro`` modules the
   registered suite exercises, and what remains uncovered.
-* ``bench-report [--dir DIR] [--json PATH]`` — render the per-PR
-  ``BENCH_<n>.json`` benchmark archives as the perf trajectory across
-  PRs.
 * ``serve [--stations N] [--rate RPS] [--duration S] [--window S]
   [--arrival KIND] [--seed N] [--json PATH]`` — one ad-hoc
   :class:`~repro.serve.service.SurfaceService` run: generate an
@@ -34,7 +31,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.channel.grid import SWEEP_AXES
 from repro.experiments.parallel import ProgressReporter
@@ -189,83 +186,6 @@ def format_coverage(report: Dict[str, object]) -> str:
     return "\n\n".join(blocks)
 
 
-def load_bench_archives(directory: Path) -> List[Dict[str, Any]]:
-    """Parse every ``BENCH_<n>.json`` in ``directory``.
-
-    Returns one record per benchmark block:
-    ``{"pr", "file", "benchmark", "meta", "rows"}``, sorted by PR
-    number.  Both archive shapes are understood — the
-    ``benchmarks/trajectory.py`` format (``{"pr": n, "benchmarks":
-    [...]}``) and the earlier single-benchmark files (``{"benchmark":
-    ..., "rows": [...]}``, e.g. ``BENCH_7.json``).  Unparseable files
-    are reported as a block with an ``"error"`` key rather than raised.
-    """
-    records: List[Dict[str, Any]] = []
-    for path in sorted(directory.glob("BENCH_*.json")):
-        stem_tag = path.stem.split("_", 1)[-1]
-        pr = int(stem_tag) if stem_tag.isdigit() else -1
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            records.append({"pr": pr, "file": path.name, "benchmark": "?",
-                            "meta": {}, "rows": [], "error": str(error)})
-            continue
-        pr = int(data.get("pr", pr))
-        if isinstance(data.get("benchmarks"), list):
-            blocks = data["benchmarks"]
-        else:
-            blocks = [{"benchmark": data.get("benchmark", path.stem),
-                       "meta": {key: value for key, value in data.items()
-                                if key not in ("benchmark", "rows")},
-                       "rows": data.get("rows", [])}]
-        for block in blocks:
-            records.append({
-                "pr": pr, "file": path.name,
-                "benchmark": str(block.get("benchmark", "?")),
-                "meta": dict(block.get("meta", {})),
-                "rows": list(block.get("rows", [])),
-            })
-    records.sort(key=lambda record: (record["pr"], record["benchmark"]))
-    return records
-
-
-def format_bench_report(records: List[Dict[str, Any]]) -> str:
-    """Render :func:`load_bench_archives` as the perf-trajectory tables."""
-    if not records:
-        return ("no BENCH_*.json archives found — run the benchmark "
-                "suite (pytest benchmarks/) to populate the trajectory")
-    overview = [[record["pr"], record["file"], record["benchmark"],
-                 len(record["rows"])] for record in records]
-    blocks = [format_table(["PR", "file", "benchmark", "rows"], overview,
-                           title=f"perf trajectory — {len(records)} "
-                                 "benchmark series across PRs")]
-    for record in records:
-        title = f"PR {record['pr']} — {record['benchmark']}"
-        if record.get("error"):
-            blocks.append(f"{title}\n  unreadable: {record['error']}")
-            continue
-        if not record["rows"]:
-            blocks.append(f"{title}\n  (no rows)")
-            continue
-        headers: List[str] = []
-        for row in record["rows"]:
-            headers.extend(key for key in row if key not in headers)
-        table_rows = [[row.get(header, "") for header in headers]
-                      for row in record["rows"]]
-        blocks.append(format_table(headers, table_rows, precision=3,
-                                   title=title))
-    return "\n\n".join(blocks)
-
-
-def _cmd_bench_report(directory: str, json_path: Optional[str]) -> int:
-    records = load_bench_archives(Path(directory))
-    print(format_bench_report(records))
-    if json_path:
-        Path(json_path).write_text(json.dumps(records, indent=2))
-        print(f"\nwrote {json_path}")
-    return 0
-
-
 def _cmd_serve(stations: int, rate_rps: float, duration_s: float,
                window_s: float, arrival: str, seed: int,
                queue_capacity: int, max_batch: int,
@@ -408,14 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     coverage_cmd.add_argument("--json", dest="json_path", default=None,
                               help="write the machine-readable report here")
 
-    bench_cmd = commands.add_parser(
-        "bench-report",
-        help="render the BENCH_<n>.json perf trajectory across PRs")
-    bench_cmd.add_argument("--dir", dest="directory", default=".",
-                           help="where the BENCH_*.json archives live")
-    bench_cmd.add_argument("--json", dest="json_path", default=None,
-                           help="write the parsed trajectory here")
-
     serve_cmd = commands.add_parser(
         "serve", help="one ad-hoc surface-service run under open-loop load")
     serve_cmd.add_argument("--stations", type=int, default=8,
@@ -475,9 +387,6 @@ def main(argv: Optional[Sequence[str]] = None,
             return _cmd_run_all(registry, arguments.tag, arguments.smoke,
                                 arguments.json_dir, arguments.check,
                                 arguments.workers, arguments.store_dir)
-        if arguments.command == "bench-report":
-            return _cmd_bench_report(arguments.directory,
-                                     arguments.json_path)
         if arguments.command == "serve":
             return _cmd_serve(arguments.stations, arguments.rate_rps,
                               arguments.duration_s, arguments.window_s,
@@ -495,5 +404,4 @@ def main(argv: Optional[Sequence[str]] = None,
         return 2
 
 
-__all__ = ["build_parser", "coverage_report", "format_bench_report",
-           "format_coverage", "load_bench_archives", "main"]
+__all__ = ["build_parser", "coverage_report", "format_coverage", "main"]

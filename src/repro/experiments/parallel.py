@@ -1,35 +1,22 @@
-"""Sharded multiprocess execution: experiment pools and grid shards.
+"""Multiprocess execution of the experiment suite.
 
-Two parallel planes, one claiming discipline:
+:func:`run_all_parallel` is the experiment-level executor behind
+``Runner.run_all(workers=N)`` and ``python -m repro.experiments
+run-all --workers N``.  The registry selection is the work list; a
+``ProcessPoolExecutor`` of ``N`` workers *claims* one experiment at a
+time off it (at most one unclaimed slice is in flight per idle worker,
+so a slow experiment never starves the queue), runs it in the child
+through an ordinary store-less :class:`~repro.experiments.runner.Runner`,
+and ships the result back as the lossless tagged JSON of
+:mod:`repro.experiments.artifacts`.  The parent
+:meth:`~repro.experiments.runner.Runner.absorb`\\ s every envelope, so
+its memory cache and :class:`~repro.experiments.store.ResultStore` end
+up exactly as a serial run would leave them — and results come back in
+registry order, ``payload_equal`` to the serial path (every
+experiment's RNG is seeded from its own parameters, so streams cannot
+depend on which worker claimed it).
 
-* :func:`run_all_parallel` — the experiment-level executor behind
-  ``Runner.run_all(workers=N)`` and ``python -m repro.experiments
-  run-all --workers N``.  The registry selection is the work list; a
-  ``ProcessPoolExecutor`` of ``N`` workers *claims* one experiment at a
-  time off it (at most one unclaimed slice is in flight per idle
-  worker, so a slow experiment never starves the queue), runs it in the
-  child through an ordinary store-less
-  :class:`~repro.experiments.runner.Runner`, and ships the result back
-  as the lossless tagged JSON of :mod:`repro.experiments.artifacts`.
-  The parent :meth:`~repro.experiments.runner.Runner.absorb`\\ s every
-  envelope, so its memory cache and
-  :class:`~repro.experiments.store.ResultStore` end up exactly as a
-  serial run would leave them — and results come back in registry
-  order, ``payload_equal`` to the serial path (every experiment's RNG
-  is seeded from its own parameters, so streams cannot depend on which
-  worker claimed it).
-
-* :func:`evaluate_grid_sharded` — the grid-level executor for one huge
-  :class:`~repro.channel.grid.ProbeGrid`.  The grid is
-  :meth:`~repro.channel.grid.ProbeGrid.split` along its largest axis
-  into per-worker slices; each worker evaluates its shard and writes
-  the power slab straight into a :class:`multiprocessing.shared_memory.
-  SharedMemory` block (no result pickling), and the parent reassembles
-  the stacked ndarray — bit-identical to ``link.evaluate_grid(grid)``
-  because the budget is per-point and slicing an axis slices the
-  result.
-
-Both planes report through :class:`ProgressReporter`
+The executor reports through :class:`ProgressReporter`
 (claimed/done/total slices plus an ETA — the ``run-all`` live progress
 line).  Worker processes default to the ``fork`` start method where the
 platform offers it (cheap, inherits warm caches) and fall back to
@@ -46,7 +33,6 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
@@ -59,14 +45,6 @@ from typing import (
     TextIO,
     Tuple,
 )
-
-import numpy as np
-
-from repro.channel.grid import ProbeGrid
-from repro.channel.link import WirelessLink
-
-#: Default worker count: one per CPU, at least one.
-DEFAULT_WORKERS = max(1, int(multiprocessing.cpu_count()))
 
 
 def default_mp_context() -> str:
@@ -83,9 +61,8 @@ class ProgressReporter:
 
     On a TTY the line redraws in place (``\\r``); on plain streams every
     completion prints a full line, so CI logs keep the history.  The
-    reporter is shared by the serial and parallel ``run_all`` paths and
-    by the grid-shard executor — "slices" are experiments in the first
-    case and grid shards in the second.
+    reporter is shared by the serial and parallel ``run_all`` paths;
+    its "slices" are experiments.
     """
 
     def __init__(self, total: int, label: str = "run-all",
@@ -331,87 +308,8 @@ def run_all_parallel(
     return [results[spec.name] for spec in specs]
 
 
-# ---------------------------------------------------------------------- #
-# Grid-level executor (one huge ProbeGrid across workers)
-# ---------------------------------------------------------------------- #
-def _evaluate_shard_into(link: WirelessLink, shard: ProbeGrid,
-                         shm_name: str, moved_shape: Tuple[int, ...],
-                         dim: int, row_offset: int) -> int:
-    """Child-side shard body: evaluate and write the slab in place.
-
-    The shard's power slab goes into rows ``[row_offset, row_offset +
-    shard.shape[dim])`` of the shared output (split dimension moved to
-    the front, so every shard's slab is one contiguous row block — a
-    single memcpy, no result pickling).
-    """
-    powers = np.moveaxis(link.evaluate_grid(shard), dim, 0)
-    block = shared_memory.SharedMemory(name=shm_name)
-    try:
-        out = np.ndarray(moved_shape, dtype=np.float64, buffer=block.buf)
-        out[row_offset:row_offset + powers.shape[0]] = powers
-    finally:
-        block.close()
-    return powers.shape[0]
-
-
-def evaluate_grid_sharded(link: WirelessLink, grid: ProbeGrid,
-                          workers: Optional[int] = None,
-                          progress: Optional[ProgressReporter] = None,
-                          mp_context: Optional[str] = None) -> np.ndarray:
-    """``link.evaluate_grid(grid)`` sharded across a worker pool.
-
-    The grid is split along its largest axis
-    (:meth:`~repro.channel.grid.ProbeGrid.split`), one claiming worker
-    pool evaluates the shards, and the slabs are reassembled through a
-    shared-memory output block — bit-identical to the serial
-    evaluation.  ``workers`` absent/0/1, or a grid too small to split,
-    evaluates serially in-process (the exact identity path).
-    """
-    workers = DEFAULT_WORKERS if workers is None else int(workers)
-    shards = grid.split(workers)
-    if workers <= 1 or len(shards) <= 1:
-        return link.evaluate_grid(grid)
-    dim = grid.split_dim()
-    assert dim is not None  # len(shards) > 1 implies a split dimension
-    shape = grid.shape
-    moved_shape = (shape[dim],) + shape[:dim] + shape[dim + 1:]
-    if progress is None:
-        reporter: Optional[ProgressReporter] = None
-    else:
-        reporter = progress
-
-    block = shared_memory.SharedMemory(create=True,
-                                       size=max(8 * grid.size, 8))
-    context = multiprocessing.get_context(mp_context or default_mp_context())
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)),
-                               mp_context=context,
-                               initializer=_worker_init,
-                               initargs=(list(sys.path),))
-    try:
-        tasks: List[Tuple[str, Callable[..., Any], Tuple[Any, ...]]] = []
-        row_offset = 0
-        for index, shard in enumerate(shards):
-            tasks.append((f"shard{index}", _evaluate_shard_into,
-                          (link, shard, block.name, moved_shape, dim,
-                           row_offset)))
-            row_offset += shard.shape[dim]
-        for label, _rows in _claimed_completions(pool, tasks, workers,
-                                                 reporter):
-            if reporter is not None:
-                reporter.finish(label, "ok")
-        stacked = np.ndarray(moved_shape, dtype=np.float64,
-                             buffer=block.buf).copy()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        block.close()
-        block.unlink()
-    return np.ascontiguousarray(np.moveaxis(stacked, 0, dim))
-
-
 __all__ = [
-    "DEFAULT_WORKERS",
     "ProgressReporter",
     "default_mp_context",
-    "evaluate_grid_sharded",
     "run_all_parallel",
 ]

@@ -20,6 +20,7 @@ cached scalar per-station links the parity suites compare against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +36,7 @@ from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
 from repro.devices.wifi import netgear_access_point, wifi_rate_for_rssi_mbps
 from repro.metasurface.design import llama_design
 from repro.metasurface.surface import Metasurface
+from repro.units import positive_frequency
 
 
 def _validate_station(station) -> None:
@@ -54,6 +56,21 @@ def _validate_station(station) -> None:
             and station.traffic_demand_mbps > 0):
         raise ValueError(f"traffic demand must be positive and finite, got "
                          f"{station.traffic_demand_mbps!r}")
+
+
+def _validate_deployment(ap_orientation_deg: float, frequency_hz: float,
+                         environment_seed: int) -> None:
+    """The scalar field checks of :class:`DenseDeployment` and its
+    serializable twin :class:`repro.api.fleet.FleetSpec`."""
+    if not math.isfinite(ap_orientation_deg):
+        raise ValueError(f"AP orientation must be finite, got "
+                         f"{ap_orientation_deg!r}")
+    positive_frequency(frequency_hz)
+    if (isinstance(environment_seed, bool)
+            or not isinstance(environment_seed, numbers.Integral)
+            or environment_seed < 0):
+        raise ValueError(f"environment seed must be an integer >= 0, got "
+                         f"{environment_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,8 @@ class DenseDeployment:
         names = [station.name for station in stations]
         if len(set(names)) != len(names):
             raise ValueError("station names must be unique")
+        _validate_deployment(ap_orientation_deg, frequency_hz,
+                             environment_seed)
         self.stations: Tuple[StationPlacement, ...] = tuple(stations)
         self.metasurface = (metasurface if metasurface is not None
                             else llama_design().build())

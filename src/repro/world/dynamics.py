@@ -12,8 +12,9 @@ with every candidate bias pair; the resulting ``(candidate, T, N)``
 cube is streamed through the engine in slices of the plane, so its
 peak memory is bounded by the slice size rather than the timeline
 length.  :meth:`WorldTimeline.evaluate_reference` is the
-per-station-per-timestep scalar loop kept as the parity/bench baseline
-(``benchmarks/test_bench_world.py`` gates the batched path at >= 3x).
+per-station-per-timestep scalar loop kept as the batched path's parity
+baseline (<= 1e-9 dB in ``tests/world/test_dynamics.py``) and as the
+reference the wall-clock ``bench`` suite times it against (>= 3x).
 
 Stations without a trace hold their spec values, so a timeline with no
 traces at all reproduces the static snapshot exactly — each epoch row

@@ -7,6 +7,8 @@ declarative :class:`FleetSpec` layer (validation, JSON round-trip,
 round-tripped specs producing identical ``ScheduleResult``s).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,20 @@ class TestFleetSpec:
                     StationSpec.from_dict(data)
                 with pytest.raises(ValueError, match=message):
                     FleetSpec.from_dict({"stations": [data]})
+        document = json.loads(FleetSpec(stations=(station,)).to_json())
+        for field, value, message in (
+                ("ap_orientation_deg", float("nan"), "AP orientation"),
+                ("ap_orientation_deg", float("inf"), "AP orientation"),
+                ("frequency_hz", float("inf"), "frequency"),
+                ("frequency_hz", float("nan"), "frequency"),
+                ("frequency_hz", -1.0, "frequency must be positive"),
+                ("environment_seed", -1, "environment seed"),
+                ("environment_seed", True, "environment seed"),
+                ("environment_seed", 1.5, "environment seed")):
+            with pytest.raises(ValueError, match=message):
+                FleetSpec(stations=(station,), **{field: value})
+            with pytest.raises(ValueError, match=message):
+                FleetSpec.from_json(json.dumps({**document, field: value}))
 
     def test_station_lookup(self):
         spec = cliff_spec()

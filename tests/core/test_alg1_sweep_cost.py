@@ -4,44 +4,21 @@ The paper motivates Algorithm 1 with the observation that a full 1 V
 scan at the supply's 50 Hz switching rate takes ~30 seconds, which rules
 out real-time operation; with T = 5 switches per axis and N = 2
 iterations the search cost drops to 50 probes (~1 s) with negligible
-loss of optimality.
+loss of optimality.  ``duration_s`` is the simulated switching time of
+the probes, not wall-clock time.
 """
 
-from bench_utils import run_once
 from repro.api import LinkBackend
 from repro.core.controller import CentralizedController, VoltageSweepConfig
-from repro.experiments.reporting import format_table
 from repro.experiments.scenarios import TransmissiveScenario
 
 
-def run_sweep_comparison():
-    """Run both strategies on the canonical mismatched link."""
+def test_alg1_sweep_cost():
     backend = LinkBackend(TransmissiveScenario().link())
     controller = CentralizedController(
         VoltageSweepConfig(iterations=2, switches_per_axis=5))
     fast = controller.coarse_to_fine_sweep(backend)
     full = controller.full_sweep(backend, step_v=1.0)
-    return fast, full
-
-
-def test_bench_alg1_sweep_cost(benchmark):
-    fast, full = run_once(benchmark, run_sweep_comparison)
-
-    rows = [
-        ["coarse-to-fine (Algorithm 1)", fast.probe_count, fast.duration_s,
-         fast.best_power_dbm],
-        ["exhaustive 1 V grid", full.probe_count, full.duration_s,
-         full.best_power_dbm],
-    ]
-    print()
-    print(format_table(
-        ["strategy", "probes", "time at 50 Hz (s)", "best power (dBm)"],
-        rows, precision=2,
-        title="Algorithm 1 ablation (paper: full scan ~30 s, "
-              "Algorithm 1 cost 0.02*N*T^2 = 1 s)"))
-    print(f"\nspeed-up        : {full.duration_s / fast.duration_s:.0f}x")
-    print("optimality gap  : "
-          f"{full.best_power_dbm - fast.best_power_dbm:.2f} dB")
 
     # Shape: Algorithm 1 is an order of magnitude faster and within a
     # couple of dB of the exhaustive optimum.

@@ -1,23 +1,20 @@
-"""Extension benchmark: tracking a dynamically rotating endpoint.
+"""Tracking a dynamically rotating endpoint.
 
 The paper's Fig. 1 motivation is a wearable whose antenna orientation
-changes as the user moves.  This bench runs the tracking controller
-against a swinging-wrist trajectory and compares periodic re-optimization
-with a one-shot (stale) optimization and with no surface at all.
+changes as the user moves.  The tracking controller follows a
+swinging-wrist trajectory with periodic re-optimization and is compared
+with a one-shot (stale) optimization.
 """
 
-from bench_utils import run_once
 from repro.channel.antenna import directional_antenna
 from repro.channel.geometry import LinkGeometry
 from repro.channel.link import DeploymentMode, LinkConfiguration
 from repro.core.controller import VoltageSweepConfig
 from repro.core.tracking import OrientationTrajectory, TrackingController
-from repro.experiments.reporting import format_table
 from repro.metasurface.design import llama_design
 
 
-def run_tracking_comparison():
-    """Track an arm-swing trajectory with and without re-optimization."""
+def test_tracking_dynamic():
     configuration = LinkConfiguration(
         tx_antenna=directional_antenna(orientation_deg=0.0),
         rx_antenna=directional_antenna(orientation_deg=0.0),
@@ -33,27 +30,6 @@ def run_tracking_comparison():
     )
     tracked = controller.run(duration_s=12.0, time_step_s=0.5)
     static = controller.run_static(duration_s=12.0, time_step_s=0.5)
-    return tracked, static
-
-
-def test_bench_tracking_dynamic(benchmark):
-    tracked, static = run_once(benchmark, run_tracking_comparison)
-
-    rows = [
-        ["periodic re-optimization", tracked.mean_gain_db,
-         tracked.worst_gain_db, tracked.retune_count],
-        ["one-shot optimization", static.mean_gain_db,
-         static.worst_gain_db, static.retune_count],
-    ]
-    print()
-    print(format_table(
-        ["strategy", "mean gain (dB)", "worst-case gain (dB)", "retunes"],
-        rows, precision=2,
-        title="Tracking a swinging wearable (paper Fig. 1 motivation)"))
-    threshold_dbm = -30.0
-    print(f"\noutage below {threshold_dbm:.0f} dBm: "
-          f"tracked {tracked.outage_fraction(threshold_dbm) * 100:.0f}% vs "
-          f"baseline {tracked.baseline_outage_fraction(threshold_dbm) * 100:.0f}%")
 
     # Shape: periodic re-optimization keeps a positive average gain and
     # beats the stale one-shot optimization.

@@ -129,42 +129,6 @@ class TestRunAll:
         assert f"{total} hits" in warm
 
 
-class TestBenchReport:
-    def test_renders_both_archive_shapes(self, capsys, tmp_path):
-        (tmp_path / "BENCH_7.json").write_text(json.dumps({
-            "benchmark": "legacy series",
-            "max_overhead_fraction": 0.05,
-            "rows": [{"plane": "batch", "overhead_fraction": 0.01}],
-        }))
-        (tmp_path / "BENCH_8.json").write_text(json.dumps({
-            "pr": 8,
-            "benchmarks": [{"benchmark": "parallel run-all",
-                            "meta": {"workers": 4},
-                            "rows": [{"label": "figure", "speedup_x": 2.4}]}],
-        }))
-        out_path = tmp_path / "trajectory.json"
-        assert main(["bench-report", "--dir", str(tmp_path),
-                     "--json", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "perf trajectory" in out
-        assert "legacy series" in out
-        assert "parallel run-all" in out
-        records = json.loads(out_path.read_text())
-        assert [record["pr"] for record in records] == [7, 8]
-        assert records[0]["rows"][0]["plane"] == "batch"
-        assert records[1]["meta"]["workers"] == 4
-
-    def test_unreadable_archive_is_reported_not_raised(self, capsys,
-                                                       tmp_path):
-        (tmp_path / "BENCH_9.json").write_text("{broken")
-        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
-        assert "unreadable" in capsys.readouterr().out
-
-    def test_empty_directory_points_at_the_suite(self, capsys, tmp_path):
-        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
-        assert "no BENCH_*.json archives" in capsys.readouterr().out
-
-
 class TestCoverage:
     def test_report_covers_every_axis_scenario_module(self):
         report = coverage_report(REGISTRY)

@@ -1,4 +1,4 @@
-"""Sharded executor: cross-process determinism and serial identity.
+"""Parallel executor: cross-process determinism and serial identity.
 
 The acceptance surface of the parallel plane: ``run_all(workers=N)``
 is ``payload_equal`` (<= 1e-9) to the serial path for **every**
@@ -7,26 +7,17 @@ fig23, fault_degradation), whose RNG streams derive from their own
 parameters and therefore cannot depend on worker assignment — while
 ``workers`` absent/0/1 never constructs a pool at all.  Plus: the
 parent's two-tier cache ends up exactly as a serial run would leave
-it, grid-level sharding through shared memory is bit-identical, and
-the ProgressReporter does honest slice accounting.
+it, and the ProgressReporter does honest slice accounting.
 """
 
 import io
 
-import numpy as np
 import pytest
 
-from repro.channel.grid import ProbeGrid
 from repro.experiments import parallel
-from repro.experiments.parallel import (
-    DEFAULT_WORKERS,
-    ProgressReporter,
-    default_mp_context,
-    evaluate_grid_sharded,
-)
+from repro.experiments.parallel import ProgressReporter, default_mp_context
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import Runner
-from repro.experiments.scenarios import TransmissiveScenario
 
 SEEDED = {"fig18_19", "fig20", "fig23", "fault_degradation"}
 
@@ -59,7 +50,6 @@ class TestSerialIdentity:
         import multiprocessing
         assert default_mp_context() in \
             multiprocessing.get_all_start_methods()
-        assert DEFAULT_WORKERS >= 1
 
 
 class TestCrossProcessDeterminism:
@@ -117,51 +107,6 @@ class TestCrossProcessDeterminism:
         with pytest.raises(KeyError):
             Runner(REGISTRY).run_all(smoke=True, workers=2,
                                      overrides={"nope": {}})
-
-
-class TestGridSharding:
-    @pytest.fixture(scope="class")
-    def link(self):
-        return TransmissiveScenario().link()
-
-    def test_sharded_evaluation_is_bit_identical(self, link):
-        grid = ProbeGrid.product(
-            frequency=np.linspace(2.40e9, 2.50e9, 13),
-            vx=np.linspace(0.0, 30.0, 5),
-            vy=np.array([2.0, 12.0, 28.0]))
-        serial = link.evaluate_grid(grid)
-        sharded = evaluate_grid_sharded(link, grid, workers=3)
-        np.testing.assert_array_equal(sharded, serial)
-        assert sharded.flags["C_CONTIGUOUS"]
-
-    def test_aligned_grid_shards_identically(self, link):
-        centers = np.linspace(0.0, 30.0, 8)[:, None]
-        grid = ProbeGrid.aligned(
-            vx=np.clip(centers + np.linspace(-2.0, 2.0, 3), 0.0, 30.0),
-            vy=centers)
-        np.testing.assert_array_equal(
-            evaluate_grid_sharded(link, grid, workers=2),
-            link.evaluate_grid(grid))
-
-    def test_workers_one_is_the_serial_identity_path(self, link,
-                                                     monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("workers=1 must not build a pool")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
-        grid = ProbeGrid.product(frequency=np.linspace(2.40e9, 2.50e9, 5))
-        np.testing.assert_array_equal(
-            evaluate_grid_sharded(link, grid, workers=1),
-            link.evaluate_grid(grid))
-
-    def test_unsplittable_grid_falls_back_to_serial(self, link,
-                                                    monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
-                            lambda *a, **k: pytest.fail("no pool"))
-        grid = ProbeGrid.product(frequency=2.45e9, vx=7.0, vy=2.0)
-        np.testing.assert_array_equal(
-            evaluate_grid_sharded(link, grid, workers=4),
-            link.evaluate_grid(grid))
 
 
 class TestProgressReporter:

@@ -180,6 +180,12 @@ class TestCatalogue:
                 "fig23", "gain_surface", "coverage_map", "sec7_scheduling",
                 "sec7_access", "iot_families"} <= names
 
+    def test_paper_panels_are_registered_once_each(self):
+        panels = [spec.name for spec in REGISTRY
+                  if {"figure", "table"} & set(spec.tags)]
+        assert len(panels) == len(set(panels))
+        assert len(panels) >= 16
+
     def test_acceptance_fig15_distance_override(self):
         spec = REGISTRY.get("fig15")
         params = spec.resolve({"distance_cm": 30})
