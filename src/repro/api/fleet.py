@@ -227,6 +227,10 @@ class FleetSpec:
                 f"{sorted(SURFACE_DESIGNS)}")
         _validate_deployment(self.ap_orientation_deg, self.frequency_hz,
                              self.environment_seed)
+        # A NumPy integer seed is valid; store it as ``int`` so the spec
+        # still serializes.
+        object.__setattr__(self, "environment_seed",
+                           int(self.environment_seed))
 
     # ------------------------------------------------------------------ #
     # Introspection

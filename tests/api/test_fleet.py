@@ -34,6 +34,23 @@ TOLERANCE_DB = 1e-9
 LEVELS = np.arange(0.0, 30.1, 6.0)
 VX_GRID, VY_GRID = np.meshgrid(LEVELS, LEVELS, indexing="ij")
 
+#: ``(field, value, message)``: scalar deployment fields that must fail
+#: at construction (NaN orientation used to build a fleet that probed
+#: NaN power everywhere; the rest failed only at ``build()``).
+BAD_DEPLOYMENT_FIELDS = (
+    ("ap_orientation_deg", float("nan"), "AP orientation"),
+    ("ap_orientation_deg", float("inf"), "AP orientation"),
+    ("ap_orientation_deg", float("-inf"), "AP orientation"),
+    ("frequency_hz", float("inf"), "frequency"),
+    ("frequency_hz", float("nan"), "frequency"),
+    ("frequency_hz", -1.0, "frequency must be positive"),
+    ("frequency_hz", 0.0, "frequency must be positive"),
+    ("environment_seed", -1, "environment seed"),
+    ("environment_seed", True, "environment seed"),
+    ("environment_seed", 1.5, "environment seed"),
+    ("environment_seed", "3", "environment seed"),
+)
+
 
 def cliff_spec() -> FleetSpec:
     """Far, low-power stations with mixed orientations (rate-cliff regime)."""
@@ -275,20 +292,23 @@ class TestFleetSpec:
                     StationSpec.from_dict(data)
                 with pytest.raises(ValueError, match=message):
                     FleetSpec.from_dict({"stations": [data]})
+
+    @pytest.mark.parametrize("field, value, message", BAD_DEPLOYMENT_FIELDS)
+    def test_bad_deployment_field_rejected(self, field, value, message):
+        # At construction and from JSON, never first at ``build()``.
+        station = StationSpec("solo", 3.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            FleetSpec(stations=(station,), **{field: value})
         document = json.loads(FleetSpec(stations=(station,)).to_json())
-        for field, value, message in (
-                ("ap_orientation_deg", float("nan"), "AP orientation"),
-                ("ap_orientation_deg", float("inf"), "AP orientation"),
-                ("frequency_hz", float("inf"), "frequency"),
-                ("frequency_hz", float("nan"), "frequency"),
-                ("frequency_hz", -1.0, "frequency must be positive"),
-                ("environment_seed", -1, "environment seed"),
-                ("environment_seed", True, "environment seed"),
-                ("environment_seed", 1.5, "environment seed")):
-            with pytest.raises(ValueError, match=message):
-                FleetSpec(stations=(station,), **{field: value})
-            with pytest.raises(ValueError, match=message):
-                FleetSpec.from_json(json.dumps({**document, field: value}))
+        with pytest.raises(ValueError, match=message):
+            FleetSpec.from_json(json.dumps({**document, field: value}))
+
+    def test_deployment_field_edges_stay_valid(self):
+        station = StationSpec("solo", 3.0, 0.0)
+        spec = FleetSpec(stations=(station,), ap_orientation_deg=-90.0,
+                         environment_seed=np.int64(0))
+        assert spec.environment_seed == 0
+        assert FleetSpec.from_json(spec.to_json()) == spec
 
     def test_station_lookup(self):
         spec = cliff_spec()

@@ -72,21 +72,30 @@ class TestDeployment:
         with pytest.raises(ValueError, match="transmit power"):
             StationPlacement("bad", 1.0, 0.0, tx_power_dbm=float("-inf"))
 
-    def test_field_validation(self):
-        stations = [StationPlacement("solo", 3.0, 0.0)]
-        for field, value, message in (
-                ("ap_orientation_deg", float("nan"), "AP orientation"),
-                ("ap_orientation_deg", float("inf"), "AP orientation"),
-                ("frequency_hz", float("inf"), "frequency"),
-                ("frequency_hz", float("nan"), "frequency"),
-                ("frequency_hz", -1.0, "frequency must be positive"),
-                ("environment_seed", -1, "environment seed"),
-                ("environment_seed", True, "environment seed"),
-                ("environment_seed", 1.5, "environment seed")):
-            with pytest.raises(ValueError, match=message):
-                DenseDeployment(stations, **{field: value})
-        assert DenseDeployment(stations, environment_seed=np.int64(0)) \
-            .environment_seed == 0
+    @pytest.mark.parametrize("field, value, message", (
+        ("ap_orientation_deg", float("nan"), "AP orientation"),
+        ("ap_orientation_deg", float("inf"), "AP orientation"),
+        ("ap_orientation_deg", float("-inf"), "AP orientation"),
+        ("frequency_hz", float("inf"), "frequency"),
+        ("frequency_hz", float("nan"), "frequency"),
+        ("frequency_hz", -1.0, "frequency must be positive"),
+        ("frequency_hz", 0.0, "frequency must be positive"),
+        ("environment_seed", -1, "environment seed"),
+        ("environment_seed", True, "environment seed"),
+        ("environment_seed", 1.5, "environment seed"),
+        ("environment_seed", "3", "environment seed"),
+    ))
+    def test_field_validation(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            DenseDeployment([StationPlacement("solo", 3.0, 0.0)],
+                            **{field: value})
+
+    def test_field_edges_stay_valid(self):
+        deployment = DenseDeployment([StationPlacement("solo", 3.0, 0.0)],
+                                     ap_orientation_deg=-90.0,
+                                     environment_seed=np.int64(0))
+        assert deployment.environment_seed == 0
+        assert deployment.ap_orientation_deg == -90.0
 
     def test_rssi_depends_on_bias(self, deployment):
         link = deployment.link_for("orthogonal")
