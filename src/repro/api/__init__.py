@@ -33,8 +33,9 @@ recorded traces, hardware — are substitutable.
   :mod:`repro.faults`.
 * Serving-layer re-exports (lazy) — :class:`SurfaceService` /
   :class:`ServiceConfig` / :func:`serve_trace` plus the
-  :class:`LoadProfile` open-loop generator and :class:`VirtualClock`;
-  the full serving plane lives in :mod:`repro.serve`.
+  :class:`LoadProfile` open-loop generator and :class:`VirtualClock`
+  (the service's virtual-time event heap); the full serving plane
+  lives in :mod:`repro.serve`.
 """
 
 from repro.api.backend import (

@@ -29,9 +29,16 @@ def free_space_path_loss_db(distance_m: ArrayLike,
     whole frequency or distance sweep evaluates in one pass.  A
     frequency that is not positive and finite raises ``ValueError``.
     """
-    frequency = positive_frequency(frequency_hz)
+    positive_frequency(frequency_hz)
+    return unchecked_path_loss_db(distance_m, frequency_hz)
+
+
+def unchecked_path_loss_db(distance_m: ArrayLike,
+                           frequency_hz: ArrayLike) -> ArrayLike:
+    """:func:`free_space_path_loss_db` without the frequency check, for
+    internals whose frequencies were validated at their boundary."""
     distance = np.maximum(np.asarray(distance_m, dtype=float), 0.01)
-    value = 20.0 * np.log10(4.0 * math.pi * distance * frequency /
+    value = 20.0 * np.log10(4.0 * math.pi * distance * frequency_hz /
                             SPEED_OF_LIGHT)
     if np.isscalar(distance_m) and np.isscalar(frequency_hz):
         return float(value)

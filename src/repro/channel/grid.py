@@ -243,29 +243,6 @@ class ProbeGrid:
             return None
         return int(np.argmax(shape))
 
-    def largest_axis(self) -> Optional[str]:
-        """Name of the first axis spanning the longest grid dimension.
-
-        This is the axis :meth:`split` cuts along: slicing its
-        points slices the evaluation result along :meth:`split_dim`.
-        ``None`` when the grid is unsplittable (see :meth:`split_dim`).
-        """
-        dim = self.split_dim()
-        if dim is None:
-            return None
-        for axis in self.axes:
-            if self._extent_at(axis, dim) > 1:
-                return axis.name
-        return None
-
-    def _extent_at(self, axis: GridAxis, dim: int) -> int:
-        """``axis``'s extent along result dimension ``dim`` (broadcast
-        semantics: missing leading dimensions count as one)."""
-        offset = dim - (self.ndim - axis.shaped.ndim)
-        if offset < 0:
-            return 1
-        return int(axis.shaped.shape[offset])
-
     def _sliced(self, axis: GridAxis, dim: int, lo: int, hi: int) -> GridAxis:
         """``axis`` restricted to ``[lo, hi)`` along result dim ``dim``
         (axes broadcasting over that dimension are returned unchanged)."""
@@ -287,9 +264,8 @@ class ProbeGrid:
     def split(self, parts: int) -> Tuple["ProbeGrid", ...]:
         """Shard the grid into at most ``parts`` contiguous slices.
 
-        The grid is cut along :meth:`split_dim` (the longest dimension,
-        owned by :meth:`largest_axis`) into near-equal contiguous
-        chunks; each shard is a valid :class:`ProbeGrid` over the same
+        The grid is cut along :meth:`split_dim` (the longest dimension)
+        into near-equal contiguous chunks; each shard is a valid :class:`ProbeGrid` over the same
         axes.  Concatenating the shards' evaluation results along
         ``split_dim()`` — in order — reproduces the full grid's result
         bit-for-bit, which is how :class:`repro.world.WorldTimeline`

@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.channel.antenna import Antenna
 from repro.channel.capacity import shannon_spectral_efficiency
-from repro.channel.freespace import free_space_path_loss_db
+from repro.channel.freespace import unchecked_path_loss_db
 from repro.channel.geometry import LinkGeometry
 from repro.channel.grid import ProbeGrid, SWEEP_AXES
 from repro.channel.multipath import MultipathEnvironment
@@ -127,9 +127,10 @@ def _rotated_jones(frame: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
 def _propagation(distance_m, frequency_hz):
     """Free-space path loss (dB) and carrier phasor ``e^{j phi}`` over
     ``distance_m`` at ``frequency_hz`` (scalars or broadcastable
-    arrays)."""
+    arrays).  The frequency is not re-checked: the configuration and
+    the grid's axis parameters validated it."""
     wavelength = SPEED_OF_LIGHT / frequency_hz
-    return (free_space_path_loss_db(distance_m, frequency_hz),
+    return (unchecked_path_loss_db(distance_m, frequency_hz),
             np.exp(1j * np.asarray(2.0 * math.pi * distance_m / wavelength)))
 
 

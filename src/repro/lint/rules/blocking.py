@@ -1,4 +1,4 @@
-"""RPR007 — no blocking calls in the async serving plane."""
+"""RPR007 — no blocking calls in the serving plane."""
 
 from __future__ import annotations
 
@@ -27,17 +27,18 @@ class AsyncBlockingRule(Rule):
     """The serving plane must never block its event loop.
 
     :class:`~repro.serve.service.SurfaceService` multiplexes every
-    station over one asyncio loop driven by a virtual clock, so a
-    single blocking call stalls *all* stations at once — and, worse,
-    stalls them in real wall-clock time that the virtual clock never
-    sees, silently breaking the determinism the serve experiments pin
-    with trace digests.  Three shapes are flagged in ``repro/serve/``
-    files:
+    station over one synchronous event heap on a virtual clock
+    (:class:`~repro.serve.clock.VirtualClock`, whose actors are
+    generators), so a single blocking call stalls *all* stations at
+    once — and, worse, stalls them in real wall-clock time that the
+    virtual clock never sees, silently breaking the determinism the
+    serve experiments pin with trace digests.  Three shapes are flagged
+    in ``repro/serve/`` files:
 
     * ``time.sleep(...)`` anywhere (also via ``from time import
-      sleep`` and module aliases) — delays belong to
-      :meth:`~repro.serve.clock.VirtualClock.sleep`, which yields to
-      the loop and advances deterministic time.
+      sleep`` and module aliases) — an actor waits by yielding its
+      delay, which parks it on the clock's heap and advances
+      deterministic time.
     * Synchronous file I/O inside an ``async def`` (``open(...)`` and
       ``Path.read_text`` / ``write_text`` / ``read_bytes`` /
       ``write_bytes`` / ``readlines``) — results must flow through the
@@ -48,6 +49,10 @@ class AsyncBlockingRule(Rule):
       probing shape the batching window exists to remove.  Coalesce
       the window's requests into one stacked
       :class:`~repro.channel.grid.ProbeGrid` pass instead.
+
+    The service's actors are generators, not coroutines, so the two
+    ``async def`` checks find nothing in today's ``repro/serve/``; they
+    apply to async code added there.
     """
 
     rule_id: ClassVar[str] = "RPR007"
@@ -112,8 +117,9 @@ class AsyncBlockingRule(Rule):
                 node,
                 "time.sleep blocks the service event loop and bypasses "
                 "the virtual clock",
-                suggestion="await VirtualClock.sleep(delay) — it yields "
-                           "to the loop and advances deterministic time")
+                suggestion="yield the delay from the actor — "
+                           "VirtualClock.run parks it on the event heap "
+                           "and advances deterministic time")
         elif self._async_depth:
             if dotted_name(node.func) == "open":
                 self.report(

@@ -67,7 +67,7 @@ class SleepRetryRule(Rule):
     @classmethod
     def applies_to(cls, context: LintContext) -> bool:
         # repro/faults/ owns the sleep/retry machinery; repro/serve/
-        # answers to the stricter async-discipline rule (RPR007), which
+        # answers to the stricter serving-plane rule (RPR007), which
         # also covers bare sleeps.
         return not (context.has_role("faults") or context.has_role("serve"))
 

@@ -3,10 +3,10 @@
 This package turns the one-shot experiment pipeline into a
 long-running service (the ROADMAP's "millions of users" direction):
 
-* :mod:`~repro.serve.clock` — deterministic virtual time for asyncio
-  (:class:`VirtualClock` + the drain/fire driver :func:`~repro.serve.
-  clock.run`), so multi-second service runs execute in milliseconds
-  and replay bit-identically.
+* :mod:`~repro.serve.clock` — deterministic virtual time: the
+  :class:`VirtualClock` event heap runs generator actors in
+  ``(due time, sequence)`` order, so multi-second service runs execute
+  in milliseconds and replay bit-identically.
 * :mod:`~repro.serve.requests` — the typed request/response records
   and the digest-pinned :class:`RequestTrace`.
 * :mod:`~repro.serve.loadgen` — the Locust-style open-loop generator:
@@ -24,7 +24,7 @@ The ``serve_capacity`` and ``serve_degradation`` experiments
 serve`` drive all of this end to end.
 """
 
-from repro.serve.clock import VirtualClock, run
+from repro.serve.clock import VirtualClock
 from repro.serve.loadgen import (
     ARRIVAL_PROCESSES,
     MEASURE_ONLY,
@@ -66,7 +66,6 @@ __all__ = [
     "VirtualClock",
     "generate_trace",
     "percentile",
-    "run",
     "serve_trace",
     "station_names",
 ]

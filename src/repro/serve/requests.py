@@ -18,6 +18,7 @@ stations → same digest).
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Tuple
@@ -138,7 +139,15 @@ class RequestTrace:
         return tuple(seen)
 
     def digest(self) -> int:
-        """Stable CRC32 of the full trace (replay-equality pin)."""
+        """Stable CRC32 of the full trace (replay-equality pin).
+
+        Computed on the first call and kept, since a trace and its
+        requests are frozen; building a trace formats nothing.
+        """
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> int:
         text = ";".join(request.key() for request in self.requests)
         return zlib.crc32(text.encode("utf-8"))
 

@@ -1,9 +1,11 @@
-"""The asyncio surface-controller service with batched probe coalescing.
+"""The surface-controller service with batched probe coalescing.
 
 :class:`SurfaceService` wraps one :class:`~repro.api.fleet.FleetSession`
-in a long-running service loop on the virtual clock: stations submit
-typed :class:`~repro.serve.requests.Request`\\ s into a bounded queue,
-and a single worker drains it in *coalescing windows* — every
+in a long-running service loop on the virtual clock's event heap: a
+dispatcher actor submits typed
+:class:`~repro.serve.requests.Request`\\ s into a bounded queue at
+their arrival times, and a single worker actor drains it in
+*coalescing windows* — every
 ``measure`` request captured by one window becomes a row of one
 stacked aligned :class:`~repro.channel.grid.ProbeGrid` probe (one
 budget-engine pass for the whole batch, exactly a TDMA probe epoch),
@@ -35,17 +37,17 @@ instead of ``k``.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api.fleet import FleetSession
 from repro.faults.errors import ProbeFaultError, TransientFaultError
-from repro.serve.clock import VirtualClock, run
+from repro.serve.clock import Actor, VirtualClock
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.requests import Request, RequestTrace, Response
 
@@ -129,7 +131,8 @@ class SurfaceService:
         self.fleet = fleet
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock if clock is not None else VirtualClock()
-        self._queue: "asyncio.Queue" = asyncio.Queue()
+        self._queue: Deque[Optional[Request]] = deque()
+        self._worker: Optional[Actor] = None
         self._responses: List[Response] = []
         self._queue_samples: List[Tuple[float, int]] = []
         self.shed_count = 0
@@ -145,14 +148,20 @@ class SurfaceService:
         the station gets its ``rejected``/``queue-full`` response at
         submit time rather than a silently growing backlog.
         """
-        if self._queue.qsize() >= self.config.queue_capacity:
+        if len(self._queue) >= self.config.queue_capacity:
             self.shed_count += 1
             self._respond(request, status="rejected", value=math.nan,
                           batch_size=0, detail="queue-full")
             return False
-        self._queue.put_nowait(request)
+        self._put(request)
         self._sample_queue()
         return True
+
+    def _put(self, item: Optional[Request]) -> None:
+        """Enqueue one item and wake the worker if it waits for one."""
+        self._queue.append(item)
+        if self._worker is not None:
+            self.clock.wake(self._worker)
 
     # ------------------------------------------------------------------ #
     # Service plane
@@ -167,8 +176,9 @@ class SurfaceService:
         self._responses = []
         self._queue_samples = []
         self.shed_count = 0
-        self._queue = asyncio.Queue()
-        run(lambda: self._run(trace), self.clock)
+        self._queue = deque()
+        self._worker = self._serve_loop()
+        self.clock.run(self._worker, self._dispatch(trace))
         responses = tuple(sorted(self._responses,
                                  key=lambda response: response.request_id))
         if len(responses) != len(trace):
@@ -181,47 +191,41 @@ class SurfaceService:
                 responses, self._queue_samples),
             trace_digest=trace.digest())
 
-    async def _run(self, trace: RequestTrace) -> None:
-        dispatcher = asyncio.ensure_future(self._dispatch(trace))
-        await self._serve_loop()
-        await dispatcher
-
-    async def _dispatch(self, trace: RequestTrace) -> None:
+    def _dispatch(self, trace: RequestTrace) -> Actor:
         """Open-loop arrivals: submit each request at its own instant."""
         for request in trace.requests:
             delay = request.arrival_s - self.clock.now
             if delay > 0.0:
-                await self.clock.sleep(delay)
+                yield delay
             self.submit(request)
-        await self._queue.put(_SENTINEL)
+        self._put(_SENTINEL)
 
-    async def _serve_loop(self) -> None:
+    def _serve_loop(self) -> Actor:
         """Drain the queue in coalescing windows until it closes."""
         config = self.config
+        queue = self._queue
         while True:
-            first = await self._queue.get()
+            while not queue:
+                yield None  # parked until _put wakes it
+            first = queue.popleft()
             if first is _SENTINEL:
                 return
             batch = [first]
             if config.batch_window_s > 0.0:
-                await self.clock.sleep(config.batch_window_s)
-                while (len(batch) < config.max_batch
-                       and not self._queue.empty()):
-                    item = self._queue.get_nowait()
-                    if item is _SENTINEL:
-                        # Keep the close marker for the next iteration.
-                        self._queue.put_nowait(item)
-                        break
-                    batch.append(item)
-            await self._serve_batch(batch)
+                yield config.batch_window_s
+                # The close marker stays queued for the next iteration.
+                while (len(batch) < config.max_batch and queue
+                       and queue[0] is not _SENTINEL):
+                    batch.append(queue.popleft())
+            yield from self._serve_batch(batch)
             self._sample_queue()
 
-    async def _serve_batch(self, batch: List[Request]) -> None:
+    def _serve_batch(self, batch: List[Request]) -> Actor:
         """Serve one coalesced batch: model its cost, then execute it."""
         groups: Dict[str, List[Request]] = {}
         for request in batch:
             groups.setdefault(request.kind, []).append(request)
-        await self.clock.sleep(self._service_time(groups))
+        yield self._service_time(groups)
         if "measure" in groups:
             self._serve_measure(groups["measure"])
         if "optimize" in groups:
@@ -356,7 +360,7 @@ class SurfaceService:
             batch_size=batch_size, detail=detail))
 
     def _sample_queue(self) -> None:
-        self._queue_samples.append((self.clock.now, self._queue.qsize()))
+        self._queue_samples.append((self.clock.now, len(self._queue)))
 
 
 def serve_trace(fleet: FleetSession, trace: RequestTrace,

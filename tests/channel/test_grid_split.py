@@ -1,10 +1,10 @@
-"""ProbeGrid sharding semantics: split_dim / largest_axis / split.
+"""ProbeGrid sharding semantics: split_dim / split.
 
 The parallel executor's slice plan rests on one contract: cutting a
 grid along its longest dimension into contiguous chunks and
 concatenating the per-shard evaluation results along that dimension —
 in order — reproduces the full grid's result bit-for-bit.  This module
-pins the plan itself (which dimension, which axis, chunk bounds) and
+pins the plan itself (which dimension, chunk bounds) and
 the reassembly parity against ``WirelessLink.evaluate_grid`` for
 product grids, aligned co-varying grids, and the degenerate shapes
 (0-d, all-scalar, extent-1) that must refuse to split.
@@ -33,17 +33,14 @@ class TestSplitPlan:
                                  vx=VX)
         assert grid.shape == (7, 3, 5)
         assert grid.split_dim() == 0
-        assert grid.largest_axis() == "frequency"
 
     def test_split_dim_ties_pick_the_first(self):
         grid = ProbeGrid.product(vx=VX, vy=np.linspace(0.0, 30.0, VX.size))
         assert grid.shape == (VX.size, VX.size)
         assert grid.split_dim() == 0
-        assert grid.largest_axis() == "vx"
 
     def test_unsplittable_grids(self):
         assert ProbeGrid.product(frequency=2.45e9).split_dim() is None
-        assert ProbeGrid.product(frequency=2.45e9).largest_axis() is None
         one_point = ProbeGrid.product(vx=[7.0], vy=[2.0])
         assert one_point.split_dim() is None
         assert one_point.split(4) == (one_point,)

@@ -10,6 +10,7 @@ check the plan against fresh scalar links on random small aligned
 probes, in every layout the distance axis distinguishes.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.channel.link as link_module
+from repro import units
+from repro.api.fleet import FleetSession, FleetSpec
 from repro.channel.ensemble import LinkEnsemble
 from repro.channel.geometry import Position
 from repro.channel.grid import ProbeGrid
@@ -59,7 +62,7 @@ def work(monkeypatch):
         counts = dict.fromkeys(("distance_to", "free_space_loss", "jones",
                                 "reflection_jones", "capacitance_f"), 0)
         _spy(monkeypatch, Position, "distance_to", counts, "distance_to")
-        _spy(monkeypatch, link_module, "free_space_path_loss_db", counts,
+        _spy(monkeypatch, link_module, "unchecked_path_loss_db", counts,
              "free_space_loss")
         _spy(monkeypatch, Metasurface, "jones_matrix_batch", counts, "jones")
         _spy(monkeypatch, Metasurface, "reflection_jones_matrix_batch",
@@ -141,6 +144,27 @@ class TestPassWork:
         assert counts["distance_to"] == 0
         assert counts["free_space_loss"] == 2
         assert counts["capacitance_f"] == 1
+
+    def test_fleet_pass_checks_its_frequency_at_most_once(self, monkeypatch):
+        """The plan's frequency was validated with the configuration, so
+        a pass's free-space losses do not re-check it; the Jones batch
+        is the one public entry point left that does."""
+        fleet = FleetSession(FleetSpec.office(station_count=8))
+        vx, vy = np.linspace(1.0, 8.0, 8), np.linspace(20.0, 6.0, 8)
+        expected = fleet.measure_aligned(vx, vy)  # builds the plan
+        calls = []
+        original = units.positive_frequency
+
+        def spy(frequency_hz):
+            calls.append(frequency_hz)
+            return original(frequency_hz)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "positive_frequency", None) is original:
+                monkeypatch.setattr(module, "positive_frequency", spy)
+        powers = fleet.measure_aligned(vx, vy)
+        assert len(calls) <= 1
+        np.testing.assert_array_equal(powers, expected)
 
 
 # ---------------------------------------------------------------------- #

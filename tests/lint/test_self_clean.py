@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintConfig, lint_paths, main
+from repro.lint import Baseline, LintConfig, cli, lint_paths, main
 from repro.lint.baseline import PLACEHOLDER_JUSTIFICATION
 from repro.lint.engine import iter_python_files
 
@@ -23,6 +23,30 @@ ROOTS = [REPO_ROOT / "src", REPO_ROOT / "tests"]
 @pytest.fixture()
 def repo_cwd(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
+
+
+@pytest.fixture(scope="module")
+def cli_runs():
+    """The default and ``--strict-baseline`` CLI runs over ``src`` and
+    ``tests``, sharing one lint pass; returns ``{flags: (exit code,
+    stdout)}``."""
+    passes = []
+
+    def lint_once(paths, config):
+        if not passes:
+            passes.append(lint_paths(paths, config))
+        return passes[0]
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        patch.setattr(cli, "lint_paths", lint_once)
+        for flags in ((), ("--strict-baseline",)):
+            out = io.StringIO()
+            code = main(["src", "tests", *flags], stdout=out,
+                        stderr=io.StringIO())
+            runs[flags] = code, out.getvalue()
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +67,15 @@ def full_repo_pass():
 
 
 class TestSelfClean:
-    def test_cli_run_is_clean(self, repo_cwd):
-        out = io.StringIO()
-        code = main(["src", "tests"], stdout=out, stderr=io.StringIO())
-        assert code == 0, out.getvalue()
+    def test_cli_run_is_clean(self, cli_runs):
+        code, out = cli_runs[()]
+        assert code == 0, out
 
-    def test_strict_baseline_run_is_clean(self, repo_cwd):
+    def test_strict_baseline_run_is_clean(self, cli_runs):
         # No expired entries either: the checked-in baseline matches
         # the tree exactly.
-        out = io.StringIO()
-        code = main(["src", "tests", "--strict-baseline"],
-                    stdout=out, stderr=io.StringIO())
-        assert code == 0, out.getvalue()
+        code, out = cli_runs[("--strict-baseline",)]
+        assert code == 0, out
 
     def test_baseline_entries_are_justified_and_live(self, repo_cwd,
                                                      full_repo_pass):

@@ -1,136 +1,129 @@
-"""Virtual-clock driver tests: ordering, determinism, deadlock."""
-
-import asyncio
+"""Virtual-clock event loop tests: ordering, determinism, deadlock."""
 
 import pytest
 
-from repro.serve.clock import VirtualClock, run
+from repro.serve.clock import VirtualClock
 
 
-class TestSleepOrdering:
-    def test_sleepers_wake_in_due_order(self):
+def sleeper(clock, log, name, *delays):
+    """An actor that waits out ``delays`` and logs each wake-up."""
+    for delay in delays:
+        yield delay
+        log.append((name, clock.now))
+
+
+class TestTimerOrdering:
+    def test_actors_wake_in_due_order(self):
         clock = VirtualClock()
         log = []
-
-        async def sleeper(name, delay):
-            await clock.sleep(delay)
-            log.append((name, clock.now))
-
-        async def main():
-            tasks = [asyncio.ensure_future(sleeper("c", 0.3)),
-                     asyncio.ensure_future(sleeper("a", 0.1)),
-                     asyncio.ensure_future(sleeper("b", 0.2))]
-            await asyncio.gather(*tasks)
-
-        run(main, clock)
+        clock.run(sleeper(clock, log, "c", 0.3),
+                  sleeper(clock, log, "a", 0.1),
+                  sleeper(clock, log, "b", 0.2))
         assert log == [("a", 0.1), ("b", 0.2), ("c", 0.3)]
         assert clock.now == 0.3
 
     def test_equal_due_times_wake_in_submission_order(self):
         clock = VirtualClock()
         log = []
+        clock.run(*(sleeper(clock, log, name, 0.5)
+                    for name in ("first", "second", "third")))
+        assert [name for name, _ in log] == ["first", "second", "third"]
 
-        async def sleeper(name):
-            await clock.sleep(0.5)
-            log.append(name)
-
-        async def main():
-            tasks = [asyncio.ensure_future(sleeper(name))
-                     for name in ("first", "second", "third")]
-            await asyncio.gather(*tasks)
-
-        run(main, clock)
-        assert log == ["first", "second", "third"]
-
-    def test_zero_or_negative_delay_yields_without_advancing(self):
+    def test_non_positive_delay_requeues_without_advancing(self):
         clock = VirtualClock()
-
-        async def main():
-            await clock.sleep(0.0)
-            await clock.sleep(-1.0)
-            return clock.now
-
-        assert run(main, clock) == 0.0
-        assert clock.pending_timers == 0
-
-    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
-    def test_non_finite_delay_rejected(self, delay):
-        clock = VirtualClock()
-
-        async def main():
-            await clock.sleep(delay)
-
-        with pytest.raises(ValueError, match="finite"):
-            run(main, clock)
+        log = []
+        # A zero delay goes behind the other ready actors (FIFO), not
+        # onto the heap.
+        clock.run(sleeper(clock, log, "a", 0.0, -1.0),
+                  sleeper(clock, log, "b", 0.0))
+        assert log == [("a", 0.0), ("b", 0.0), ("a", 0.0)]
         assert clock.now == 0.0
         assert clock.pending_timers == 0
 
-    def test_sequential_sleeps_accumulate(self):
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        clock = VirtualClock()
+        with pytest.raises(ValueError, match="finite"):
+            clock.run(sleeper(clock, [], "bad", delay))
+        assert clock.now == 0.0
+        assert clock.pending_timers == 0
+
+    def test_sequential_delays_accumulate(self):
+        clock = VirtualClock()
+        clock.run(sleeper(clock, [], "steps", *[0.25] * 5))
+        assert clock.now == pytest.approx(1.25)
+
+
+class TestRun:
+    def test_propagates_actor_exception(self):
         clock = VirtualClock()
 
-        async def main():
-            for _ in range(5):
-                await clock.sleep(0.25)
-            return clock.now
-
-        assert run(main, clock) == pytest.approx(1.25)
-
-
-class TestRunDriver:
-    def test_returns_main_result(self):
-        clock = VirtualClock()
-
-        async def main():
-            await clock.sleep(1.0)
-            return "done"
-
-        assert run(main, clock) == "done"
-
-    def test_propagates_main_exception(self):
-        clock = VirtualClock()
-
-        async def main():
-            await clock.sleep(0.1)
+        def failing():
+            yield 0.1
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
-            run(main, clock)
+            clock.run(failing())
+        assert clock.now == 0.1
 
     def test_deadlock_raises_instead_of_hanging(self):
         clock = VirtualClock()
 
-        async def main():
-            # A future nobody ever resolves: no timer can unblock this.
-            await asyncio.get_running_loop().create_future()
+        def waits_forever():
+            yield None  # nobody ever wakes it
 
         with pytest.raises(RuntimeError, match="deadlock"):
-            run(main, clock)
+            clock.run(waits_forever())
+        # The failed run leaves nothing behind: the clock runs again.
+        log = []
+        clock.run(sleeper(clock, log, "after", 0.5))
+        assert log == [("after", 0.5)]
 
-    def test_producer_consumer_over_a_queue(self):
+    def test_wake_readies_a_parked_actor_only(self):
         clock = VirtualClock()
-        seen = []
+        items, seen = [], []
 
-        async def main():
-            queue = asyncio.Queue()
+        def consumer():
+            while True:
+                while not items:
+                    yield None
+                item = items.pop(0)
+                if item is None:
+                    return
+                seen.append((item, clock.now))
 
-            async def producer():
-                for item in range(3):
-                    await clock.sleep(0.1)
-                    await queue.put(item)
-                await queue.put(None)
+        worker = consumer()
 
-            async def consumer():
-                while True:
-                    item = await queue.get()
-                    if item is None:
-                        return
-                    seen.append((item, clock.now))
+        def producer():
+            for item in (0, 1, 2, None):
+                yield 0.1
+                items.append(item)
+                clock.wake(worker)
+                clock.wake(worker)  # no-op: already readied
 
-            await asyncio.gather(producer(), consumer())
-
-        run(main, clock)
+        clock.run(worker, producer())
         assert seen == [(0, pytest.approx(0.1)), (1, pytest.approx(0.2)),
                         (2, pytest.approx(0.3))]
+
+    def test_woken_actor_runs_behind_the_running_one(self):
+        clock = VirtualClock()
+        log = []
+
+        def parked():
+            yield None
+            log.append("woken")
+
+        waiter = parked()
+
+        def waker():
+            clock.wake(waiter)
+            log.append("waker continues")
+            yield 0.1
+            log.append("waker again")
+
+        clock.run(waiter, waker())
+        assert log == ["waker continues", "woken", "waker again"]
 
 
 class TestDeterminism:
@@ -138,17 +131,8 @@ class TestDeterminism:
         def once():
             clock = VirtualClock()
             log = []
-
-            async def worker(name, period, count):
-                for tick in range(count):
-                    await clock.sleep(period)
-                    log.append((name, tick, round(clock.now, 9)))
-
-            async def main():
-                await asyncio.gather(worker("fast", 0.1, 7),
-                                     worker("slow", 0.3, 3))
-
-            run(main, clock)
+            clock.run(sleeper(clock, log, "fast", *[0.1] * 7),
+                      sleeper(clock, log, "slow", *[0.3] * 3))
             return log
 
         assert once() == once()

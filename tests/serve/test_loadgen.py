@@ -1,5 +1,7 @@
 """Load-generator tests: determinism, stream independence, arrivals."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from repro.serve.loadgen import (
     generate_trace,
     station_names,
 )
+from repro.serve.requests import Request
 
 STATIONS = station_names(4)
 
@@ -28,6 +31,19 @@ class TestDeterministicReplay:
         other = LoadProfile(rate_rps=200.0, duration_s=0.5, seed=8)
         assert (generate_trace(base, STATIONS).digest()
                 != generate_trace(other, STATIONS).digest())
+
+    def test_digest_is_formatted_once_on_first_call(self, monkeypatch):
+        profile = LoadProfile(rate_rps=200.0, duration_s=0.5, seed=7)
+        keys = []
+        original = Request.key
+        monkeypatch.setattr(Request, "key",
+                            lambda request: keys.append(1) or original(request))
+        trace = generate_trace(profile, STATIONS)
+        assert keys == []  # building a trace formats nothing
+        text = ";".join(original(request) for request in trace.requests)
+        assert trace.digest() == zlib.crc32(text.encode("utf-8"))
+        assert trace.digest() == trace.digest()
+        assert len(keys) == len(trace)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -12,6 +12,7 @@ from repro.serve import (
     MEASURE_ONLY,
     LoadProfile,
     Request,
+    RequestTrace,
     ServiceConfig,
     SurfaceService,
     generate_trace,
@@ -89,6 +90,39 @@ class TestCoalescing:
         ids = [response.request_id for response in result.responses]
         assert ids == list(range(len(trace)))
         assert result.trace_digest == trace.digest()
+
+
+class TestSchedulingOrder:
+    """The event loop's interleaving, pinned on a 4-station fleet with a
+    10 ms window: an arrival due with the window's end joins that
+    window (equal due times pop in push order), an arrival during
+    service waits for the next window, and the close marker counts in
+    queue-depth samples."""
+
+    @staticmethod
+    def serve(arrivals):
+        trace = _trace(Request(request_id=index, kind="measure",
+                               station=SPEC.station_names[index],
+                               arrival_s=arrival)
+                       for index, arrival in enumerate(arrivals))
+        service = SurfaceService(FleetSession(SPEC),
+                                 ServiceConfig(batch_window_s=0.01))
+        result = service.serve_trace(trace)
+        return (tuple(r.batch_size for r in result.responses),
+                tuple(r.completed_s for r in result.responses),
+                tuple(depth for _, depth in service._queue_samples))
+
+    def test_arrival_at_the_window_end_joins_the_window(self):
+        sizes, completed, _ = self.serve((0.0, 0.01))
+        assert sizes == (2, 2)
+        assert completed == (0.015, 0.015)
+
+    def test_arrival_during_service_waits_for_the_next_window(self):
+        sizes, completed, depths = self.serve((0.0, 0.005, 0.01))
+        assert sizes == (2, 2, 1)
+        # 0.015 + 0.0145 in floats, one ulp above 0.0295.
+        assert completed == (0.015, 0.015, 0.029500000000000002)
+        assert depths == (1, 1, 1, 2, 1)
 
 
 class TestAdmissionControl:
@@ -239,6 +273,9 @@ class TestConfigValidation:
         assert response.request_id == 0
 
 
+def _trace(requests):
+    return RequestTrace(requests=tuple(requests))
+
+
 def _single_trace(request):
-    from repro.serve import RequestTrace
-    return RequestTrace(requests=(request,))
+    return _trace((request,))
