@@ -468,6 +468,8 @@ class FleetSession:
         self.retry_policy = retry_policy
         self._quarantined: set = set()
         self._active: Optional[Tuple[str, ...]] = None
+        self._epochs: Dict[Tuple[str, float, float, float],
+                           ScheduleResult] = {}
         self._last_known_good: Dict[str, Tuple[float, float]] = {}
         self._sessions: Dict[str, LinkSession] = {}
 
@@ -531,7 +533,7 @@ class FleetSession:
             self.deployment.station(name)  # KeyError for unknown names
             if name not in self._quarantined:
                 self._quarantined.add(name)
-                self._active = None
+                self._survivors_changed()
                 self.monitor.record_quarantine(name)
         return self.active_stations
 
@@ -541,9 +543,14 @@ class FleetSession:
             self.deployment.station(name)
             if name in self._quarantined:
                 self._quarantined.discard(name)
-                self._active = None
+                self._survivors_changed()
                 self.monitor.record_reinstate(name)
         return self.active_stations
+
+    def _survivors_changed(self) -> None:
+        """Drop everything derived from the survivor set."""
+        self._active = None
+        self._epochs.clear()
 
     def apply_churn(self, churn: Union[StationChurn, Sequence[str]]
                     ) -> Tuple[str, ...]:
@@ -689,7 +696,29 @@ class FleetSession:
         well-formed empty epoch (zero throughput, vacuous fairness) —
         and each surface-strategy epoch refreshes the survivors'
         last-known-good bias pairs.
+
+        An epoch is a pure function of the deployment, the survivors
+        and the arguments, so it is memoized per argument tuple: a
+        repeat returns the same :class:`ScheduleResult` without a probe
+        (still refreshing last-known-good).  :meth:`quarantine`,
+        :meth:`reinstate` and :meth:`apply_churn` clear the memo
+        whenever the survivor set changes.  Errors are never memoized.
         """
+        key = (strategy, epoch_duration_s, bias_search_step_v,
+               orientation_tolerance_deg)
+        result = self._epochs.get(key)
+        if result is None:
+            result = self._epochs[key] = self._schedule_epoch(*key)
+        if strategy != "no-surface":
+            for allocation in result.allocations:
+                self._last_known_good[allocation.station] = (
+                    allocation.bias_pair)
+        return result
+
+    def _schedule_epoch(self, strategy: str, epoch_duration_s: float,
+                        bias_search_step_v: float,
+                        orientation_tolerance_deg: float) -> ScheduleResult:
+        """Compute one epoch over the current survivors (no memo)."""
         survivors = self.active_stations
         if strategy == "no-surface":
             return baseline_without_surface(self.deployment,
@@ -711,10 +740,7 @@ class FleetSession:
         else:
             raise ValueError(f"unknown scheduling strategy {strategy!r}; "
                              f"expected one of {SCHEDULE_STRATEGIES}")
-        result = scheduler.schedule()
-        for allocation in result.allocations:
-            self._last_known_good[allocation.station] = allocation.bias_pair
-        return result
+        return scheduler.schedule()
 
     def schedule_all(self, epoch_duration_s: float = 60.0,
                      bias_search_step_v: float = 5.0,

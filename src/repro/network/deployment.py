@@ -299,7 +299,7 @@ class DenseDeployment:
         The stations are fixed, so each tolerance is clustered once;
         every call returns fresh lists.
         """
-        if tolerance_deg <= 0:
+        if not tolerance_deg > 0:  # NaN fails too
             raise ValueError("tolerance must be positive")
         groups = self._orientation_groups.get(tolerance_deg)
         if groups is None:

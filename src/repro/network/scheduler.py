@@ -23,6 +23,7 @@ lattice, from which it picks one lattice index per station.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -115,10 +116,12 @@ class _SchedulerBase:
                  epoch_duration_s: float = 60.0,
                  bias_search_step_v: float = 5.0,
                  stations: Optional[Sequence[str]] = None):
-        if epoch_duration_s <= 0:
-            raise ValueError("epoch duration must be positive")
-        if bias_search_step_v <= 0:
-            raise ValueError("bias search step must be positive")
+        if not (math.isfinite(epoch_duration_s) and epoch_duration_s > 0):
+            raise ValueError("epoch duration must be positive and finite, "
+                             f"got {epoch_duration_s!r}")
+        if not (math.isfinite(bias_search_step_v) and bias_search_step_v > 0):
+            raise ValueError("bias search step must be positive and finite, "
+                             f"got {bias_search_step_v!r}")
         self.deployment = deployment
         self.epoch_duration_s = epoch_duration_s
         self.bias_search_step_v = bias_search_step_v
@@ -234,8 +237,9 @@ class PolarizationReuseScheduler(_SchedulerBase):
                  stations: Optional[Sequence[str]] = None):
         super().__init__(deployment, epoch_duration_s, bias_search_step_v,
                          stations=stations)
-        if orientation_tolerance_deg <= 0:
-            raise ValueError("orientation tolerance must be positive")
+        if not orientation_tolerance_deg > 0:  # NaN fails too
+            raise ValueError("orientation tolerance must be positive, "
+                             f"got {orientation_tolerance_deg!r}")
         self.orientation_tolerance_deg = orientation_tolerance_deg
 
     def schedule(self) -> ScheduleResult:

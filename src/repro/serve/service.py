@@ -11,7 +11,9 @@ stacked aligned :class:`~repro.channel.grid.ProbeGrid` probe (one
 budget-engine pass for the whole batch, exactly a TDMA probe epoch),
 ``optimize`` requests share one stacked Algorithm 1 pass over the
 requested stations only, and
-``schedule`` requests dedupe to one TDMA epoch per strategy.
+``schedule`` requests read the fleet's epoch memo, so each strategy
+costs one TDMA epoch per survivor set, not one per batch (the modeled
+service time still charges one epoch per strategy per batch).
 
 Three properties the experiments gate:
 
@@ -307,27 +309,23 @@ class SurfaceService:
                               batch_size=len(live))
 
     def _serve_schedule(self, requests: List[Request]) -> None:
-        """One TDMA epoch per distinct strategy in the batch."""
-        epochs: Dict[str, float] = {}
-        failures: Dict[str, str] = {}
+        """Answer each request with its strategy's epoch throughput.
+
+        The fleet memoizes epochs per survivor set, so only a strategy's
+        first request since the survivor set last changed probes; a
+        strategy the fleet rejects fails every request that names it.
+        """
         for request in requests:
-            strategy = request.strategy
-            if strategy not in epochs and strategy not in failures:
-                try:
-                    result = self.fleet.schedule(strategy)
-                except ValueError:
-                    failures[strategy] = "unknown-strategy"
-                except (ProbeFaultError, TransientFaultError) as error:
-                    failures[strategy] = type(error).__name__
-                else:
-                    epochs[strategy] = float(result.total_throughput_mbps)
-            if strategy in epochs:
-                self._respond(request, status="ok", value=epochs[strategy],
-                              batch_size=len(requests))
-            else:
+            try:
+                result = self.fleet.schedule(request.strategy)
+            except ValueError:
                 self._respond(request, status="failed", value=math.nan,
                               batch_size=len(requests),
-                              detail=failures[strategy])
+                              detail="unknown-strategy")
+            else:
+                self._respond(request, status="ok",
+                              value=float(result.total_throughput_mbps),
+                              batch_size=len(requests))
 
     def _serve_health(self, requests: List[Request]) -> None:
         """Answer health probes from the fleet's resilience accounting."""

@@ -9,7 +9,8 @@ probe per orientation group, or
 :meth:`DenseDeployment.best_bias_per_station`, then a per-station
 ``(n,)`` ``measure_aligned`` probe at the chosen pairs), and gate the
 work with the budget-engine counter: exactly one
-:func:`probe_evaluations` delta per surface-strategy epoch.  The last
+:func:`probe_evaluations` delta per surface-strategy epoch (0 for a
+repeat the session's epoch memo answers).  The last
 class pins the same counter for every fleet probe entry point.
 """
 
@@ -142,7 +143,15 @@ class TestOnePassPerEpoch:
         assert len(session.orientation_groups(20.0)) > 1
         assert self._passes(session, strategy) == 1
         # A warm deployment (ensembles cached) is still exactly one pass.
-        assert self._passes(session, strategy) == 1
+        assert self._passes(FleetSession(session.deployment), strategy) == 1
+
+    @pytest.mark.parametrize("strategy", SURFACE_STRATEGIES)
+    def test_repeat_on_one_session_is_memoized(self, strategy):
+        session = FleetSession(FleetSpec.office(200, seed=2021))
+        first = session.schedule(strategy)
+        before = probe_evaluations()
+        assert session.schedule(strategy) == first
+        assert probe_evaluations() - before == 0
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -168,6 +168,23 @@ class TestKindSemantics:
         assert result.responses[0].value == pytest.approx(
             float(expected.total_throughput_mbps))
 
+    def test_schedule_requests_across_batches_cost_one_pass(self):
+        """The fleet's epoch memo, not the batch, dedupes epochs: one
+        strategy asked in several windows probes once in all."""
+        trace = _trace(Request(request_id=index, kind="schedule",
+                               station=SPEC.station_names[index % 4],
+                               arrival_s=arrival)
+                       for index, arrival in enumerate(
+                           (0.0, 0.05, 0.051, 0.1, 0.15)))
+        fleet = FleetSession(SPEC)
+        before = probe_evaluations()
+        result = serve_trace(fleet, trace,
+                             ServiceConfig(batch_window_s=0.01))
+        assert probe_evaluations() - before == 1
+        assert len({r.completed_s for r in result.responses}) == 4
+        expected = FleetSession(SPEC).schedule().total_throughput_mbps
+        assert [r.value for r in result.responses if r.ok] == [expected] * 5
+
     def test_unknown_strategy_fails_typed(self):
         request = Request(request_id=0, kind="schedule",
                           station=SPEC.station_names[0], arrival_s=0.0,
