@@ -16,7 +16,7 @@ the subpackages for the full API:
 * :mod:`repro.metasurface` -- EM model of the surface and its design space
 * :mod:`repro.channel` -- antennas, propagation, multipath, link budgets
 * :mod:`repro.radio` -- baseband signals and the simulated SDR transceiver
-* :mod:`repro.hardware` -- power supply, VISA, turntable, chamber
+* :mod:`repro.hardware` -- programmable power supply over simulated VISA
 * :mod:`repro.devices` -- Wi-Fi / BLE / Zigbee endpoint models
 * :mod:`repro.sensing` -- respiration sensing application
 * :mod:`repro.experiments` -- per-figure experiment runners

@@ -88,6 +88,7 @@ from repro.network.scheduler import (
     PolarizationReuseScheduler,
     ScheduleResult,
     baseline_without_surface,
+    check_schedule_arguments,
 )
 
 #: Named metasurface designs a :class:`FleetSpec` can reference; the
@@ -404,9 +405,14 @@ class FleetBiasPlan:
                         self.best_power_dbm.tolist()))
 
 
+#: How many of :meth:`FleetSession.schedule`'s numeric arguments (epoch
+#: duration, bias step, orientation tolerance, in that order) each
+#: strategy reads; an epoch is memoized on those alone.
+_ARGUMENTS_READ = {"fixed-bias": 2, "per-station": 2,
+                   "polarization-reuse": 3, "no-surface": 0}
+
 #: Scheduling strategies :meth:`FleetSession.schedule` accepts.
-SCHEDULE_STRATEGIES = ("fixed-bias", "per-station", "polarization-reuse",
-                       "no-surface")
+SCHEDULE_STRATEGIES = tuple(_ARGUMENTS_READ)
 
 
 class FleetSession:
@@ -468,8 +474,8 @@ class FleetSession:
         self.retry_policy = retry_policy
         self._quarantined: set = set()
         self._active: Optional[Tuple[str, ...]] = None
-        self._epochs: Dict[Tuple[str, float, float, float],
-                           ScheduleResult] = {}
+        # Keyed on the strategy and the arguments it reads.
+        self._epochs: Dict[Tuple[object, ...], ScheduleResult] = {}
         self._last_known_good: Dict[str, Tuple[float, float]] = {}
         self._sessions: Dict[str, LinkSession] = {}
 
@@ -698,17 +704,24 @@ class FleetSession:
         last-known-good bias pairs.
 
         An epoch is a pure function of the deployment, the survivors
-        and the arguments, so it is memoized per argument tuple: a
-        repeat returns the same :class:`ScheduleResult` without a probe
-        (still refreshing last-known-good).  :meth:`quarantine`,
+        and the arguments the strategy reads, so it is memoized on
+        those: a repeat returns the same :class:`ScheduleResult` without
+        a probe (still refreshing last-known-good).  :meth:`quarantine`,
         :meth:`reinstate` and :meth:`apply_churn` clear the memo
-        whenever the survivor set changes.  Errors are never memoized.
+        whenever the survivor set changes.  Every call validates all
+        three numbers, whatever the strategy; errors are never memoized.
         """
-        key = (strategy, epoch_duration_s, bias_search_step_v,
-               orientation_tolerance_deg)
+        if strategy not in _ARGUMENTS_READ:
+            raise ValueError(f"unknown scheduling strategy {strategy!r}; "
+                             f"expected one of {SCHEDULE_STRATEGIES}")
+        arguments = (epoch_duration_s, bias_search_step_v,
+                     orientation_tolerance_deg)
+        check_schedule_arguments(*arguments)
+        key = (strategy, *arguments[:_ARGUMENTS_READ[strategy]])
         result = self._epochs.get(key)
         if result is None:
-            result = self._epochs[key] = self._schedule_epoch(*key)
+            result = self._epochs[key] = self._schedule_epoch(
+                strategy, *arguments)
         if strategy != "no-surface":
             for allocation in result.allocations:
                 self._last_known_good[allocation.station] = (
@@ -731,15 +744,12 @@ class FleetSession:
             scheduler = PerStationScheduler(
                 self.deployment, epoch_duration_s=epoch_duration_s,
                 bias_search_step_v=bias_search_step_v, stations=survivors)
-        elif strategy == "polarization-reuse":
+        else:
             scheduler = PolarizationReuseScheduler(
                 self.deployment, epoch_duration_s=epoch_duration_s,
                 bias_search_step_v=bias_search_step_v,
                 orientation_tolerance_deg=orientation_tolerance_deg,
                 stations=survivors)
-        else:
-            raise ValueError(f"unknown scheduling strategy {strategy!r}; "
-                             f"expected one of {SCHEDULE_STRATEGIES}")
         return scheduler.schedule()
 
     def schedule_all(self, epoch_duration_s: float = 60.0,

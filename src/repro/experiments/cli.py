@@ -58,6 +58,12 @@ def _parse_overrides(spec, assignments: Sequence[str]) -> Dict[str, object]:
     return overrides
 
 
+def _write_json(json_path: str, text: str) -> None:
+    """Archive ``text`` at ``json_path`` (:func:`main` made its directory)."""
+    Path(json_path).write_text(text)
+    print(f"\nwrote {json_path}")
+
+
 def _cmd_list(registry: ExperimentRegistry, tag: Optional[str]) -> int:
     specs = registry.all(tag)
     rows = [[spec.name, ", ".join(spec.tags), len(spec.params), spec.title]
@@ -83,8 +89,7 @@ def _cmd_run(registry: ExperimentRegistry, name: str,
     if not quiet:
         print(result.summary())
     if json_path:
-        Path(json_path).write_text(result.to_json(indent=2))
-        print(f"\nwrote {json_path}")
+        _write_json(json_path, result.to_json(indent=2))
     if check:
         try:
             result.check()
@@ -105,8 +110,6 @@ def _cmd_run_all(registry: ExperimentRegistry, tag: Optional[str],
         print(f"no experiments tagged {tag!r}")
         return 1
     directory = Path(json_dir) if json_dir else None
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
     progress = ProgressReporter(total=len(specs), label="run-all")
     start = time.perf_counter()
     results = runner.run_all(tag=tag, smoke=smoke, workers=workers,
@@ -213,7 +216,7 @@ def _cmd_serve(stations: int, rate_rps: float, duration_s: float,
               f"{window_s * 1e3:g} ms window ({arrival} arrivals at "
               f"{rate_rps:g} rps for {duration_s:g} s)"))
     if json_path:
-        Path(json_path).write_text(json.dumps({
+        _write_json(json_path, json.dumps({
             "profile": {"stations": stations, "rate_rps": rate_rps,
                         "duration_s": duration_s, "arrival": arrival,
                         "seed": seed},
@@ -223,7 +226,6 @@ def _cmd_serve(stations: int, rate_rps: float, duration_s: float,
             "trace_digest": result.trace_digest,
             "metrics": row,
         }, indent=2))
-        print(f"\nwrote {json_path}")
     return 0
 
 
@@ -253,7 +255,7 @@ def _cmd_world(stations: int, moving: int, rotating: int,
               f"{report.mean_gain_db:.2f} dB, worst "
               f"{report.worst_gain_db:.2f} dB"))
     if json_path:
-        Path(json_path).write_text(json.dumps({
+        _write_json(json_path, json.dumps({
             "spec": {"stations": stations, "moving": moving,
                      "rotating": rotating, "duration_s": duration_s,
                      "time_step_s": time_step_s, "seed": seed},
@@ -263,7 +265,6 @@ def _cmd_world(stations: int, moving: int, rotating: int,
                 [float(p) for p in report.epoch_mean_power_dbm],
             "trace_digests": [list(pair) for pair in report.trace_digests],
         }, indent=2))
-        print(f"\nwrote {json_path}")
     return 0
 
 
@@ -272,8 +273,7 @@ def _cmd_coverage(registry: ExperimentRegistry,
     report = coverage_report(registry)
     print(format_coverage(report))
     if json_path:
-        Path(json_path).write_text(json.dumps(report, indent=2))
-        print(f"\nwrote {json_path}")
+        _write_json(json_path, json.dumps(report, indent=2))
     return 0
 
 
@@ -374,6 +374,17 @@ def main(argv: Optional[Sequence[str]] = None,
     """CLI entry point; returns the process exit code."""
     registry = registry if registry is not None else REGISTRY
     arguments = build_parser().parse_args(argv)
+    json_path = getattr(arguments, "json_path", None)
+    directory = getattr(arguments, "json_dir", None) or (
+        Path(json_path).parent if json_path else None)
+    if directory is not None:
+        # Before any work, so a path that cannot be made costs no run.
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            print(f"error: cannot create {directory}: {error}",
+                  file=sys.stderr)
+            return 2
     try:
         if arguments.command == "list":
             return _cmd_list(registry, arguments.tag)

@@ -9,10 +9,9 @@ quantity:
 
 * **Injection** — :class:`FaultSpec` / :class:`FaultSchedule` describe
   a deterministic, seedable fault plan (probe dropouts, noise bursts,
-  stuck/quantized actuators, supply brownouts, VISA I/O errors and
-  timeouts, station churn).  The plan is realized by wrappers:
-  :class:`FaultyBackend` over the ``measure_grid`` protocol,
-  :class:`FaultyVisaSession` over the simulated VISA transport and
+  probe call errors, stuck/quantized actuators, supply brownouts,
+  station churn).  The plan is realized by wrappers:
+  :class:`FaultyBackend` over the ``measure_grid`` protocol and
   :class:`StationChurn` over a fleet's station set.  All draws come
   from named seed streams of one schedule, so every fault trace
   replays exactly.
@@ -48,7 +47,6 @@ from repro.faults.spec import (
     FaultTrace,
     stream_seed,
 )
-from repro.faults.visa import FaultyVisaSession
 
 __all__ = [
     "NO_FAULTS",
@@ -57,7 +55,6 @@ __all__ = [
     "FaultSpec",
     "FaultTrace",
     "FaultyBackend",
-    "FaultyVisaSession",
     "HealthMonitor",
     "HealthReport",
     "ProbeFaultError",

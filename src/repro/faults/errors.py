@@ -2,16 +2,13 @@
 
 The resilience layer distinguishes *transient* faults — worth retrying
 with backoff — from programming errors, which must propagate.  All
-injected call-level faults derive from :class:`TransientFaultError`;
-the VISA transport's :class:`~repro.hardware.visa.VisaTimeoutError`
-(a timeout on an otherwise healthy session) is also classified as
-transient, while a plain :class:`~repro.hardware.visa.VisaError`
-(malformed SCPI, closed session) is not.
+injected call-level faults derive from :class:`TransientFaultError`,
+the one retryable class; anything else (a
+:class:`~repro.hardware.visa.VisaError` for malformed SCPI or a closed
+session included) propagates on the first attempt.
 """
 
 from __future__ import annotations
-
-from repro.hardware.visa import VisaTimeoutError
 
 
 class TransientFaultError(RuntimeError):
@@ -24,7 +21,7 @@ class ProbeFaultError(TransientFaultError):
 
 #: Exception types a :class:`~repro.faults.retry.RetryPolicy` retries by
 #: default.
-DEFAULT_RETRYABLE = (TransientFaultError, VisaTimeoutError)
+DEFAULT_RETRYABLE = (TransientFaultError,)
 
 
 def is_retryable(error: BaseException,

@@ -24,7 +24,7 @@ class HealthReport:
         Retry attempts the :class:`~repro.faults.retry.RetryPolicy`
         consumed (0 when every call succeeded first try).
     faults_seen:
-        Fault counts by kind (``"probe.dropout"``, ``"visa.timeout"``,
+        Fault counts by kind (``"probe.dropout"``, ``"churn.fail"``,
         ...), as recorded by the monitor's consumers.
     stations_quarantined:
         Stations currently quarantined, in quarantine order.

@@ -2,10 +2,10 @@
 
 A :class:`FaultSpec` is a frozen, serializable description of a fault
 environment — per-probe dropout and noise-burst rates, actuator
-defects, supply glitches, VISA I/O failure rates and station-churn
-time constants.  A :class:`FaultSchedule` binds a spec to one master
-seed and hands out *named* RNG streams (``"probe.dropout"``,
-``"visa.timeout"``, ``"churn"``, ...), each deterministically derived
+defects, supply glitches and station-churn time constants.  A
+:class:`FaultSchedule` binds a spec to one master seed and hands out
+*named* RNG streams (``"probe.dropout"``, ``"actuator.stuck"``,
+``"churn"``, ...), each deterministically derived
 from ``(seed, stream name)``.  Consumers draw from their own stream,
 so adding a new fault kind never perturbs existing traces, and
 replaying a schedule (same spec, same seed) reproduces every fault —
@@ -29,8 +29,8 @@ import numpy as np
 
 #: Fault kinds a schedule records in its trace.
 FAULT_KINDS = ("probe.dropout", "probe.noise", "probe.error",
-               "actuator.stuck", "supply.brownout", "visa.error",
-               "visa.timeout", "churn.fail", "churn.recover")
+               "actuator.stuck", "supply.brownout", "churn.fail",
+               "churn.recover")
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class FaultSpec:
 
     All ``*_rate`` fields are per-event probabilities in ``[0, 1]``:
     per probed grid element for the data-plane faults, per backend call
-    for ``probe_error_rate``, per VISA operation for the transport
-    faults, and per station-epoch for churn.
+    for ``probe_error_rate``, and per station-epoch for churn.
 
     Attributes
     ----------
@@ -61,10 +60,6 @@ class FaultSpec:
     brownout_rate, brownout_clip_v:
         Probability of a supply brownout clipping both commanded
         voltages to at most ``brownout_clip_v``.
-    visa_error_rate, visa_timeout_rate:
-        Probabilities a VISA write/query raises
-        :class:`~repro.hardware.visa.VisaError` /
-        :class:`~repro.hardware.visa.VisaTimeoutError`.
     station_mtbf_epochs, station_mttr_epochs:
         Station churn time constants, in scheduling epochs: a healthy
         station fails with probability ``1 / mtbf`` per epoch
@@ -81,15 +76,12 @@ class FaultSpec:
     quantize_step_v: float = 0.0
     brownout_rate: float = 0.0
     brownout_clip_v: float = 18.0
-    visa_error_rate: float = 0.0
-    visa_timeout_rate: float = 0.0
     station_mtbf_epochs: float = math.inf
     station_mttr_epochs: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("probe_dropout_rate", "noise_burst_rate",
-                     "probe_error_rate", "stuck_rate", "brownout_rate",
-                     "visa_error_rate", "visa_timeout_rate"):
+                     "probe_error_rate", "stuck_rate", "brownout_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -132,8 +124,7 @@ class FaultSpec:
         delegate without drawing from any stream, so a zero-fault run
         is bit-identical to (and as cheap as) the bare pipeline.
         """
-        return (self.perturbs_probes or self.churns_stations
-                or self.visa_error_rate > 0 or self.visa_timeout_rate > 0)
+        return self.perturbs_probes or self.churns_stations
 
     def scaled(self, factor: float) -> "FaultSpec":
         """The same spec with every probability scaled (and clamped).
@@ -154,9 +145,7 @@ class FaultSpec:
             noise_burst_rate=clamp(self.noise_burst_rate),
             probe_error_rate=clamp(self.probe_error_rate),
             stuck_rate=clamp(self.stuck_rate),
-            brownout_rate=clamp(self.brownout_rate),
-            visa_error_rate=clamp(self.visa_error_rate),
-            visa_timeout_rate=clamp(self.visa_timeout_rate))
+            brownout_rate=clamp(self.brownout_rate))
 
 
 #: The do-nothing spec (every wrapper's exact fast path).
@@ -278,7 +267,7 @@ class FaultSchedule:
 
     def fault_fires(self, name: str, rate: float,
                     kind: Optional[str] = None) -> bool:
-        """One scalar fault draw (VISA operations, call-level errors)."""
+        """One scalar fault draw (call-level errors)."""
         return bool(self.fault_mask(name, (), rate, kind=kind))
 
     def signs(self, name: str, shape) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Laboratory-equipment simulation.
 
 The paper's prototype is driven by a Tektronix 2230G programmable DC
-supply over VISA, a remote-controlled antenna turntable, and a test
-chamber optionally covered with absorbing material.  None of that
-hardware is available to the reproduction, so this package provides
-behaviourally faithful simulations: the supply enforces channel/voltage
-limits and a finite switching rate, the VISA transport mimics the SCPI
-command surface the original Python control script used, and the
-turntable moves at a finite angular rate.
+supply over VISA.  That hardware is not available to the reproduction,
+so this package provides behaviourally faithful simulations: the supply
+enforces channel/voltage limits and a finite switching rate, and the
+VISA transport mimics the SCPI command surface the original Python
+control script used.  The paper's turntable is a ``rx_orientation``
+axis of :class:`~repro.channel.grid.ProbeGrid`, and its test chamber a
+:class:`~repro.channel.multipath.MultipathEnvironment`.
 """
 
 from repro.hardware.visa import SimulatedVisaSession, VisaError, VisaResourceManager
@@ -16,8 +16,6 @@ from repro.hardware.power_supply import (
     ProgrammablePowerSupply,
     SupplyLimits,
 )
-from repro.hardware.turntable import Turntable
-from repro.hardware.environment import TestChamber
 
 __all__ = [
     "SimulatedVisaSession",
@@ -26,6 +24,4 @@ __all__ = [
     "PowerSupplyChannel",
     "ProgrammablePowerSupply",
     "SupplyLimits",
-    "Turntable",
-    "TestChamber",
 ]

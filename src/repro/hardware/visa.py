@@ -9,7 +9,9 @@ instrument, without any hardware present.
 Only the small SCPI subset the LLAMA controller needs is implemented:
 identification, channel selection, voltage setting/query and output
 enable.  Unknown commands raise :class:`VisaError`, mirroring how a real
-instrument would flag malformed SCPI.
+instrument would flag malformed SCPI.  The transport never fails on its
+own: the fault plane (:mod:`repro.faults`) injects faults at the probe,
+actuator and supply level, not into the VISA session.
 """
 
 from __future__ import annotations
@@ -20,17 +22,6 @@ from typing import Callable, Dict, List
 
 class VisaError(RuntimeError):
     """Raised for malformed SCPI commands or closed sessions."""
-
-
-class VisaTimeoutError(VisaError):
-    """A VISA operation timed out (transient: the session stays open).
-
-    Unlike a plain :class:`VisaError`, a timeout does not mean the
-    command was malformed or the session closed — a retry may succeed,
-    which is why the resilience layer
-    (:data:`repro.faults.errors.DEFAULT_RETRYABLE`) classifies this
-    subclass, and only this subclass, as retryable.
-    """
 
 
 @dataclass
@@ -119,5 +110,4 @@ class VisaResourceManager:
                                     timeout_ms=timeout_ms)
 
 
-__all__ = ["VisaError", "VisaTimeoutError", "SimulatedVisaSession",
-           "VisaResourceManager"]
+__all__ = ["VisaError", "SimulatedVisaSession", "VisaResourceManager"]

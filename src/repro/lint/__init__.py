@@ -3,11 +3,11 @@
 The reproduction rests on a handful of load-bearing invariants that
 runtime tests cannot police exhaustively: dB-family and linear
 quantities must never be combined directly (RPR001), frozen
-configurations stay frozen and links are built once (RPR002),
-sweep-axis string literals come from the real
-:data:`~repro.channel.grid.SWEEP_AXES` (RPR003), every figure/table
-callable stays registered and covered (RPR004), and the hot physics
-modules stay vectorized (RPR005).  This package machine-checks them:
+configurations stay frozen and links are built once (RPR002), the hot
+physics modules stay vectorized (RPR005), time and retries stay on the
+virtual clocks of the fault and serving planes (RPR006), and
+randomness flows from explicit seeded generators (RPR008).  This
+package machine-checks them:
 
 * :mod:`repro.lint.findings` — the :class:`Finding` record.
 * :mod:`repro.lint.base` — rule base class, registry, suppressions.

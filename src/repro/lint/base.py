@@ -10,10 +10,10 @@ File *roles* make rules applicable by module kind rather than by
 hard-coded paths: the engine derives roles from the path (``test`` for
 test files, ``hot`` for the vectorized physics kernels under
 ``channel/`` / ``metasurface/`` / ``core/``, ``units`` for
-``repro/units.py``, ``figures`` for the experiment runner module) and a
+``repro/units.py``, ``faults`` and ``world`` for those packages) and a
 fixture file can claim any role explicitly with a pragma comment::
 
-    # repro-lint: role=hot,figures
+    # repro-lint: role=hot,units
 
 When a role pragma is present it *replaces* the derived roles, so test
 fixtures exercise exactly the rule paths they mean to.

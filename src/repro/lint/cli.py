@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.lint [paths ...] [--select RPR001,RPR003] [--json]
+    python -m repro.lint [paths ...] [--select RPR001,RPR006] [--json]
                          [--baseline FILE | --no-baseline]
                          [--write-baseline] [--strict-baseline]
                          [--list-rules] [--explain RULE]

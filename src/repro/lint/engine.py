@@ -68,12 +68,8 @@ def derive_roles(path: str) -> FrozenSet[str]:
         roles.add("hot")
     if posix.endswith("repro/units.py"):
         roles.add("units")
-    if posix.endswith("experiments/figures.py"):
-        roles.add("figures")
     if "repro/faults/" in posix:
         roles.add("faults")
-    if "repro/serve/" in posix:
-        roles.add("serve")
     if "repro/world/" in posix:
         roles.add("world")
     return frozenset(roles)

@@ -1,4 +1,4 @@
-"""The domain rules (RPR001-RPR008).
+"""The domain rules (RPR001, RPR002, RPR005, RPR006 and RPR008).
 
 Importing this package registers every rule with
 :data:`repro.lint.base.RULES`.
@@ -6,22 +6,16 @@ Importing this package registers every rule with
 
 from __future__ import annotations
 
-from repro.lint.rules.axes import AxisLiteralRule
-from repro.lint.rules.blocking import AsyncBlockingRule
 from repro.lint.rules.caching import CachingContractRule
 from repro.lint.rules.numpy_hygiene import NumpyHygieneRule
 from repro.lint.rules.randomness import RandomnessRule
-from repro.lint.rules.registry_hygiene import RegistryHygieneRule
 from repro.lint.rules.sleeps import SleepRetryRule
 from repro.lint.rules.units import UnitsDisciplineRule
 
 __all__ = [
-    "AsyncBlockingRule",
-    "AxisLiteralRule",
     "CachingContractRule",
     "NumpyHygieneRule",
     "RandomnessRule",
-    "RegistryHygieneRule",
     "SleepRetryRule",
     "UnitsDisciplineRule",
 ]

@@ -43,7 +43,10 @@ class SleepRetryRule(Rule):
     :class:`~repro.faults.retry.RetryPolicy` accounts backoff the same
     way — so a bare ``time.sleep`` anywhere outside ``repro/faults/``
     stalls the real process for no model benefit and makes the suite
-    wall-clock-dependent.  Likewise a hand-rolled retry loop (a
+    wall-clock-dependent.  In ``repro/serve/`` it would also stall every
+    station at once in time the
+    :class:`~repro.serve.clock.VirtualClock` never sees: an actor waits
+    by yielding its delay to the clock's event heap.  Likewise a hand-rolled retry loop (a
     ``while``/``for attempt in range(...)`` whose ``except`` handler
     ``continue``\\ s) duplicates, without the deadline budget, typed
     retryable classification or health accounting, what
@@ -66,10 +69,8 @@ class SleepRetryRule(Rule):
 
     @classmethod
     def applies_to(cls, context: LintContext) -> bool:
-        # repro/faults/ owns the sleep/retry machinery; repro/serve/
-        # answers to the stricter serving-plane rule (RPR007), which
-        # also covers bare sleeps.
-        return not (context.has_role("faults") or context.has_role("serve"))
+        # repro/faults/ owns the sleep/retry machinery.
+        return not context.has_role("faults")
 
     # ------------------------------------------------------------- #
     # Import tracking (``from time import sleep [as s]``, ``import

@@ -105,6 +105,26 @@ class ScheduleResult:
         raise KeyError(f"no allocation for station {station!r}")
 
 
+def check_schedule_arguments(epoch_duration_s: float,
+                             bias_search_step_v: float,
+                             orientation_tolerance_deg: float = 20.0
+                             ) -> None:
+    """Raise ``ValueError`` on a schedule argument no scheduler accepts.
+
+    The epoch duration and bias step must be positive and finite, the
+    orientation tolerance positive; NaN fails every check.
+    """
+    if not (math.isfinite(epoch_duration_s) and epoch_duration_s > 0):
+        raise ValueError("epoch duration must be positive and finite, "
+                         f"got {epoch_duration_s!r}")
+    if not (math.isfinite(bias_search_step_v) and bias_search_step_v > 0):
+        raise ValueError("bias search step must be positive and finite, "
+                         f"got {bias_search_step_v!r}")
+    if not orientation_tolerance_deg > 0:
+        raise ValueError("orientation tolerance must be positive, "
+                         f"got {orientation_tolerance_deg!r}")
+
+
 class _SchedulerBase:
     """Shared plumbing for the concrete schedulers."""
 
@@ -116,12 +136,7 @@ class _SchedulerBase:
                  epoch_duration_s: float = 60.0,
                  bias_search_step_v: float = 5.0,
                  stations: Optional[Sequence[str]] = None):
-        if not (math.isfinite(epoch_duration_s) and epoch_duration_s > 0):
-            raise ValueError("epoch duration must be positive and finite, "
-                             f"got {epoch_duration_s!r}")
-        if not (math.isfinite(bias_search_step_v) and bias_search_step_v > 0):
-            raise ValueError("bias search step must be positive and finite, "
-                             f"got {bias_search_step_v!r}")
+        check_schedule_arguments(epoch_duration_s, bias_search_step_v)
         self.deployment = deployment
         self.epoch_duration_s = epoch_duration_s
         self.bias_search_step_v = bias_search_step_v
@@ -235,11 +250,10 @@ class PolarizationReuseScheduler(_SchedulerBase):
                  bias_search_step_v: float = 5.0,
                  orientation_tolerance_deg: float = 20.0,
                  stations: Optional[Sequence[str]] = None):
+        check_schedule_arguments(epoch_duration_s, bias_search_step_v,
+                                 orientation_tolerance_deg)
         super().__init__(deployment, epoch_duration_s, bias_search_step_v,
                          stations=stations)
-        if not orientation_tolerance_deg > 0:  # NaN fails too
-            raise ValueError("orientation tolerance must be positive, "
-                             f"got {orientation_tolerance_deg!r}")
         self.orientation_tolerance_deg = orientation_tolerance_deg
 
     def schedule(self) -> ScheduleResult:
@@ -303,4 +317,5 @@ __all__ = [
     "PerStationScheduler",
     "PolarizationReuseScheduler",
     "baseline_without_surface",
+    "check_schedule_arguments",
 ]

@@ -32,6 +32,9 @@ from typing import Deque, Generator, List, Optional, Set, Tuple
 #: park until woken.
 Actor = Generator[Optional[float], None, None]
 
+#: What ``next`` returns for an actor that has finished.
+_DONE = object()
+
 
 class VirtualClock:
     """Simulated time with a heap of parked actors.
@@ -78,9 +81,8 @@ class VirtualClock:
             while True:
                 while ready:
                     actor = ready.popleft()
-                    try:
-                        delay = next(actor)
-                    except StopIteration:
+                    delay = next(actor, _DONE)
+                    if delay is _DONE:
                         continue
                     if delay is None:
                         self._parked.add(actor)

@@ -4,16 +4,17 @@ An epoch is a pure function of the deployment, the survivor set and the
 schedule arguments, so a session answers a repeat from its memo with no
 budget-engine pass.  These tests count passes with
 :func:`probe_evaluations` (no clock): a hit is 0 passes, every survivor
-change forces one fresh pass, a different argument misses, hits still
-refresh the last-known-good bias pairs, and invalid arguments raise on
-every call without being stored.
+change forces one fresh pass, a different argument the strategy reads
+misses while one it ignores hits, hits still refresh the last-known-good
+bias pairs, and invalid arguments raise for every strategy on every call
+without being stored.
 """
 
 import math
 
 import pytest
 
-from repro.api.fleet import FleetSession, FleetSpec
+from repro.api.fleet import SCHEDULE_STRATEGIES, FleetSession, FleetSpec
 from repro.channel.link import probe_evaluations
 from repro.network.scheduler import PolarizationReuseScheduler
 
@@ -89,6 +90,22 @@ class TestHits:
         assert passes(fleet, **kwargs)[0] == 0
 
 
+    @pytest.mark.parametrize("strategy,kwargs", [
+        ("no-surface", {"epoch_duration_s": 30.0}),
+        ("no-surface", {"bias_search_step_v": 2.5}),
+        ("no-surface", {"orientation_tolerance_deg": 10.0}),
+        ("fixed-bias", {"orientation_tolerance_deg": 10.0}),
+        ("per-station", {"orientation_tolerance_deg": 10.0}),
+    ])
+    def test_arguments_the_strategy_ignores_hit(self, fleet, strategy,
+                                                kwargs):
+        _, first = passes(fleet, strategy)
+        count, again = passes(fleet, strategy, **kwargs)
+        assert count == 0
+        assert again is first
+        assert len(fleet._epochs) == 1
+
+
 class TestSurvivorChanges:
     #: Survivor changes applied to a fleet missing its station 1.
     CHANGES = {
@@ -154,6 +171,20 @@ class TestTypedErrors:
                        {"orientation_tolerance_deg": math.nan}):
             with pytest.raises(ValueError):
                 fleet.schedule("polarization-reuse", **kwargs)
+
+    @pytest.mark.parametrize("strategy", SCHEDULE_STRATEGIES)
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"epoch_duration_s": math.nan}, "epoch duration must be positive"),
+        ({"bias_search_step_v": math.inf}, "bias search step must be"),
+        ({"orientation_tolerance_deg": math.nan},
+         "orientation tolerance must be positive"),
+    ])
+    def test_every_strategy_validates_every_argument(self, fleet, strategy,
+                                                     kwargs, message):
+        for _attempt in range(3):
+            with pytest.raises(ValueError, match=message):
+                fleet.schedule(strategy, **kwargs)
+        assert fleet._epochs == {}
 
     def test_unknown_strategy_raises_on_every_call(self, fleet):
         passes(fleet)

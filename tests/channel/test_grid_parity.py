@@ -186,7 +186,7 @@ class TestThinViews:
 class TestProbeGridValidation:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown grid axis"):
-            ProbeGrid.product(bandwidth=np.array([1.0]))  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
+            ProbeGrid.product(bandwidth=np.array([1.0]))
 
     def test_axis_names_cover_voltages_and_sweep_axes(self):
         assert GRID_AXES == VOLTAGE_AXES + SWEEP_AXES

@@ -124,7 +124,7 @@ class TestSweepAxisParity:
     def test_unknown_axis_rejected(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError, match="unknown grid axis"):
-            link.evaluate(ProbeGrid.aligned(bandwidth=[1.0]))  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
+            link.evaluate(ProbeGrid.aligned(bandwidth=[1.0]))
 
     def test_non_positive_frequency_rejected(self):
         link = TransmissiveScenario().link()
@@ -341,6 +341,20 @@ class TestMultiAxisSweepDriver:
                 slow.power_without_dbm, abs=TOLERANCE_DB)
             assert fast.best_vx == pytest.approx(slow.best_vx)
             assert fast.best_vy == pytest.approx(slow.best_vy)
+
+    def test_unknown_axis_rejected_before_any_probe(self):
+        probes = []
+
+        class CountingBackend:
+            def measure_grid(self, grid):
+                probes.append(grid)
+                return np.zeros(grid.shape)
+
+        with pytest.raises(ValueError, match="unknown grid axis"):
+            multi_axis_sweep("bandwidth", [1.0],
+                             TransmissiveScenario().link(),
+                             backend=CountingBackend())
+        assert probes == []
 
     def test_sweep_capacity_vectorized_matches_scalar_formula(self):
         frequencies = AXIS_VALUES["frequency"][:3]

@@ -157,3 +157,61 @@ class TestCoverage:
 @pytest.mark.parametrize("argv", [["list"], ["coverage"]])
 def test_main_returns_zero(argv):
     assert main(argv) == 0
+
+
+#: One cheap invocation of every command that takes ``--json``.
+JSON_COMMANDS = [
+    ["coverage"],
+    ["run", "fig15", "--smoke", "--quiet"],
+    ["serve", "--stations", "2", "--duration", "0.05"],
+    ["world", "--stations", "2", "--moving", "1", "--rotating", "1",
+     "--duration", "1", "--step", "0.5"],
+]
+
+
+class TestJsonOutputPaths:
+    @pytest.mark.parametrize("argv", JSON_COMMANDS,
+                             ids=lambda argv: argv[0])
+    def test_json_into_a_missing_directory_is_created(self, argv, capsys,
+                                                      tmp_path):
+        out_path = tmp_path / "missing" / "deeper" / "out.json"
+        assert main(argv + ["--json", str(out_path)]) == 0
+        json.loads(out_path.read_text())
+        assert f"wrote {out_path}" in capsys.readouterr().out
+
+    def test_json_to_a_bare_file_name_lands_in_the_working_directory(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["coverage", "--json", "coverage.json"]) == 0
+        json.loads((tmp_path / "coverage.json").read_text())
+        assert "wrote coverage.json" in capsys.readouterr().out
+
+    def test_json_dir_into_a_missing_directory_is_created(self, capsys,
+                                                          tmp_path):
+        json_dir = tmp_path / "missing" / "runs"
+        assert main(["run-all", "--tag", "design", "--smoke",
+                     "--json-dir", str(json_dir)]) == 0
+        capsys.readouterr()
+        assert sorted(path.stem for path in json_dir.glob("*.json")) \
+            == sorted(REGISTRY.names("design"))
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS,
+                             ids=lambda argv: argv[0])
+    def test_uncreatable_directory_fails_before_any_work(self, argv, capsys,
+                                                         tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(argv + ["--json", str(blocker / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot create {blocker}")
+
+    def test_uncreatable_json_dir_fails_before_any_work(self, capsys,
+                                                        tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["run-all", "--tag", "table", "--smoke",
+                     "--json-dir", str(blocker / "runs")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cannot create" in captured.err

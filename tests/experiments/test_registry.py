@@ -192,9 +192,15 @@ class TestCatalogue:
         assert params["distance_cm"] == (30.0,)
 
     def test_every_spec_has_summary_and_check(self):
+        """Hooks, coverage metadata and, with params, a smoke profile —
+        what CI's suite-wide smoke run and coverage audit rely on."""
+        assert len(REGISTRY) >= 25
         for spec in REGISTRY:
             assert spec.summarize is not None, spec.name
             assert spec.check is not None, spec.name
+            assert spec.scenarios or spec.axes or spec.modules, spec.name
+            if spec.params:
+                assert spec.smoke, spec.name
 
     def test_iot_families_covers_all_three_families(self):
         spec = REGISTRY.get("iot_families")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.channel.link import DeploymentMode, WirelessLink
-from repro.experiments.baselines import baseline_power_dbm, improvement_over_baseline_db
 from repro.experiments.reporting import (
     PLACEHOLDER_CELL,
     format_comparison,
@@ -179,26 +178,6 @@ class TestSweepDrivers:
         parameter, with_eff, without_eff = rows[0]
         assert parameter == pytest.approx(0.42)
         assert with_eff > without_eff
-
-
-class TestBaselines:
-    def test_baseline_power_uses_surfaceless_link(self):
-        scenario = TransmissiveScenario()
-        value = baseline_power_dbm(scenario.link())
-        assert value == pytest.approx(
-            scenario.baseline_link().received_power_dbm())
-
-    def test_receiver_based_baseline_close_to_budget(self):
-        scenario = TransmissiveScenario()
-        noisy = baseline_power_dbm(scenario.link(), use_receiver=True,
-                                   averaging_seconds=1.0)
-        exact = baseline_power_dbm(scenario.link())
-        assert noisy == pytest.approx(exact, abs=1.0)
-
-    def test_improvement_over_baseline(self):
-        scenario = TransmissiveScenario()
-        improvement = improvement_over_baseline_db(scenario.link(), 30.0, 0.0)
-        assert improvement > 8.0
 
 
 class TestReporting:

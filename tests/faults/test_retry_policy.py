@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.channel.grid import ProbeGrid
 from repro.faults.errors import DEFAULT_RETRYABLE, is_retryable
-from repro.hardware.visa import VisaError, VisaTimeoutError
+from repro.hardware.visa import VisaError
 
 POLICIES = st.builds(
     RetryPolicy,
@@ -154,11 +154,6 @@ class TestExecute:
             RetryPolicy(max_attempts=5).execute(probe)
         assert probe.calls == 1
 
-    def test_visa_timeout_is_retried(self):
-        probe = FlakyProbe(2, error=VisaTimeoutError)
-        outcome = RetryPolicy(max_attempts=5).execute(probe)
-        assert outcome.attempts == 3
-
     def test_monitor_counts_retries(self):
         monitor = HealthMonitor()
         RetryPolicy(max_attempts=4).execute(FlakyProbe(2), monitor=monitor)
@@ -178,10 +173,8 @@ class TestExecute:
 
 class TestClassification:
     def test_default_retryable_set(self):
-        assert TransientFaultError in DEFAULT_RETRYABLE
-        assert VisaTimeoutError in DEFAULT_RETRYABLE
+        assert DEFAULT_RETRYABLE == (TransientFaultError,)
         assert is_retryable(ProbeFaultError("x"))
-        assert is_retryable(VisaTimeoutError("x"))
         assert not is_retryable(VisaError("x"))
         assert not is_retryable(ValueError("x"))
 

@@ -7,15 +7,42 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import NO_FAULTS, FaultSchedule, FaultSpec, FaultTrace
+from repro.channel.grid import ProbeGrid
+from repro.faults import (
+    NO_FAULTS,
+    FaultSchedule,
+    FaultSpec,
+    FaultTrace,
+    FaultyBackend,
+    ProbeFaultError,
+    StationChurn,
+)
 from repro.faults.spec import FAULT_KINDS, FaultEvent
+
+#: A spec under which each catalogued kind fires on its first chance.
+CERTAIN_FAULTS = {
+    "probe.dropout": FaultSpec(probe_dropout_rate=1.0),
+    "probe.noise": FaultSpec(noise_burst_rate=1.0),
+    "probe.error": FaultSpec(probe_error_rate=1.0),
+    "actuator.stuck": FaultSpec(stuck_rate=1.0),
+    "supply.brownout": FaultSpec(brownout_rate=1.0),
+    "churn.fail": FaultSpec(station_mtbf_epochs=1.0),
+    "churn.recover": FaultSpec(station_mtbf_epochs=1.0,
+                               station_mttr_epochs=1.0),
+}
+
+
+class ZeroBackend:
+    """A ``measure_grid`` backend reporting 0 dBm everywhere."""
+
+    def measure_grid(self, grid):
+        return np.zeros(grid.shape)
 
 
 class TestFaultSpecValidation:
     @pytest.mark.parametrize("name", [
         "probe_dropout_rate", "noise_burst_rate", "probe_error_rate",
-        "stuck_rate", "brownout_rate", "visa_error_rate",
-        "visa_timeout_rate",
+        "stuck_rate", "brownout_rate",
     ])
     @pytest.mark.parametrize("value", [-0.1, 1.5])
     def test_rates_must_be_probabilities(self, name, value):
@@ -66,10 +93,6 @@ class TestFaultSpecIntrospection:
         assert spec.active and spec.churns_stations
         assert not spec.perturbs_probes
 
-    def test_visa_rates_activate_without_perturbing_probes(self):
-        spec = FaultSpec(visa_timeout_rate=0.2)
-        assert spec.active and not spec.perturbs_probes
-
 
 class TestFaultSpecScaled:
     def test_scales_every_rate_and_keeps_magnitudes(self):
@@ -89,7 +112,7 @@ class TestFaultSpecScaled:
             .probe_dropout_rate == 1.0
 
     def test_zero_factor_deactivates_probe_plane(self):
-        spec = FaultSpec(probe_dropout_rate=0.5, visa_error_rate=0.5)
+        spec = FaultSpec(probe_dropout_rate=0.5, brownout_rate=0.5)
         assert not spec.scaled(0.0).perturbs_probes
 
     def test_negative_factor_rejected(self):
@@ -147,8 +170,8 @@ class TestFaultSchedule:
 
     def test_fault_fires_is_scalar_and_deterministic(self):
         assert isinstance(
-            FaultSchedule(seed=1).fault_fires("visa.timeout", 1.0), bool)
-        draws = [FaultSchedule(seed=5).fault_fires("visa.timeout", 0.5)
+            FaultSchedule(seed=1).fault_fires("probe.error", 1.0), bool)
+        draws = [FaultSchedule(seed=5).fault_fires("probe.error", 0.5)
                  for _ in range(3)]
         assert len(set(draws)) == 1
 
@@ -186,16 +209,36 @@ class TestFaultTrace:
         trace = FaultTrace(events=(
             FaultEvent("probe.dropout", "probe.dropout", 1, 16, 3),
             FaultEvent("probe.dropout", "probe.dropout", 2, 16, 1),
-            FaultEvent("visa.timeout", "visa.timeout", 1, 1, 1),
+            FaultEvent("probe.error", "probe.error", 1, 1, 1),
         ))
-        assert trace.counts() == {"probe.dropout": 4, "visa.timeout": 1}
+        assert trace.counts() == {"probe.dropout": 4, "probe.error": 1}
         assert trace.total == 5
         assert trace.digest() != FaultTrace().digest()
 
     def test_every_kind_is_in_the_catalogue(self):
         assert len(set(FAULT_KINDS)) == len(FAULT_KINDS)
-        for prefix in ("probe.", "actuator.", "supply.", "visa.", "churn."):
+        for prefix in ("probe.", "actuator.", "supply.", "churn."):
             assert any(kind.startswith(prefix) for kind in FAULT_KINDS)
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_every_catalogued_kind_is_recorded_by_the_fault_plane(
+            self, kind):
+        # A kind no injector records is a dead catalogue entry.
+        schedule = FaultSchedule(CERTAIN_FAULTS[kind], seed=0)
+        if kind.startswith("churn."):
+            churn = StationChurn(schedule, ("a", "b"))
+            churn.advance()
+            churn.advance()
+        else:
+            backend = FaultyBackend(ZeroBackend(), schedule)
+            try:
+                backend.measure_grid(ProbeGrid.aligned(vx=[3.0, 27.0],
+                                                       vy=[27.0, 3.0]))
+            except ProbeFaultError:
+                assert kind == "probe.error"
+        counts = schedule.trace.counts()
+        assert counts[kind] > 0
+        assert set(counts) <= set(FAULT_KINDS)
 
     def test_mtbf_defaults_disable_churn(self):
         assert math.isinf(NO_FAULTS.station_mtbf_epochs)

@@ -1,20 +1,12 @@
 """VISA session lifecycle regressions: idempotent close, context-manager
-exit semantics, the timeout error class, and scheduled transport faults."""
+exit semantics and the resource manager round trip."""
 
 import pytest
 
-from repro.faults import (
-    FaultSchedule,
-    FaultSpec,
-    FaultyVisaSession,
-    HealthMonitor,
-)
-from repro.faults.errors import is_retryable
 from repro.hardware.visa import (
     SimulatedVisaSession,
     VisaError,
     VisaResourceManager,
-    VisaTimeoutError,
 )
 
 RESOURCE = "USB0::0x05E6::0x2230::SIM::INSTR"
@@ -66,19 +58,6 @@ class TestContextManager:
         assert not session.is_open
 
 
-class TestTimeoutError:
-    def test_is_a_visa_error(self):
-        assert issubclass(VisaTimeoutError, VisaError)
-
-    def test_only_the_timeout_subclass_is_retryable(self):
-        assert is_retryable(VisaTimeoutError("slow instrument"))
-        assert not is_retryable(VisaError("malformed SCPI"))
-
-    def test_catching_visa_error_catches_timeouts_too(self):
-        with pytest.raises(VisaError):
-            raise VisaTimeoutError("timeout")
-
-
 class TestResourceManager:
     def test_open_resource_round_trip(self):
         manager = VisaResourceManager()
@@ -86,59 +65,3 @@ class TestResourceManager:
         with manager.open_resource(RESOURCE) as session:
             assert session.query("*IDN?") == "*IDN?"
         assert not session.is_open
-
-
-class TestFaultyVisaSession:
-    def make(self, spec, seed=0, monitor=None):
-        inner = SimulatedVisaSession(resource_name=RESOURCE,
-                                     handler=echo_handler)
-        return FaultyVisaSession(inner, FaultSchedule(spec, seed=seed),
-                                 monitor=monitor)
-
-    def test_inactive_spec_delegates_transparently(self):
-        faulty = self.make(FaultSpec())
-        faulty.write("OUTPUT ON")
-        assert faulty.query("*IDN?") == "*IDN?"
-        assert faulty.command_log == ["OUTPUT ON", "*IDN?"]
-        assert faulty.resource_name == RESOURCE
-        assert faulty.schedule.trace.events == ()
-
-    def test_certain_timeout_fires_before_the_instrument(self):
-        monitor = HealthMonitor()
-        faulty = self.make(FaultSpec(visa_timeout_rate=1.0),
-                           monitor=monitor)
-        with pytest.raises(VisaTimeoutError, match="injected timeout"):
-            faulty.write("OUTPUT ON")
-        assert faulty.command_log == []  # never reached the instrument
-        assert faulty.is_open  # transient: the session stays healthy
-        assert monitor.report().faults_seen == {"visa.timeout": 1}
-
-    def test_certain_error_raises_plain_visa_error(self):
-        faulty = self.make(FaultSpec(visa_error_rate=1.0))
-        with pytest.raises(VisaError, match="injected I/O error"):
-            faulty.query("*IDN?")
-        assert not is_retryable(VisaError("x"))
-
-    def test_fault_timeline_replays_exactly(self):
-        spec = FaultSpec(visa_timeout_rate=0.3)
-
-        def timeline():
-            faulty = self.make(spec, seed=11)
-            outcomes = []
-            for _ in range(20):
-                try:
-                    faulty.write("OUTPUT ON")
-                    outcomes.append("ok")
-                except VisaTimeoutError:
-                    outcomes.append("timeout")
-            return outcomes, faulty.schedule.trace.digest()
-
-        assert timeline() == timeline()
-
-    def test_context_manager_closes_wrapped_session(self):
-        faulty = self.make(FaultSpec())
-        with faulty:
-            pass
-        assert not faulty.is_open
-        with pytest.raises(VisaError):
-            faulty.write("OUTPUT ON")

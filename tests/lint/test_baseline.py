@@ -83,9 +83,9 @@ class TestFromFindings:
     def test_groups_by_fingerprint_with_counts(self):
         baseline = Baseline.from_findings(
             [finding(line=3), finding(line=9),
-             finding(rule="RPR003", message="bad axis")])
+             finding(rule="RPR006", message="bare sleep")])
         assert [(e.rule, e.count) for e in baseline.entries] == [
-            ("RPR001", 2), ("RPR003", 1)]
+            ("RPR001", 2), ("RPR006", 1)]
         assert all(e.justification == PLACEHOLDER_JUSTIFICATION
                    for e in baseline.entries)
 
@@ -95,8 +95,8 @@ class TestFromFindings:
             message=finding().message, count=1,
             justification="reviewed: hot kernel")])
         rebuilt = Baseline.from_findings(
-            [finding(), finding(rule="RPR003", message="bad axis")],
+            [finding(), finding(rule="RPR006", message="bare sleep")],
             previous=previous)
         by_rule = {entry.rule: entry for entry in rebuilt.entries}
         assert by_rule["RPR001"].justification == "reviewed: hot kernel"
-        assert by_rule["RPR003"].justification == PLACEHOLDER_JUSTIFICATION
+        assert by_rule["RPR006"].justification == PLACEHOLDER_JUSTIFICATION

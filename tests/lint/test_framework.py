@@ -5,12 +5,16 @@ each case controls the path (for role derivation) and the pragma text
 precisely.
 """
 
+from pathlib import Path
+
 import pytest
 
+import repro.serve
 from repro.lint import LintConfig, lint_source
 from repro.lint.base import parse_role_pragma, parse_suppressions
 from repro.lint.engine import DEFAULT_EXCLUDES, derive_roles, iter_python_files
 
+SERVE_DIR = Path(repro.serve.__file__).parent
 MIXING = "def f(rssi_dbm, noise_mw):\n    return rssi_dbm + noise_mw\n"
 
 
@@ -46,10 +50,10 @@ class TestSuppressions:
         assert "justification" in findings[0].message
 
     def test_parse_suppressions_extracts_rules_and_reason(self):
-        source = "x = 1  # repro-lint: disable=RPR001,RPR003 -- because\n"
+        source = "x = 1  # repro-lint: disable=RPR001,RPR006 -- because\n"
         (suppression,) = parse_suppressions(source)
         assert suppression.line == 1
-        assert suppression.rules == frozenset({"RPR001", "RPR003"})
+        assert suppression.rules == frozenset({"RPR001", "RPR006"})
         assert suppression.reason == "because"
 
 
@@ -59,17 +63,40 @@ class TestRoles:
         assert "test" in derive_roles("tests/channel/test_link.py")
         assert "test" in derive_roles("test_something.py")
 
-    def test_derive_roles_for_hot_units_and_figures(self):
+    def test_derive_roles_for_hot_and_units(self):
         assert "hot" in derive_roles("src/repro/channel/link.py")
         assert "hot" in derive_roles("src/repro/metasurface/surface.py")
         assert "units" in derive_roles("src/repro/units.py")
-        assert "figures" in derive_roles("src/repro/experiments/figures.py")
         assert "hot" not in derive_roles("src/repro/api/session.py")
 
-    def test_derive_roles_for_faults_and_serve(self):
+    def test_derive_roles_for_faults_and_world(self):
         assert "faults" in derive_roles("src/repro/faults/retry.py")
-        assert "serve" in derive_roles("src/repro/serve/service.py")
-        assert "serve" not in derive_roles("src/repro/api/fleet.py")
+        assert "world" in derive_roles("src/repro/world/dynamics.py")
+        assert "faults" not in derive_roles("src/repro/api/fleet.py")
+
+    def test_derived_roles_are_exactly_the_ones_rules_read(self):
+        roles = set()
+        for path in ("src/repro/serve/service.py",
+                     "src/repro/experiments/figures.py",
+                     "src/repro/units.py", "src/repro/core/llama.py",
+                     "src/repro/faults/retry.py",
+                     "src/repro/world/dynamics.py",
+                     "tests/channel/test_link.py"):
+            roles |= derive_roles(path)
+        assert roles == {"src", "test", "hot", "units", "faults", "world"}
+
+    def test_serving_plane_sleeps_are_rpr006_findings(self):
+        source = "import time\n\ndef actor():\n    time.sleep(0.1)\n"
+        assert rules_of(lint_source(source, "src/repro/serve/clock.py")) \
+            == ["RPR006"]
+
+    def test_virtual_clock_step_is_not_a_retry_loop(self):
+        # The clock steps actors with ``next(actor, _DONE)``; the shape
+        # ``try: next(actor) except StopIteration: continue`` would be
+        # an RPR006 retry-loop finding.
+        path = SERVE_DIR / "clock.py"
+        assert lint_source(path.read_text(), "src/repro/serve/clock.py") \
+            == []
 
     def test_role_pragma_replaces_derived_roles(self):
         # A units-role file is exempt from RPR001 even when its path
@@ -94,12 +121,13 @@ class TestEngine:
             LintConfig(select=frozenset({"RPR999"})).selected_rules()
 
     def test_select_limits_the_rules_run(self):
-        source = ("def f(rssi_dbm, noise_mw, values):\n"
-                  "    multi_axis_sweep('freqency', values, f)\n"
+        source = ("import time\n"
+                  "def f(rssi_dbm, noise_mw):\n"
+                  "    time.sleep(1.0)\n"
                   "    return rssi_dbm + noise_mw\n")
-        config = LintConfig(select=frozenset({"RPR003"}))
+        config = LintConfig(select=frozenset({"RPR006"}))
         assert rules_of(lint_source(source, "src/mod.py", config)) \
-            == ["RPR003"]
+            == ["RPR006"]
 
     def test_walker_skips_fixture_corpus(self, tmp_path):
         corpus = tmp_path / "tests" / "lint" / "fixtures"

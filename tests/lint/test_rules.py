@@ -3,7 +3,7 @@
 
 The fixtures under ``tests/lint/fixtures/`` claim their roles with the
 ``# repro-lint: role=...`` pragma, so they exercise exactly the rule
-paths a real ``src`` / ``hot`` / ``figures`` module would — despite
+paths a real ``src`` / ``hot`` module would — despite
 living under ``tests/`` (the directory walker skips the corpus; these
 tests lint the files explicitly).
 """
@@ -21,22 +21,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = [
     ("rpr001_bad.py", "RPR001", 5),
     ("rpr002_bad.py", "RPR002", 5),
-    ("rpr003_bad.py", "RPR003", 5),
-    ("rpr004_bad.py", "RPR004", 3),
     ("rpr005_bad.py", "RPR005", 4),
     ("rpr006_bad.py", "RPR006", 5),
-    ("rpr007_bad.py", "RPR007", 6),
     ("rpr008_bad.py", "RPR008", 6),
 ]
 
 GOOD_FIXTURES = [
     "rpr001_good.py",
     "rpr002_good.py",
-    "rpr003_good.py",
-    "rpr004_good.py",
     "rpr005_good.py",
     "rpr006_good.py",
-    "rpr007_good.py",
     "rpr008_good.py",
 ]
 

@@ -67,6 +67,38 @@ class TestRun:
             clock.run(failing())
         assert clock.now == 0.1
 
+    def test_no_actors_is_an_empty_run(self):
+        clock = VirtualClock()
+        clock.run()
+        assert clock.now == 0.0
+        assert clock.pending_timers == 0
+
+    def test_actor_that_never_yields_finishes_at_once(self):
+        clock = VirtualClock()
+        log = []
+
+        def returns_at_once():
+            return
+            yield  # makes this a generator
+
+        clock.run(returns_at_once(), sleeper(clock, log, "after", 0.2))
+        assert log == [("after", 0.2)]
+        assert clock.pending_timers == 0
+
+    def test_waking_a_finished_actor_is_a_no_op(self):
+        clock = VirtualClock()
+        log = []
+        done = sleeper(clock, log, "done", 0.1)
+
+        def waker():
+            yield 0.5
+            clock.wake(done)
+            log.append(("waker", clock.now))
+
+        clock.run(done, waker())
+        assert log == [("done", 0.1), ("waker", 0.5)]
+        assert clock.now == 0.5
+
     def test_deadlock_raises_instead_of_hanging(self):
         clock = VirtualClock()
 
