@@ -3,8 +3,9 @@
 
 The serving layer turns the fleet API into a request/response system:
 stations submit typed requests into a bounded queue, the service
-coalesces compatible measures inside a batching window into single
-stacked probes, and admission control sheds load instead of letting
+coalesces compatible measures inside a batching window (and, with no
+fault plane, a whole run's measures into one stacked probe), and
+admission control sheds load instead of letting
 the queue grow without bound.  This example drives it end to end:
 
 1. a 200-station office fleet under a Poisson measure storm, served

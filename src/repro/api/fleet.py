@@ -589,8 +589,24 @@ class FleetSession:
         self.deployment.station(station)
         return self._last_known_good.get(station)
 
+    @property
+    def stateless_probes(self) -> bool:
+        """Whether a probe's answer depends only on its grid.
+
+        True with no active fault schedule and no retry policy: no probe
+        then draws a fault, counts a retry or touches the health
+        monitor, so probes may be merged or reordered without changing
+        any answer or any later state.  :meth:`_resilient_backend` wraps
+        nothing then, and the serving plane coalesces a whole run's
+        probes.
+        """
+        return self.retry_policy is None and (
+            self.fault_schedule is None or not self.fault_schedule.spec.active)
+
     def _resilient_backend(self, backend):
         """Wrap a probe backend in the configured fault/retry planes."""
+        if self.stateless_probes:
+            return backend
         if (self.fault_schedule is not None
                 and self.fault_schedule.spec.active):
             backend = FaultyBackend(backend, self.fault_schedule,
@@ -623,13 +639,16 @@ class FleetSession:
                       stations: Optional[Sequence[str]] = None) -> np.ndarray:
         """:meth:`measure_aligned`, probed through the resilience planes.
 
-        The serving plane's coalesced-probe entry point: a window's
-        worth of measure requests (``stations`` may repeat, each
-        occurrence its own stacked row) is one aligned grid, evaluated
-        through the session's fault and retry planes when configured.
-        With neither configured this is exactly
-        :meth:`measure_aligned`'s probe — the zero-fault service parity
-        the serve experiments pin to <= 1e-9 dB.
+        The serving plane's coalesced-probe entry point: its queued
+        measure requests (``stations`` may repeat, each occurrence its
+        own stacked row) are one aligned grid, evaluated through the
+        session's fault and retry planes when configured.  With
+        :attr:`stateless_probes` the queue holds a whole run (one call
+        per run), otherwise one batch (one call per batch, so fault
+        draws and retries keep their order).  With neither plane
+        configured this is exactly :meth:`measure_aligned`'s probe —
+        the zero-fault service parity the serve experiments pin to
+        <= 1e-9 dB.
         """
         ensemble = self.deployment.ensemble_for(stations)
         backend = self._resilient_backend(LinkBackend(ensemble.link))

@@ -28,7 +28,8 @@ typo fails loudly at build time rather than deep inside the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -91,15 +92,25 @@ class ProbeGrid:
     returns; a grid with no array-valued axes is 0-d and evaluates to a
     scalar-shaped array.  Grids compare (and hash) by identity — value
     equality over ndarray axes has no single sensible reduction.
+
+    ``shape`` and ``size`` are computed once, at construction, so axes
+    that do not broadcast raise ``ValueError`` there.
     """
 
     axes: Tuple[GridAxis, ...]
+    #: Broadcast shape of the grid (and of its evaluation result).
+    shape: Tuple[int, ...] = field(init=False, repr=False)
+    #: Total number of operating points.
+    size: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [axis.name for axis in self.axes]
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise ValueError(f"duplicate grid axes: {sorted(duplicates)}")
+        shape = np.broadcast_shapes(*(axis.shaped.shape for axis in self.axes))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "size", math.prod(shape))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -147,9 +158,7 @@ class ProbeGrid:
             GridAxis(name=name, values=np.asarray(values, dtype=np.float64),
                      shaped=np.asarray(values, dtype=np.float64))
             for name, values in axes.items())
-        grid = cls(axes=built)
-        grid.shape  # validate broadcastability eagerly
-        return grid
+        return cls(axes=built)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -166,19 +175,9 @@ class ProbeGrid:
                      if axis.name in SWEEP_AXES)
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        """Broadcast shape of the grid (and of its evaluation result)."""
-        return np.broadcast_shapes(*(axis.shaped.shape for axis in self.axes))
-
-    @property
     def ndim(self) -> int:
         """Number of result dimensions."""
         return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        """Total number of operating points."""
-        return int(np.prod(self.shape, dtype=int)) if self.shape else 1
 
     def __contains__(self, name: str) -> bool:
         return any(axis.name == name for axis in self.axes)

@@ -14,8 +14,9 @@ long-running service (the ROADMAP's "millions of users" direction):
   per-station seed streams.
 * :mod:`~repro.serve.service` — :class:`SurfaceService`: bounded-queue
   admission control, batched probe coalescing (one stacked
-  :class:`~repro.channel.grid.ProbeGrid` pass per window), TDMA
-  scheduling arbitration and fault-plane composition.
+  :class:`~repro.channel.grid.ProbeGrid` pass per fault-free run, per
+  batch under a fault or retry plane), TDMA scheduling arbitration
+  and fault-plane composition.
 * :mod:`~repro.serve.metrics` — throughput / latency-percentile /
   failure-rate / batch-occupancy / queue-depth accounting.
 

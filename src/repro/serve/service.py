@@ -5,15 +5,35 @@ in a long-running service loop on the virtual clock's event heap: a
 dispatcher actor submits typed
 :class:`~repro.serve.requests.Request`\\ s into a bounded queue at
 their arrival times, and a single worker actor drains it in
-*coalescing windows* — every
-``measure`` request captured by one window becomes a row of one
-stacked aligned :class:`~repro.channel.grid.ProbeGrid` probe (one
-budget-engine pass for the whole batch, exactly a TDMA probe epoch),
-``optimize`` requests share one stacked Algorithm 1 pass over the
-requested stations only, and
-``schedule`` requests read the fleet's epoch memo, so each strategy
-costs one TDMA epoch per survivor set, not one per batch (the modeled
-service time still charges one epoch per strategy per batch).
+*coalescing windows*.  Each window is one modeled batch: its live
+``measure`` and ``optimize`` requests join the run's probe queues,
+``schedule`` requests read the fleet's epoch memo (so each strategy
+costs one TDMA epoch per survivor set, not one per batch) and
+``health`` requests read the fleet's resilience accounting.
+
+The probe queues are resolved by one path — every queued measure row
+becomes a row of one stacked aligned
+:class:`~repro.channel.grid.ProbeGrid` probe
+(:meth:`~repro.api.fleet.FleetSession.probe_aligned`, one budget-engine
+pass), and every queued optimize request shares one stacked Algorithm 1
+pass over its distinct stations — at one of two points, chosen by
+:attr:`~repro.api.fleet.FleetSession.stateless_probes`:
+
+* **Per run** (no fault or retry plane): a probe then depends only on
+  its station and bias pair, and cannot move the virtual clock (service
+  time is modeled from batch sizes), admission (quarantine changes only
+  through explicit calls) or any later request.  The queues are
+  resolved once, after the clock stops: one probe for the whole run's
+  measures, one Algorithm 1 pass for all its optimize stations.
+* **Per batch** (a fault or retry plane): the queues are resolved at
+  the end of every batch's probe kinds, before its ``schedule`` and
+  ``health`` requests, which is exactly the call sequence of probing
+  each batch as it is served — fault draws, retries and health counts
+  replay unchanged.
+
+Either way a response carries its batch's completion time and live
+batch size, so the responses and metrics of the two cadences are
+equal.
 
 Three properties the experiments gate:
 
@@ -43,7 +63,8 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +76,11 @@ from repro.serve.requests import Request, RequestTrace, Response
 
 #: Queue close marker (follows the last dispatched arrival).
 _SENTINEL = None
+
+#: One batch's live requests of one probe kind, waiting to be answered,
+#: with the virtual time the batch completed (their ``batch_size`` is
+#: their count).
+_Queued = Tuple[float, List[Request]]
 
 
 @dataclass(frozen=True)
@@ -128,14 +154,15 @@ class SurfaceService:
     """One fleet, one bounded queue, one coalescing service worker."""
 
     def __init__(self, fleet: FleetSession,
-                 config: Optional[ServiceConfig] = None,
-                 clock: Optional[VirtualClock] = None) -> None:
+                 config: Optional[ServiceConfig] = None) -> None:
         self.fleet = fleet
         self.config = config if config is not None else ServiceConfig()
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self._queue: Deque[Optional[Request]] = deque()
         self._worker: Optional[Actor] = None
         self._responses: List[Response] = []
+        self._measures: List[_Queued] = []
+        self._optimizes: List[_Queued] = []
         self._queue_samples: List[Tuple[float, int]] = []
         self.shed_count = 0
 
@@ -172,15 +199,21 @@ class SurfaceService:
         """Serve one full workload to completion (the sync facade).
 
         Dispatches every arrival at its virtual time, runs the service
-        worker until the queue closes, and returns the id-ordered
-        responses with their aggregated metrics.
+        worker until the queue closes, answers the probe requests still
+        queued, and returns the id-ordered responses with their
+        aggregated metrics.  Each run starts on a fresh clock at 0, the
+        trace's own time origin.
         """
+        self.clock = VirtualClock()
         self._responses = []
+        self._measures = []
+        self._optimizes = []
         self._queue_samples = []
         self.shed_count = 0
         self._queue = deque()
         self._worker = self._serve_loop()
         self.clock.run(self._worker, self._dispatch(trace))
+        self._resolve()
         responses = tuple(sorted(self._responses,
                                  key=lambda response: response.request_id))
         if len(responses) != len(trace):
@@ -223,15 +256,22 @@ class SurfaceService:
             self._sample_queue()
 
     def _serve_batch(self, batch: List[Request]) -> Actor:
-        """Serve one coalesced batch: model its cost, then execute it."""
+        """Serve one coalesced batch: model its cost, then execute it.
+
+        Live probe requests join the run's queues, which are resolved
+        here only when the fleet's probes keep state (a fault or retry
+        plane), and otherwise once, after the run.
+        """
         groups: Dict[str, List[Request]] = {}
         for request in batch:
             groups.setdefault(request.kind, []).append(request)
         yield self._service_time(groups)
         if "measure" in groups:
-            self._serve_measure(groups["measure"])
+            self._enqueue(self._measures, groups["measure"])
         if "optimize" in groups:
-            self._serve_optimize(groups["optimize"])
+            self._enqueue(self._optimizes, groups["optimize"])
+        if not self.fleet.stateless_probes:
+            self._resolve()
         if "schedule" in groups:
             self._serve_schedule(groups["schedule"])
         if "health" in groups:
@@ -258,55 +298,59 @@ class SurfaceService:
     # ------------------------------------------------------------------ #
     # Kind handlers
     # ------------------------------------------------------------------ #
-    def _serve_measure(self, requests: List[Request]) -> None:
-        """One stacked aligned probe answers every live measure request."""
+    def _enqueue(self, queue: List[_Queued],
+                 requests: List[Request]) -> None:
+        """Queue a batch's live requests of one probe kind."""
         live = self._admit_live(requests)
-        if not live:
-            return
-        names = [request.station for request in live]
-        vx = np.asarray([request.vx for request in live], dtype=float)
-        vy = np.asarray([request.vy for request in live], dtype=float)
-        try:
-            powers = self.fleet.probe_aligned(vx, vy, stations=names)
-        except (ProbeFaultError, TransientFaultError) as error:
-            for request in live:
-                self._respond(request, status="failed", value=math.nan,
-                              batch_size=len(live),
-                              detail=type(error).__name__)
-            return
-        for request, power in zip(live, np.asarray(powers, dtype=float)):
-            if math.isnan(float(power)):
-                self._respond(request, status="failed", value=math.nan,
-                              batch_size=len(live), detail="probe-dropout")
-            else:
-                self._respond(request, status="ok", value=float(power),
-                              batch_size=len(live))
+        if live:
+            queue.append((self.clock.now, live))
 
-    def _serve_optimize(self, requests: List[Request]) -> None:
-        """One stacked Algorithm 1 pass over the batch's live stations."""
-        live = self._admit_live(requests)
-        if not live:
+    def _resolve(self) -> None:
+        """Answer every queued measure, then every queued optimize."""
+        measures, self._measures = self._measures, []
+        if measures:
+            self._serve_measure(measures)
+        optimizes, self._optimizes = self._optimizes, []
+        if optimizes:
+            self._serve_optimize(optimizes)
+
+    def _serve_measure(self, queued: List[_Queued]) -> None:
+        """One stacked aligned probe answers every queued measure.
+
+        Each queued request is one row, in arrival order (a station
+        may repeat); a row's value depends only on its station and
+        bias pair.
+        """
+        requests = [request for _, live in queued for request in live]
+        vx = np.asarray([request.vx for request in requests], dtype=float)
+        vy = np.asarray([request.vy for request in requests], dtype=float)
+        try:
+            powers = self.fleet.probe_aligned(
+                vx, vy, stations=[request.station for request in requests])
+        except (ProbeFaultError, TransientFaultError) as error:
+            self._answer(queued, repeat(math.nan), type(error).__name__)
             return
+        self._answer(queued, np.asarray(powers, dtype=float).tolist())
+
+    def _serve_optimize(self, queued: List[_Queued]) -> None:
+        """One stacked Algorithm 1 pass over the queued distinct stations.
+
+        Rows are the distinct stations in first-request order;
+        Algorithm 1 runs each row on its own, so a station's optimum
+        does not depend on which other stations share the pass.
+        """
+        stations = [request.station for _, live in queued
+                    for request in live]
         rows = {name: row for row, name in enumerate(
-            dict.fromkeys(request.station for request in live))}
+            dict.fromkeys(stations))}
         try:
             result = self.fleet.optimize_grid(
                 step_v=self.config.optimize_step_v, stations=tuple(rows))
         except (ProbeFaultError, TransientFaultError) as error:
-            for request in live:
-                self._respond(request, status="failed", value=math.nan,
-                              batch_size=len(live),
-                              detail=type(error).__name__)
+            self._answer(queued, repeat(math.nan), type(error).__name__)
             return
-        best = np.asarray(result.best_power_dbm, dtype=float).ravel()
-        for request in live:
-            power = float(best[rows[request.station]])
-            if math.isnan(power):
-                self._respond(request, status="failed", value=math.nan,
-                              batch_size=len(live), detail="probe-dropout")
-            else:
-                self._respond(request, status="ok", value=power,
-                              batch_size=len(live))
+        best = np.asarray(result.best_power_dbm, dtype=float).ravel().tolist()
+        self._answer(queued, [best[rows[name]] for name in stations])
 
     def _serve_schedule(self, requests: List[Request]) -> None:
         """Answer each request with its strategy's epoch throughput.
@@ -349,12 +393,36 @@ class SurfaceService:
                               batch_size=0, detail="quarantined")
         return live
 
+    def _answer(self, queued: List[_Queued], powers: Iterable[float],
+                failure: str = "probe-dropout") -> None:
+        """Respond to the queued requests with their powers, in order.
+
+        A NaN power fails its request with ``failure``; the response
+        carries its batch's completion time and live size.
+        """
+        values = iter(powers)
+        for completed_s, live in queued:
+            for request in live:
+                power = next(values)
+                if math.isnan(power):
+                    self._respond(request, status="failed", value=math.nan,
+                                  batch_size=len(live), detail=failure,
+                                  completed_s=completed_s)
+                else:
+                    self._respond(request, status="ok", value=power,
+                                  batch_size=len(live),
+                                  completed_s=completed_s)
+
     def _respond(self, request: Request, status: str, value: float,
-                 batch_size: int, detail: str = "") -> None:
+                 batch_size: int, detail: str = "",
+                 completed_s: Optional[float] = None) -> None:
+        """Record one response, completed now unless told otherwise."""
         self._responses.append(Response(
             request_id=request.request_id, kind=request.kind,
             station=request.station, status=status, value=value,
-            arrival_s=request.arrival_s, completed_s=self.clock.now,
+            arrival_s=request.arrival_s,
+            completed_s=(self.clock.now if completed_s is None
+                         else completed_s),
             batch_size=batch_size, detail=detail))
 
     def _sample_queue(self) -> None:

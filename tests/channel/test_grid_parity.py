@@ -200,6 +200,33 @@ class TestProbeGridValidation:
         with pytest.raises(ValueError):
             ProbeGrid.aligned(vx=np.zeros((3,)), vy=np.zeros((4,)))
 
+    def test_direct_construction_rejects_non_broadcastable_axes(self):
+        vx = GridAxis(name="vx", values=np.zeros(3), shaped=np.zeros(3))
+        vy = GridAxis(name="vy", values=np.zeros(4), shaped=np.zeros(4))
+        with pytest.raises(ValueError):
+            ProbeGrid(axes=(vx, vy))
+
+    @pytest.mark.parametrize("grid,shape", [
+        (ProbeGrid.product(frequency=2.45e9, vx=np.arange(3.0),
+                           vy=np.arange(4.0)), (3, 4)),
+        (ProbeGrid.product(vx=7.0, vy=22.0), ()),
+        (ProbeGrid.aligned(tx_power=np.zeros((5, 1)),
+                           vx=np.zeros((5, 3)), vy=np.zeros((1, 3))),
+         (5, 3)),
+        (ProbeGrid.aligned(vx=np.zeros((2, 1, 3)), vy=np.zeros(3)),
+         (2, 1, 3)),
+    ], ids=["product", "product-0d", "aligned", "aligned-singleton"])
+    def test_shape_and_size_are_the_broadcast_of_the_axes(self, grid, shape):
+        assert grid.shape == shape
+        assert grid.ndim == len(shape)
+        assert grid.size == math.prod(shape)
+        assert type(grid.size) is int
+        for shard in grid.split(2):
+            assert shard.shape == np.broadcast_shapes(
+                *(axis.shaped.shape for axis in shard.axes))
+            assert shard.size == math.prod(shard.shape)
+        assert sum(shard.size for shard in grid.split(2)) == grid.size
+
     def test_product_axis_order_sets_dimension_order(self):
         grid = ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
                                  vx=VX_VALUES)

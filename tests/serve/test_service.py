@@ -1,6 +1,8 @@
 """SurfaceService tests: parity, coalescing, admission, degradation."""
 
 import math
+import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from repro.channel.link import probe_evaluations
 from repro.faults import FaultSchedule, FaultSpec, RetryPolicy
 from repro.serve import (
     MEASURE_ONLY,
+    REQUEST_KINDS,
     LoadProfile,
     Request,
+    RequestMix,
     RequestTrace,
     ServiceConfig,
     SurfaceService,
@@ -58,10 +62,11 @@ class TestZeroFaultParity:
 
 class TestCoalescing:
     def test_batching_cuts_probe_passes(self):
+        """Per batch with a retry plane, once per run without one."""
         trace = measure_trace(rate_rps=400.0, duration_s=0.4)
 
-        def passes(window):
-            fleet = FleetSession(SPEC)
+        def passes(window, retry_policy=None):
+            fleet = FleetSession(SPEC, retry_policy=retry_policy)
             before = probe_evaluations()
             result = serve_trace(fleet, trace,
                                  ServiceConfig(batch_window_s=window,
@@ -69,11 +74,20 @@ class TestCoalescing:
             assert result.metrics.ok_count == len(trace)
             return probe_evaluations() - before, result
 
-        unbatched_passes, unbatched = passes(0.0)
-        batched_passes, batched = passes(0.02)
+        unbatched_passes, unbatched = passes(0.0, RetryPolicy())
+        batched_passes, batched = passes(0.02, RetryPolicy())
         assert batched.metrics.mean_batch_size > 2.0
         assert unbatched.metrics.mean_batch_size == 1.0
         assert batched_passes * 3 <= unbatched_passes
+        # A fault-free fleet: one stacked probe per run at any window,
+        # and >= 3x fewer modeled probe epochs when batched.
+        epochs = {}
+        for window in (0.0, 0.01, 0.02):
+            run_passes, result = passes(window)
+            assert run_passes == 1
+            epochs[window] = _probe_epochs(result)
+        assert epochs[0.0] >= 3 * epochs[0.02]
+        assert result.responses == batched.responses
 
     def test_batch_never_exceeds_max_batch(self):
         trace = measure_trace(rate_rps=500.0, duration_s=0.4)
@@ -263,6 +277,115 @@ class TestDeterminism:
         assert first.metrics == second.metrics
 
 
+class TestRunCoalescing:
+    """A fault-free fleet answers a run's probe requests once, after the
+    clock stops; a fleet with a retry plane answers them per batch.  The
+    two cadences must agree on everything a response carries."""
+
+    MIXED = RequestMix(measure=0.6, optimize=0.15, schedule=0.1,
+                       health=0.15)
+
+    def mixed_trace(self, seed, spec=SPEC, rate_rps=300.0):
+        return generate_trace(
+            LoadProfile(rate_rps=rate_rps, duration_s=0.4, mix=self.MIXED,
+                        seed=seed),
+            spec.station_names)
+
+    @pytest.mark.parametrize("seed", [2021, 7])
+    def test_per_run_and_per_batch_cadences_agree(self, seed):
+        spec = FleetSpec.office(station_count=12)
+        trace = self.mixed_trace(seed, spec)
+        config = ServiceConfig(batch_window_s=0.01)
+        per_run = serve_trace(FleetSession(spec), trace, config)
+        per_batch = serve_trace(
+            FleetSession(spec, retry_policy=RetryPolicy()), trace, config)
+        assert {r.kind for r in per_run.responses} == set(REQUEST_KINDS)
+
+        def shape(result):
+            return [(r.request_id, r.kind, r.station, r.status,
+                     r.completed_s, r.batch_size, r.detail)
+                    for r in result.responses]
+
+        assert shape(per_run) == shape(per_batch)
+        assert per_run.metrics == per_batch.metrics
+        for run, batch in zip(per_run.responses, per_batch.responses):
+            if run.kind == "optimize":
+                assert abs(run.value - batch.value) <= 1e-9
+            else:
+                assert run.value == batch.value
+        # And both match the direct fleet calls row by row.
+        direct = FleetSession(spec)
+        best = np.asarray(direct.optimize_grid(step_v=5.0).best_power_dbm,
+                          dtype=float).ravel()
+        measures = [(trace.requests[r.request_id], r.value)
+                    for r in per_run.responses if r.kind == "measure"]
+        expected = direct.measure_aligned(
+            [request.vx for request, _ in measures],
+            [request.vy for request, _ in measures],
+            stations=[request.station for request, _ in measures])
+        assert [value for _, value in measures] == expected.tolist()
+        for r in per_run.responses:
+            if r.kind == "optimize":
+                row = direct.station_index(r.station)
+                assert abs(r.value - best[row]) <= 1e-9
+
+    def test_fault_free_mixed_run_pass_count(self):
+        trace = self.mixed_trace(2021)
+        before = probe_evaluations()
+        serve_trace(FleetSession(SPEC), trace, ServiceConfig())
+        # One measure probe, Algorithm 1's two windows, one epoch per
+        # scheduled strategy.
+        strategies = {r.strategy for r in trace.requests
+                      if r.kind == "schedule"}
+        assert probe_evaluations() - before == 3 + len(strategies)
+
+    def test_all_rejected_run_makes_no_pass(self):
+        fleet = FleetSession(SPEC)
+        fleet.quarantine(*SPEC.station_names)
+        trace = self.mixed_trace(7)
+        before = probe_evaluations()
+        result = serve_trace(fleet, trace, ServiceConfig())
+        assert probe_evaluations() - before == 0
+        for response in result.responses:
+            if response.kind in ("measure", "optimize"):
+                assert response.status == "rejected"
+                assert response.detail == "quarantined"
+
+    def test_serving_twice_leaks_no_queued_request(self):
+        trace = self.mixed_trace(2021)
+        service = SurfaceService(FleetSession(SPEC), ServiceConfig())
+        first = service.serve_trace(trace)
+        # A run that dies on an out-of-range bias leaves nothing queued.
+        bad = _trace((Request(request_id=0, kind="measure",
+                              station=SPEC.station_names[0], arrival_s=0.0,
+                              vx=40.0),))
+        with pytest.raises(ValueError):
+            service.serve_trace(bad)
+        second = service.serve_trace(trace)
+        assert second.responses == first.responses
+        assert second.metrics == first.metrics
+
+    def test_faulty_run_keeps_the_per_batch_call_sequence(self):
+        """Digests pinned from probing each batch as it is served: the
+        fault draws, and the response fields with the health counts a
+        batch reads after its own probes."""
+        trace = self.mixed_trace(17)
+        schedule = FaultSchedule(
+            FaultSpec(probe_dropout_rate=0.1, probe_error_rate=0.05),
+            seed=9)
+        fleet = FleetSession(SPEC, fault_schedule=schedule,
+                             retry_policy=RetryPolicy(max_attempts=2))
+        result = serve_trace(fleet, trace,
+                             ServiceConfig(batch_window_s=0.01))
+        text = ";".join(
+            f"{r.request_id}|{r.kind}|{r.station}|{r.status}|"
+            f"{r.completed_s!r}|{r.batch_size}|{r.detail}"
+            + (f"|{r.value!r}" if r.kind == "health" else "")
+            for r in result.responses)
+        assert schedule.trace.digest() == 182828423
+        assert zlib.crc32(text.encode()) == 2645549005
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs,match", [
         ({"batch_window_s": -0.1}, "window"),
@@ -296,3 +419,10 @@ def _trace(requests):
 
 def _single_trace(request):
     return _trace((request,))
+
+
+def _probe_epochs(result):
+    """Modeled probe epochs: a batch of ``b`` executed responses is one."""
+    return sum(Fraction(1, response.batch_size)
+               for response in result.responses
+               if response.status != "rejected")
