@@ -7,11 +7,15 @@ deployment story — dense multi-station TDMA scheduling, polarization
 reuse, access control — needs the same treatment for a *fleet* of
 links, and that is what this module provides:
 
-* :class:`StationSpec` / :class:`FleetSpec` — declarative, serializable
-  scenario specs.  A whole deployment (random home, office, arbitrary
-  scenario file) is a plain dataclass with a ``to_dict``/``from_dict``
-  JSON round-trip, so deployments are constructible, diffable and
-  shippable without touching constructor plumbing.
+* :class:`StationSpec` / :class:`FleetSpec` — the one description of a
+  fleet.  A whole deployment (random home, office, arbitrary scenario
+  file) is a plain dataclass with a ``to_dict``/``from_dict`` JSON
+  round-trip, so deployments are constructible, diffable and shippable
+  without touching constructor plumbing.  The spec types (and
+  :data:`SURFACE_DESIGNS`) are defined in
+  :mod:`repro.network.deployment`, next to the
+  :class:`~repro.network.deployment.DenseDeployment` built from them,
+  and re-exported here.
 * :class:`FleetSession` — the multi-link counterpart of
   :class:`LinkSession`.  It owns N named stations and evaluates **all
   of them in one NumPy pass** by stacking the per-station parameters
@@ -40,10 +44,8 @@ Migration from the per-station loop idiom::
 
 from __future__ import annotations
 
-import json
-import warnings
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from repro.api.backend import LinkBackend
 from repro.api.session import LinkSession
 from repro.channel.ensemble import LinkEnsemble
 from repro.channel.grid import ProbeGrid
-from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
 from repro.core.controller import (
     CentralizedController,
     GridSweepResult,
@@ -67,20 +68,16 @@ from repro.faults import (
     RetryPolicy,
     StationChurn,
 )
-from repro.metasurface.design import (
-    fr4_naive_design,
-    llama_design,
-    rogers_reference_design,
-)
 from repro.network.access_control import (
     AccessControlResult,
     polarization_access_control,
 )
 from repro.network.deployment import (
+    SURFACE_DESIGNS,
     DenseDeployment,
-    StationPlacement,
-    _validate_deployment,
-    _validate_station,
+    FleetSpec,
+    StationSpec,
+    TopologySpec,
 )
 from repro.network.scheduler import (
     FixedBiasScheduler,
@@ -90,290 +87,6 @@ from repro.network.scheduler import (
     baseline_without_surface,
     check_schedule_arguments,
 )
-
-#: Named metasurface designs a :class:`FleetSpec` can reference; the
-#: name is what serializes, the factory builds the shared surface.
-SURFACE_DESIGNS: Dict[str, Callable] = {
-    "llama": llama_design,
-    "fr4-naive": fr4_naive_design,
-    "rogers": rogers_reference_design,
-}
-
-
-@dataclass(frozen=True)
-class StationSpec:
-    """Declarative description of one station in a fleet.
-
-    The serializable twin of
-    :class:`~repro.network.deployment.StationPlacement`: same fields,
-    plus the dict/JSON round-trip the scenario-file layer needs.
-    """
-
-    name: str
-    distance_m: float
-    orientation_deg: float
-    tx_power_dbm: float = 14.0
-    traffic_demand_mbps: float = 10.0
-
-    def __post_init__(self) -> None:
-        _validate_station(self)
-
-    def to_dict(self) -> Dict[str, Union[str, float]]:
-        """Plain-data form (JSON-ready)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StationSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
-    def to_placement(self) -> StationPlacement:
-        """The deployment-layer placement this spec describes."""
-        return StationPlacement(
-            name=self.name, distance_m=self.distance_m,
-            orientation_deg=self.orientation_deg,
-            tx_power_dbm=self.tx_power_dbm,
-            traffic_demand_mbps=self.traffic_demand_mbps)
-
-    @classmethod
-    def from_placement(cls, placement: StationPlacement) -> "StationSpec":
-        """Lift a deployment-layer placement into a spec."""
-        return cls(name=placement.name, distance_m=placement.distance_m,
-                   orientation_deg=placement.orientation_deg,
-                   tx_power_dbm=placement.tx_power_dbm,
-                   traffic_demand_mbps=placement.traffic_demand_mbps)
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Provenance of a generated fleet: which family, which knobs.
-
-    Attached to a :class:`FleetSpec` by the deployment-topology
-    generators (:mod:`repro.world.topology`) so a generated scenario
-    file is self-describing — the family name plus the exact generator
-    parameters survive the ``to_dict``/``from_json`` round-trip.
-    ``params`` is stored as a sorted tuple of ``(name, value)`` pairs
-    (scalar values only) so the spec stays frozen and hashable.
-    """
-
-    family: str
-    params: Tuple[Tuple[str, Union[str, int, float, bool]], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.family:
-            raise ValueError("topology family must be non-empty")
-        pairs = []
-        for name, value in self.params:
-            if not isinstance(name, str) or not name:
-                raise ValueError("topology parameter names must be strings")
-            if not isinstance(value, (str, int, float, bool)):
-                raise ValueError(
-                    f"topology parameter {name!r} must be a scalar, "
-                    f"got {value!r}")
-            pairs.append((name, value))
-        object.__setattr__(self, "params", tuple(sorted(pairs)))
-
-    @classmethod
-    def of(cls, family: str, **params: Union[str, int, float, bool]
-           ) -> "TopologySpec":
-        """Build from keyword generator parameters."""
-        return cls(family=family, params=tuple(params.items()))
-
-    def as_mapping(self) -> Dict[str, Union[str, int, float, bool]]:
-        """The generator parameters as a plain dict."""
-        return dict(self.params)
-
-    def to_dict(self) -> Dict:
-        """Plain-data form (JSON-ready)."""
-        return {"family": self.family, "params": self.as_mapping()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TopologySpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(family=data["family"],
-                   params=tuple(dict(data.get("params", {})).items()))
-
-
-@dataclass(frozen=True)
-class FleetSpec:
-    """Declarative description of a whole deployment.
-
-    Everything a :class:`FleetSession` needs, as plain data: the
-    stations, the shared surface (by design name, so it serializes),
-    the access point's polarization orientation, the carrier and the
-    multipath seed — plus, for generated deployments, the
-    :class:`TopologySpec` provenance.  ``spec -> to_dict -> from_dict``
-    round-trips to an equal spec, and two sessions built from equal
-    specs produce identical
-    :class:`~repro.network.scheduler.ScheduleResult`\\ s.
-    """
-
-    stations: Tuple[StationSpec, ...]
-    surface: str = "llama"
-    ap_orientation_deg: float = 0.0
-    frequency_hz: float = DEFAULT_CENTER_FREQUENCY_HZ
-    environment_seed: int = 2021
-    topology: Optional[TopologySpec] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stations", tuple(self.stations))
-        if not self.stations:
-            raise ValueError("a fleet needs at least one station")
-        names = [station.name for station in self.stations]
-        if len(set(names)) != len(names):
-            raise ValueError("station names must be unique")
-        if self.surface not in SURFACE_DESIGNS:
-            raise ValueError(
-                f"unknown surface design {self.surface!r}; expected one of "
-                f"{sorted(SURFACE_DESIGNS)}")
-        _validate_deployment(self.ap_orientation_deg, self.frequency_hz,
-                             self.environment_seed)
-        # A NumPy integer seed is valid; store it as ``int`` so the spec
-        # still serializes.
-        object.__setattr__(self, "environment_seed",
-                           int(self.environment_seed))
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def station_names(self) -> Tuple[str, ...]:
-        """Station names in stacking order."""
-        return tuple(station.name for station in self.stations)
-
-    def station(self, name: str) -> StationSpec:
-        """Look up one station spec by name."""
-        for station in self.stations:
-            if station.name == name:
-                return station
-        raise KeyError(f"unknown station {name!r}")
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        """Plain-data form (JSON-ready)."""
-        data = {
-            "stations": [station.to_dict() for station in self.stations],
-            "surface": self.surface,
-            "ap_orientation_deg": self.ap_orientation_deg,
-            "frequency_hz": self.frequency_hz,
-            "environment_seed": self.environment_seed,
-        }
-        if self.topology is not None:
-            data["topology"] = self.topology.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FleetSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        payload = dict(data)
-        stations = tuple(StationSpec.from_dict(station)
-                         for station in payload.pop("stations"))
-        topology = payload.pop("topology", None)
-        if topology is not None and not isinstance(topology, TopologySpec):
-            topology = TopologySpec.from_dict(topology)
-        return cls(stations=stations, topology=topology, **payload)
-
-    def to_json(self, **dumps_kwargs) -> str:
-        """Serialize to a JSON scenario document."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, document: str) -> "FleetSpec":
-        """Parse a JSON scenario document."""
-        return cls.from_dict(json.loads(document))
-
-    # ------------------------------------------------------------------ #
-    # Factories
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_deployment(cls, deployment: DenseDeployment,
-                        surface: Optional[str] = None,
-                        topology: Optional[TopologySpec] = None
-                        ) -> "FleetSpec":
-        """Best-effort spec of an existing deployment.
-
-        The shared surface object itself does not serialize: ``surface``
-        names the design to rebuild, and when omitted it is detected by
-        matching the deployment's surface against the named
-        :data:`SURFACE_DESIGNS`.  A surface no named design reproduces
-        falls back to ``"llama"`` with a ``UserWarning`` — round-tripping
-        such a spec changes the physics, so callers holding a custom
-        surface should keep the deployment object itself.  ``topology``
-        records the generator provenance (family + parameters) for
-        deployments built by :mod:`repro.world.topology`; it rides
-        through the dict/JSON round-trip untouched.
-        """
-        if surface is None:
-            surface_name = deployment.metasurface.name
-            matches = [key for key, design in SURFACE_DESIGNS.items()
-                       if design().build().name == surface_name]
-            if matches:
-                surface = matches[0]
-            else:
-                warnings.warn(
-                    f"deployment surface {surface_name!r} matches no named "
-                    "design; the spec records the default 'llama' surface "
-                    "and will not rebuild this deployment's physics",
-                    UserWarning, stacklevel=2)
-                surface = "llama"
-        return cls(
-            stations=tuple(StationSpec.from_placement(station)
-                           for station in deployment.stations),
-            surface=surface,
-            ap_orientation_deg=deployment.ap_orientation_deg,
-            frequency_hz=deployment.frequency_hz,
-            environment_seed=deployment.environment_seed,
-            topology=topology)
-
-    @classmethod
-    def random_home(cls, station_count: int = 6, seed: int = 7,
-                    surface: str = "llama") -> "FleetSpec":
-        """A reproducible random smart-home fleet.
-
-        The declarative twin of
-        :meth:`~repro.network.deployment.DenseDeployment.random_home`
-        (same seeded draws, lifted into a spec so the scenario
-        serializes).
-        """
-        deployment = DenseDeployment.random_home(station_count=station_count,
-                                                 seed=seed)
-        return cls.from_deployment(deployment, surface=surface)
-
-    @classmethod
-    def office(cls, station_count: int = 12, seed: int = 42,
-               surface: str = "llama") -> "FleetSpec":
-        """A reproducible office fleet: denser, farther, lower power.
-
-        Sensors and badges spread 4-15 m from the AP at 0 dBm — the
-        regime where mismatched stations sit on the 802.11g rate cliff
-        and the surface's polarization correction buys throughput.
-        """
-        if station_count < 1:
-            raise ValueError("need at least one station")
-        rng = np.random.default_rng(seed)
-        stations = tuple(
-            StationSpec(
-                name=f"desk-{index}",
-                distance_m=float(rng.uniform(4.0, 15.0)),
-                orientation_deg=float(rng.uniform(0.0, 180.0)),
-                tx_power_dbm=0.0,
-                traffic_demand_mbps=float(rng.uniform(0.5, 8.0)),
-            )
-            for index in range(station_count)
-        )
-        return cls(stations=stations, surface=surface, environment_seed=seed)
-
-    def build(self) -> DenseDeployment:
-        """Construct the deployment this spec describes."""
-        return DenseDeployment(
-            [station.to_placement() for station in self.stations],
-            metasurface=SURFACE_DESIGNS[self.surface]().build(),
-            ap_orientation_deg=self.ap_orientation_deg,
-            frequency_hz=self.frequency_hz,
-            environment_seed=self.environment_seed)
-
 
 @dataclass(frozen=True)
 class FleetBiasPlan:
@@ -428,10 +141,9 @@ class FleetSession:
     Parameters
     ----------
     fleet:
-        A :class:`FleetSpec` (declarative scenarios, the common case),
-        an existing :class:`~repro.network.deployment.DenseDeployment`
-        to adopt, or a sequence of :class:`StationSpec` /
-        :class:`~repro.network.deployment.StationPlacement`.
+        The :class:`FleetSpec` describing the stations and the shared
+        surface; the session builds its own
+        :class:`~repro.network.deployment.DenseDeployment` from it.
     sweep_config:
         Controller search parameters for :meth:`optimize_grid`
         (Algorithm 1 defaults).
@@ -448,25 +160,13 @@ class FleetSession:
     """
 
     def __init__(self,
-                 fleet: Union[FleetSpec, DenseDeployment,
-                              Sequence[Union[StationSpec, StationPlacement]]],
+                 fleet: FleetSpec,
                  sweep_config: Optional[VoltageSweepConfig] = None,
                  fault_schedule: Optional[FaultSchedule] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  probe_policy: Optional[ProbePolicy] = None):
-        if isinstance(fleet, DenseDeployment):
-            self.spec = FleetSpec.from_deployment(fleet)
-            self.deployment = fleet
-        elif isinstance(fleet, FleetSpec):
-            self.spec = fleet
-            self.deployment = fleet.build()
-        else:
-            stations = tuple(
-                station if isinstance(station, StationSpec)
-                else StationSpec.from_placement(station)
-                for station in fleet)
-            self.spec = FleetSpec(stations=stations)
-            self.deployment = self.spec.build()
+        self.deployment = DenseDeployment(fleet)
+        self.spec = fleet
         self.controller = CentralizedController(sweep_config,
                                                 probe_policy=probe_policy)
         self.monitor = HealthMonitor()

@@ -162,6 +162,15 @@ class MultipathEnvironment:
                                     ray_count=12,
                                     seed=seed)
 
+    @staticmethod
+    def indoor(seed: int = 2021) -> "MultipathEnvironment":
+        """A home or office: moderate clutter (K ~ 10 dB), clearly less
+        reflective than the paper's instrument-packed laboratory."""
+        return MultipathEnvironment(absorber_enabled=False,
+                                    rician_k_db=10.0,
+                                    ray_count=12,
+                                    seed=seed)
+
     # ------------------------------------------------------------------ #
     # Ray generation
     # ------------------------------------------------------------------ #

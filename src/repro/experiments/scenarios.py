@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.channel.antenna import Antenna, dipole_antenna, directional_antenna, omni_antenna
 from repro.channel.geometry import LinkGeometry
@@ -38,6 +38,21 @@ def _default_surface() -> Metasurface:
     return llama_design().build()
 
 
+#: Antenna factories by a scenario's ``antenna_kind``.
+_ANTENNA_KINDS: Dict[str, Callable[..., Antenna]] = {
+    "directional": directional_antenna,
+    "omni": omni_antenna,
+    "dipole": dipole_antenna,
+}
+
+
+def _environment(absorber: bool, seed: int) -> MultipathEnvironment:
+    """The absorber-covered chamber, or the laboratory without it."""
+    if absorber:
+        return MultipathEnvironment.anechoic(seed=seed)
+    return MultipathEnvironment.laboratory(seed=seed)
+
+
 @dataclass(frozen=True)
 class TransmissiveScenario:
     """Through-surface setup: the surface sits between the endpoints.
@@ -60,31 +75,21 @@ class TransmissiveScenario:
     def __post_init__(self) -> None:
         if self.tx_rx_distance_m <= 0:
             raise ValueError("Tx-Rx distance must be positive")
-        if self.antenna_kind not in ("directional", "omni", "dipole"):
+        if self.antenna_kind not in _ANTENNA_KINDS:
             raise ValueError("antenna kind must be directional, omni or dipole")
-
-    def _antenna(self, orientation_deg: float) -> Antenna:
-        if self.antenna_kind == "directional":
-            return directional_antenna(orientation_deg=orientation_deg)
-        if self.antenna_kind == "omni":
-            return omni_antenna(orientation_deg=orientation_deg)
-        return dipole_antenna(orientation_deg=orientation_deg)
-
-    def _environment(self) -> MultipathEnvironment:
-        if self.absorber:
-            return MultipathEnvironment.anechoic(seed=self.environment_seed)
-        return MultipathEnvironment.laboratory(seed=self.environment_seed)
 
     def configuration(self) -> LinkConfiguration:
         """Link configuration with the metasurface deployed."""
         geometry = LinkGeometry.transmissive(self.tx_rx_distance_m)
         return LinkConfiguration(
-            tx_antenna=self._antenna(self.tx_orientation_deg),
-            rx_antenna=self._antenna(self.rx_orientation_deg),
+            tx_antenna=_ANTENNA_KINDS[self.antenna_kind](
+                orientation_deg=self.tx_orientation_deg),
+            rx_antenna=_ANTENNA_KINDS[self.antenna_kind](
+                orientation_deg=self.rx_orientation_deg),
             geometry=geometry,
             frequency_hz=self.frequency_hz,
             tx_power_dbm=self.tx_power_dbm,
-            environment=self._environment(),
+            environment=_environment(self.absorber, self.environment_seed),
             metasurface=self.metasurface,
             deployment=DeploymentMode.TRANSMISSIVE,
         )
@@ -132,32 +137,22 @@ class ReflectiveScenario:
     def __post_init__(self) -> None:
         if self.tx_rx_separation_m <= 0 or self.surface_distance_m <= 0:
             raise ValueError("geometry distances must be positive")
-        if self.antenna_kind not in ("directional", "omni", "dipole"):
+        if self.antenna_kind not in _ANTENNA_KINDS:
             raise ValueError("antenna kind must be directional, omni or dipole")
-
-    def _antenna(self, orientation_deg: float) -> Antenna:
-        if self.antenna_kind == "directional":
-            return directional_antenna(orientation_deg=orientation_deg)
-        if self.antenna_kind == "omni":
-            return omni_antenna(orientation_deg=orientation_deg)
-        return dipole_antenna(orientation_deg=orientation_deg)
-
-    def _environment(self) -> MultipathEnvironment:
-        if self.absorber:
-            return MultipathEnvironment.anechoic(seed=self.environment_seed)
-        return MultipathEnvironment.laboratory(seed=self.environment_seed)
 
     def configuration(self) -> LinkConfiguration:
         """Link configuration with the metasurface deployed."""
         geometry = LinkGeometry.reflective(self.tx_rx_separation_m,
                                            self.surface_distance_m)
         return LinkConfiguration(
-            tx_antenna=self._antenna(self.tx_orientation_deg),
-            rx_antenna=self._antenna(self.rx_orientation_deg),
+            tx_antenna=_ANTENNA_KINDS[self.antenna_kind](
+                orientation_deg=self.tx_orientation_deg),
+            rx_antenna=_ANTENNA_KINDS[self.antenna_kind](
+                orientation_deg=self.rx_orientation_deg),
             geometry=geometry,
             frequency_hz=self.frequency_hz,
             tx_power_dbm=self.tx_power_dbm,
-            environment=self._environment(),
+            environment=_environment(self.absorber, self.environment_seed),
             metasurface=self.metasurface,
             deployment=DeploymentMode.REFLECTIVE,
             aim_at_surface=True,
@@ -180,41 +175,61 @@ class ReflectiveScenario:
         return replace(self, tx_power_dbm=tx_power_dbm)
 
 
+#: The (transmitter, receiver) device factories of each commodity IoT
+#: link, by scenario-factory name.
+_IOT_DEVICES: Dict[str, Tuple[Callable[..., IoTDevice],
+                              Callable[..., IoTDevice]]] = {
+    "iot_wifi": (esp8266_station, netgear_access_point),
+    "iot_ble": (metamotion_wearable, raspberry_pi_central),
+    "iot_zigbee": (zigbee_sensor, zigbee_coordinator),
+}
+
+_IoTScenario = Tuple[LinkConfiguration, IoTDevice, IoTDevice]
+
+
+def _iot_scenario(family: str, mismatched: bool, distance_m: float,
+                  with_surface: bool, metasurface: Optional[Metasurface],
+                  absorber: bool, seed: int) -> _IoTScenario:
+    """One commodity IoT uplink through (or without) the surface.
+
+    The transmitter is mismatched (90 deg) or matched (0 deg) to the
+    receiver.  Without the absorber the room is a home or office.
+    """
+    transmitter_factory, receiver_factory = _IOT_DEVICES[family]
+    transmitter = transmitter_factory(
+        orientation_deg=90.0 if mismatched else 0.0)
+    receiver = receiver_factory(orientation_deg=0.0)
+    surface = metasurface if metasurface is not None else _default_surface()
+    configuration = LinkConfiguration(
+        tx_antenna=transmitter.antenna,
+        rx_antenna=receiver.antenna,
+        geometry=LinkGeometry.transmissive(distance_m),
+        frequency_hz=transmitter.frequency_hz,
+        tx_power_dbm=transmitter.tx_power_dbm,
+        bandwidth_hz=transmitter.channel_bandwidth_hz,
+        environment=(MultipathEnvironment.anechoic(seed=seed) if absorber
+                     else MultipathEnvironment.indoor(seed=seed)),
+        metasurface=surface if with_surface else None,
+        deployment=(DeploymentMode.TRANSMISSIVE if with_surface
+                    else DeploymentMode.NONE),
+    )
+    return configuration, transmitter, receiver
+
+
 def iot_wifi_scenario(mismatched: bool = True,
                       distance_m: float = 3.0,
                       with_surface: bool = False,
                       metasurface: Optional[Metasurface] = None,
                       absorber: bool = False,
-                      seed: int = 2021) -> Tuple[LinkConfiguration, IoTDevice, IoTDevice]:
+                      seed: int = 2021) -> _IoTScenario:
     """The commodity Wi-Fi link of Figs. 2a and 20.
 
     Returns ``(link_configuration, transmitter_device, receiver_device)``.
     The transmitter is the ESP8266 station, the receiver the AP (uplink
     direction, matching the RSSI the AP-side controller would observe).
     """
-    station = esp8266_station(orientation_deg=90.0 if mismatched else 0.0)
-    access_point = netgear_access_point(orientation_deg=0.0)
-    surface = metasurface if metasurface is not None else _default_surface()
-    geometry = LinkGeometry.transmissive(distance_m)
-    # A home/office deployment has moderate clutter (K ~ 10 dB), clearly
-    # less reflective than the paper's instrument-packed laboratory.
-    environment = (MultipathEnvironment.anechoic(seed=seed) if absorber
-                   else MultipathEnvironment(absorber_enabled=False,
-                                             rician_k_db=10.0,
-                                             ray_count=12, seed=seed))
-    configuration = LinkConfiguration(
-        tx_antenna=station.antenna,
-        rx_antenna=access_point.antenna,
-        geometry=geometry,
-        frequency_hz=station.frequency_hz,
-        tx_power_dbm=station.tx_power_dbm,
-        bandwidth_hz=station.channel_bandwidth_hz,
-        environment=environment,
-        metasurface=surface if with_surface else None,
-        deployment=(DeploymentMode.TRANSMISSIVE if with_surface
-                    else DeploymentMode.NONE),
-    )
-    return configuration, station, access_point
+    return _iot_scenario("iot_wifi", mismatched, distance_m, with_surface,
+                         metasurface, absorber, seed)
 
 
 def iot_ble_scenario(mismatched: bool = True,
@@ -222,33 +237,14 @@ def iot_ble_scenario(mismatched: bool = True,
                      with_surface: bool = False,
                      metasurface: Optional[Metasurface] = None,
                      absorber: bool = False,
-                     seed: int = 2021) -> Tuple[LinkConfiguration, IoTDevice, IoTDevice]:
+                     seed: int = 2021) -> _IoTScenario:
     """The BLE wearable link of Fig. 2b.
 
     Returns ``(link_configuration, transmitter_device, receiver_device)``
     with the wearable transmitting to the Raspberry Pi.
     """
-    wearable = metamotion_wearable(orientation_deg=90.0 if mismatched else 0.0)
-    central = raspberry_pi_central(orientation_deg=0.0)
-    surface = metasurface if metasurface is not None else _default_surface()
-    geometry = LinkGeometry.transmissive(distance_m)
-    environment = (MultipathEnvironment.anechoic(seed=seed) if absorber
-                   else MultipathEnvironment(absorber_enabled=False,
-                                             rician_k_db=10.0,
-                                             ray_count=12, seed=seed))
-    configuration = LinkConfiguration(
-        tx_antenna=wearable.antenna,
-        rx_antenna=central.antenna,
-        geometry=geometry,
-        frequency_hz=wearable.frequency_hz,
-        tx_power_dbm=wearable.tx_power_dbm,
-        bandwidth_hz=wearable.channel_bandwidth_hz,
-        environment=environment,
-        metasurface=surface if with_surface else None,
-        deployment=(DeploymentMode.TRANSMISSIVE if with_surface
-                    else DeploymentMode.NONE),
-    )
-    return configuration, wearable, central
+    return _iot_scenario("iot_ble", mismatched, distance_m, with_surface,
+                         metasurface, absorber, seed)
 
 
 def iot_zigbee_scenario(mismatched: bool = True,
@@ -256,7 +252,7 @@ def iot_zigbee_scenario(mismatched: bool = True,
                         with_surface: bool = False,
                         metasurface: Optional[Metasurface] = None,
                         absorber: bool = False,
-                        seed: int = 2021) -> Tuple[LinkConfiguration, IoTDevice, IoTDevice]:
+                        seed: int = 2021) -> _IoTScenario:
     """The Zigbee sensor link of the Sec. 5.1.2/5.1.3 discussion.
 
     The third commodity device family the paper names (alongside Wi-Fi
@@ -264,27 +260,8 @@ def iot_zigbee_scenario(mismatched: bool = True,
     mains-powered coordinator hub.  Returns
     ``(link_configuration, transmitter_device, receiver_device)``.
     """
-    sensor = zigbee_sensor(orientation_deg=90.0 if mismatched else 0.0)
-    coordinator = zigbee_coordinator(orientation_deg=0.0)
-    surface = metasurface if metasurface is not None else _default_surface()
-    geometry = LinkGeometry.transmissive(distance_m)
-    environment = (MultipathEnvironment.anechoic(seed=seed) if absorber
-                   else MultipathEnvironment(absorber_enabled=False,
-                                             rician_k_db=10.0,
-                                             ray_count=12, seed=seed))
-    configuration = LinkConfiguration(
-        tx_antenna=sensor.antenna,
-        rx_antenna=coordinator.antenna,
-        geometry=geometry,
-        frequency_hz=sensor.frequency_hz,
-        tx_power_dbm=sensor.tx_power_dbm,
-        bandwidth_hz=sensor.channel_bandwidth_hz,
-        environment=environment,
-        metasurface=surface if with_surface else None,
-        deployment=(DeploymentMode.TRANSMISSIVE if with_surface
-                    else DeploymentMode.NONE),
-    )
-    return configuration, sensor, coordinator
+    return _iot_scenario("iot_zigbee", mismatched, distance_m, with_surface,
+                         metasurface, absorber, seed)
 
 
 #: The three commodity IoT device families, by scenario-factory name.

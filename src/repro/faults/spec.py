@@ -207,10 +207,6 @@ def stream_seed(seed: int, name: str) -> Tuple[int, int]:
     return (seed, zlib.crc32(name.encode("utf-8")))
 
 
-#: Backwards-compatible private alias (pre-serving-layer name).
-_stream_seed = stream_seed
-
-
 class FaultSchedule:
     """A :class:`FaultSpec` bound to one master seed.
 

@@ -200,10 +200,6 @@ def llama_design(
     )
 
 
-#: Backwards-compatible alias: the optimized FR4 design *is* LLAMA's.
-fr4_optimized_design = llama_design
-
-
 def scaled_design(target_frequency_hz: float,
                   base: Optional[MetasurfaceDesign] = None) -> MetasurfaceDesign:
     """Scale a design to a different band (paper: 900 MHz RFID remark).
@@ -262,7 +258,6 @@ __all__ = [
     "rogers_reference_design",
     "fr4_naive_design",
     "llama_design",
-    "fr4_optimized_design",
     "scaled_design",
     "design_cost_usd",
 ]

@@ -8,7 +8,9 @@ deployments."  This package implements that extension on top of the
 single-link machinery:
 
 * :mod:`repro.network.deployment` — a dense deployment of IoT stations
-  around one access point and one shared LLAMA surface;
+  around one access point and one shared LLAMA surface, built from its
+  one description, the :class:`FleetSpec` of :class:`StationSpec`
+  records;
 * :mod:`repro.network.scheduler` — TDMA schedulers that decide which
   bias pair serves which station in each slot (fixed-bias baseline,
   per-station retuning, and orientation-clustered "polarization reuse");
@@ -22,10 +24,16 @@ Every utility search in this package is *fleet-stacked*: it probes
 leading axis — through its one probe, ``measure_aligned``, so all
 stations evaluate in one NumPy pass of the link budget
 (``best_bias_per_station`` and ``compromise_bias`` are such searches).
-The declarative session facade lives in :mod:`repro.api.fleet`.
+The session facade over a spec lives in :mod:`repro.api.fleet`.
 """
 
-from repro.network.deployment import DenseDeployment, StationPlacement
+from repro.network.deployment import (
+    SURFACE_DESIGNS,
+    DenseDeployment,
+    FleetSpec,
+    StationSpec,
+    TopologySpec,
+)
 from repro.network.scheduler import (
     ScheduleResult,
     StationAllocation,
@@ -41,8 +49,11 @@ from repro.network.access_control import (
 )
 
 __all__ = [
+    "SURFACE_DESIGNS",
     "DenseDeployment",
-    "StationPlacement",
+    "FleetSpec",
+    "StationSpec",
+    "TopologySpec",
     "ScheduleResult",
     "StationAllocation",
     "FixedBiasScheduler",

@@ -2,10 +2,18 @@
 
 A deployment is a set of IoT stations at different positions and —
 crucially for LLAMA — different antenna orientations, all talking to one
-access point through (or past) one shared metasurface.  The deployment's
-data plane is *fleet-stacked*: the per-station parameters (distance,
-transmit power, transmit-antenna orientation) form a
-:class:`~repro.channel.ensemble.LinkEnsemble`, and
+access point through (or past) one shared metasurface.
+
+A fleet has one description, the frozen :class:`FleetSpec` of
+:class:`StationSpec` records: plain data with a ``to_dict``/``from_json``
+round-trip, validated once in each spec's ``__post_init__``.  The spec
+types live here, next to the deployment that consumes them, and
+:mod:`repro.api.fleet` re-exports them.  :class:`DenseDeployment` is
+built only from a spec (``DenseDeployment(spec)`` or ``spec.build()``).
+
+The deployment's data plane is *fleet-stacked*: the per-station
+parameters (distance, transmit power, transmit-antenna orientation)
+form a :class:`~repro.channel.ensemble.LinkEnsemble`, and
 :meth:`DenseDeployment.ensemble_for` hands out the ensemble of any
 station selection, with or without the surface.  Its one probe,
 :meth:`~repro.channel.ensemble.LinkEnsemble.measure_aligned`, evaluates
@@ -19,10 +27,11 @@ cached scalar per-station links the parity suites compare against.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,48 +43,34 @@ from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
 from repro.channel.multipath import MultipathEnvironment
 from repro.constants import DEFAULT_CENTER_FREQUENCY_HZ
 from repro.devices.wifi import netgear_access_point, wifi_rate_for_rssi_mbps
-from repro.metasurface.design import llama_design
-from repro.metasurface.surface import Metasurface
+from repro.metasurface.design import (
+    fr4_naive_design,
+    llama_design,
+    rogers_reference_design,
+)
 from repro.units import positive_frequency
 
+#: The spec types' public import path.  Artifacts and result-store keys
+#: name a dataclass by ``module:qualname``, so the specs keep the path of
+#: the module that re-exports them: payloads and store keys written
+#: before the types moved here stay byte-identical and keep resolving.
+_PUBLIC_MODULE = "repro.api.fleet"
 
-def _validate_station(station) -> None:
-    """The field checks of :class:`StationPlacement` and its serializable
-    twin :class:`repro.api.fleet.StationSpec`.
-
-    The orientation stays free: a non-finite one anchors its own
-    orientation group.
-    """
-    if not (math.isfinite(station.distance_m) and station.distance_m > 0):
-        raise ValueError(f"distance must be positive and finite, got "
-                         f"{station.distance_m!r}")
-    if not math.isfinite(station.tx_power_dbm):
-        raise ValueError(f"transmit power must be finite, got "
-                         f"{station.tx_power_dbm!r}")
-    if not (math.isfinite(station.traffic_demand_mbps)
-            and station.traffic_demand_mbps > 0):
-        raise ValueError(f"traffic demand must be positive and finite, got "
-                         f"{station.traffic_demand_mbps!r}")
-
-
-def _validate_deployment(ap_orientation_deg: float, frequency_hz: float,
-                         environment_seed: int) -> None:
-    """The scalar field checks of :class:`DenseDeployment` and its
-    serializable twin :class:`repro.api.fleet.FleetSpec`."""
-    if not math.isfinite(ap_orientation_deg):
-        raise ValueError(f"AP orientation must be finite, got "
-                         f"{ap_orientation_deg!r}")
-    positive_frequency(frequency_hz)
-    if (isinstance(environment_seed, bool)
-            or not isinstance(environment_seed, numbers.Integral)
-            or environment_seed < 0):
-        raise ValueError(f"environment seed must be an integer >= 0, got "
-                         f"{environment_seed!r}")
+#: Named metasurface designs a :class:`FleetSpec` can reference; the
+#: name is what serializes, the factory builds the shared surface.
+SURFACE_DESIGNS: Dict[str, Callable] = {
+    "llama": llama_design,
+    "fr4-naive": fr4_naive_design,
+    "rogers": rogers_reference_design,
+}
 
 
 @dataclass(frozen=True)
-class StationPlacement:
+class StationSpec:
     """One IoT station in the deployment.
+
+    The orientation stays free: a non-finite one anchors its own
+    orientation group.
 
     Attributes
     ----------
@@ -91,6 +86,8 @@ class StationPlacement:
         Offered load, used by the schedulers' utility metrics.
     """
 
+    __module__ = _PUBLIC_MODULE
+
     name: str
     distance_m: float
     orientation_deg: float
@@ -98,7 +95,229 @@ class StationPlacement:
     traffic_demand_mbps: float = 10.0
 
     def __post_init__(self) -> None:
-        _validate_station(self)
+        if not (math.isfinite(self.distance_m) and self.distance_m > 0):
+            raise ValueError(f"distance must be positive and finite, got "
+                             f"{self.distance_m!r}")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"transmit power must be finite, got "
+                             f"{self.tx_power_dbm!r}")
+        if not (math.isfinite(self.traffic_demand_mbps)
+                and self.traffic_demand_mbps > 0):
+            raise ValueError(f"traffic demand must be positive and finite, "
+                             f"got {self.traffic_demand_mbps!r}")
+
+    def to_dict(self) -> Dict[str, Union[str, float]]:
+        """Plain-data form (JSON-ready)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "StationSpec":
+        """Rebuild a spec from :meth:`to_dict` output."""
+        return cls(**dict(data))
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    """Provenance of a generated fleet: which family, which knobs.
+
+    Attached to a :class:`FleetSpec` by the deployment-topology
+    generators (:mod:`repro.world.topology`) so a generated scenario
+    file is self-describing — the family name plus the exact generator
+    parameters survive the ``to_dict``/``from_json`` round-trip.
+    ``params`` is stored as a sorted tuple of ``(name, value)`` pairs
+    (scalar values only) so the spec stays frozen and hashable.
+    """
+
+    __module__ = _PUBLIC_MODULE
+
+    family: str
+    params: Tuple[Tuple[str, Union[str, int, float, bool]], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.family:
+            raise ValueError("topology family must be non-empty")
+        pairs = []
+        for name, value in self.params:
+            if not isinstance(name, str) or not name:
+                raise ValueError("topology parameter names must be strings")
+            if not isinstance(value, (str, int, float, bool)):
+                raise ValueError(
+                    f"topology parameter {name!r} must be a scalar, "
+                    f"got {value!r}")
+            pairs.append((name, value))
+        object.__setattr__(self, "params", tuple(sorted(pairs)))
+
+    @classmethod
+    def of(cls, family: str, **params: Union[str, int, float, bool]
+           ) -> "TopologySpec":
+        """Build from keyword generator parameters."""
+        return cls(family=family, params=tuple(params.items()))
+
+    def as_mapping(self) -> Dict[str, Union[str, int, float, bool]]:
+        """The generator parameters as a plain dict."""
+        return dict(self.params)
+
+    def to_dict(self) -> Dict:
+        """Plain-data form (JSON-ready)."""
+        return {"family": self.family, "params": self.as_mapping()}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "TopologySpec":
+        """Rebuild from :meth:`to_dict` output."""
+        return cls(family=data["family"],
+                   params=tuple(dict(data.get("params", {})).items()))
+
+
+@dataclass(frozen=True)
+class FleetSpec:
+    """Declarative description of a whole deployment.
+
+    Everything a :class:`~repro.api.fleet.FleetSession` needs, as plain
+    data: the stations, the shared surface (by design name, so it
+    serializes), the access point's polarization orientation, the
+    carrier and the multipath seed — plus, for generated deployments,
+    the :class:`TopologySpec` provenance.  ``spec -> to_dict ->
+    from_dict`` round-trips to an equal spec, and two sessions built
+    from equal specs produce identical
+    :class:`~repro.network.scheduler.ScheduleResult`\\ s.
+    """
+
+    __module__ = _PUBLIC_MODULE
+
+    stations: Tuple[StationSpec, ...]
+    surface: str = "llama"
+    ap_orientation_deg: float = 0.0
+    frequency_hz: float = DEFAULT_CENTER_FREQUENCY_HZ
+    environment_seed: int = 2021
+    topology: Optional[TopologySpec] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stations", tuple(self.stations))
+        if not self.stations:
+            raise ValueError("a fleet needs at least one station")
+        names = [station.name for station in self.stations]
+        if len(set(names)) != len(names):
+            raise ValueError("station names must be unique")
+        if self.surface not in SURFACE_DESIGNS:
+            raise ValueError(
+                f"unknown surface design {self.surface!r}; expected one of "
+                f"{sorted(SURFACE_DESIGNS)}")
+        if not math.isfinite(self.ap_orientation_deg):
+            raise ValueError(f"AP orientation must be finite, got "
+                             f"{self.ap_orientation_deg!r}")
+        positive_frequency(self.frequency_hz)
+        seed = self.environment_seed
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValueError(f"environment seed must be an integer >= 0, "
+                             f"got {seed!r}")
+        # A NumPy integer seed is valid; store it as ``int`` so the spec
+        # still serializes.
+        object.__setattr__(self, "environment_seed", int(seed))
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    @property
+    def station_names(self) -> Tuple[str, ...]:
+        """Station names in stacking order."""
+        return tuple(station.name for station in self.stations)
+
+    def station(self, name: str) -> StationSpec:
+        """Look up one station spec by name."""
+        for station in self.stations:
+            if station.name == name:
+                return station
+        raise KeyError(f"unknown station {name!r}")
+
+    # ------------------------------------------------------------------ #
+    # Serialization
+    # ------------------------------------------------------------------ #
+    def to_dict(self) -> Dict:
+        """Plain-data form (JSON-ready)."""
+        data = {
+            "stations": [station.to_dict() for station in self.stations],
+            "surface": self.surface,
+            "ap_orientation_deg": self.ap_orientation_deg,
+            "frequency_hz": self.frequency_hz,
+            "environment_seed": self.environment_seed,
+        }
+        if self.topology is not None:
+            data["topology"] = self.topology.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "FleetSpec":
+        """Rebuild a spec from :meth:`to_dict` output."""
+        payload = dict(data)
+        stations = tuple(StationSpec.from_dict(station)
+                         for station in payload.pop("stations"))
+        topology = payload.pop("topology", None)
+        if topology is not None and not isinstance(topology, TopologySpec):
+            topology = TopologySpec.from_dict(topology)
+        return cls(stations=stations, topology=topology, **payload)
+
+    def to_json(self, **dumps_kwargs) -> str:
+        """Serialize to a JSON scenario document."""
+        return json.dumps(self.to_dict(), **dumps_kwargs)
+
+    @classmethod
+    def from_json(cls, document: str) -> "FleetSpec":
+        """Parse a JSON scenario document."""
+        return cls.from_dict(json.loads(document))
+
+    # ------------------------------------------------------------------ #
+    # Factories
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def _scattered(cls, prefix: str, station_count: int, seed: int,
+                   surface: str, distance_m: Tuple[float, float],
+                   tx_power_dbm: float,
+                   traffic_demand_mbps: Tuple[float, float]) -> "FleetSpec":
+        """Stations drawn uniformly (distance, orientation, demand, in
+        that order per station) from one seeded RNG."""
+        rng = np.random.default_rng(seed)
+        stations = tuple(
+            StationSpec(
+                name=f"{prefix}-{index}",
+                distance_m=float(rng.uniform(*distance_m)),
+                orientation_deg=float(rng.uniform(0.0, 180.0)),
+                tx_power_dbm=tx_power_dbm,
+                traffic_demand_mbps=float(rng.uniform(*traffic_demand_mbps)),
+            )
+            for index in range(station_count)
+        )
+        return cls(stations=stations, surface=surface, environment_seed=seed)
+
+    @classmethod
+    def random_home(cls, station_count: int = 6, seed: int = 7,
+                    surface: str = "llama") -> "FleetSpec":
+        """A reproducible random smart-home fleet.
+
+        Stations are scattered 2-8 m from the AP at 14 dBm with arbitrary
+        antenna orientations, mimicking how end users actually deploy
+        devices.
+        """
+        return cls._scattered("station", station_count, seed, surface,
+                              distance_m=(2.0, 8.0), tx_power_dbm=14.0,
+                              traffic_demand_mbps=(2.0, 20.0))
+
+    @classmethod
+    def office(cls, station_count: int = 12, seed: int = 42,
+               surface: str = "llama") -> "FleetSpec":
+        """A reproducible office fleet: denser, farther, lower power.
+
+        Sensors and badges spread 4-15 m from the AP at 0 dBm — the
+        regime where mismatched stations sit on the 802.11g rate cliff
+        and the surface's polarization correction buys throughput.
+        """
+        return cls._scattered("desk", station_count, seed, surface,
+                              distance_m=(4.0, 15.0), tx_power_dbm=0.0,
+                              traffic_demand_mbps=(0.5, 8.0))
+
+    def build(self) -> "DenseDeployment":
+        """Construct the deployment this spec describes."""
+        return DenseDeployment(self)
 
 
 class DenseDeployment:
@@ -106,45 +325,28 @@ class DenseDeployment:
 
     Parameters
     ----------
-    stations:
-        Station placements.
-    metasurface:
-        The shared surface (the optimized FR4 prototype by default).
-    ap_orientation_deg:
-        Polarization orientation of the access-point antenna.
-    environment_seed:
-        Seed of the shared multipath environment.
+    spec:
+        The :class:`FleetSpec` to build: its stations, the named shared
+        surface, the access point's polarization orientation, the carrier
+        and the seed of the shared multipath environment.
     """
 
-    def __init__(self,
-                 stations: Sequence[StationPlacement],
-                 metasurface: Optional[Metasurface] = None,
-                 ap_orientation_deg: float = 0.0,
-                 frequency_hz: float = DEFAULT_CENTER_FREQUENCY_HZ,
-                 environment_seed: int = 2021):
-        if not stations:
-            raise ValueError("a deployment needs at least one station")
-        names = [station.name for station in stations]
-        if len(set(names)) != len(names):
-            raise ValueError("station names must be unique")
-        _validate_deployment(ap_orientation_deg, frequency_hz,
-                             environment_seed)
-        self.stations: Tuple[StationPlacement, ...] = tuple(stations)
-        self.metasurface = (metasurface if metasurface is not None
-                            else llama_design().build())
-        self.ap_orientation_deg = ap_orientation_deg
-        self.frequency_hz = frequency_hz
-        self.environment_seed = environment_seed
-        self._station_names: Tuple[str, ...] = tuple(names)
+    def __init__(self, spec: FleetSpec):
+        if not isinstance(spec, FleetSpec):
+            raise TypeError(f"a deployment is built from a FleetSpec, got "
+                            f"{type(spec).__name__}")
+        self.spec = spec
+        self.stations: Tuple[StationSpec, ...] = spec.stations
+        self.metasurface = SURFACE_DESIGNS[spec.surface]().build()
+        self._station_names = spec.station_names
         self._station_index: Dict[str, int] = {
-            name: index for index, name in enumerate(names)}
+            name: index for index, name in enumerate(self._station_names)}
         # All stations share the AP antenna and the (deterministic)
         # multipath environment; build each exactly once.
         self._ap_antenna = netgear_access_point(
-            orientation_deg=ap_orientation_deg).antenna
-        self._environment = MultipathEnvironment(
-            absorber_enabled=False, rician_k_db=10.0, ray_count=12,
-            seed=environment_seed)
+            orientation_deg=spec.ap_orientation_deg).antenna
+        self._environment = MultipathEnvironment.indoor(
+            seed=spec.environment_seed)
         self._links: Dict[str, WirelessLink] = {}
         self._baselines: Dict[str, WirelessLink] = {}
         self._ensembles: Dict[bool, LinkEnsemble] = {}
@@ -153,14 +355,14 @@ class DenseDeployment:
     # ------------------------------------------------------------------ #
     # Link construction
     # ------------------------------------------------------------------ #
-    def _configuration(self, station: StationPlacement,
+    def _configuration(self, station: StationSpec,
                        with_surface: bool) -> LinkConfiguration:
         configuration = LinkConfiguration(
             tx_antenna=dipole_antenna(orientation_deg=station.orientation_deg,
                                       name=f"{station.name} antenna"),
             rx_antenna=self._ap_antenna,
             geometry=LinkGeometry.transmissive(station.distance_m),
-            frequency_hz=self.frequency_hz,
+            frequency_hz=self.spec.frequency_hz,
             tx_power_dbm=station.tx_power_dbm,
             bandwidth_hz=20e6,
             environment=self._environment,
@@ -186,7 +388,7 @@ class DenseDeployment:
                 self._configuration(station, with_surface=False))
         return self._baselines[station_name]
 
-    def station(self, name: str) -> StationPlacement:
+    def station(self, name: str) -> StationSpec:
         """Look up a station by name (O(1))."""
         try:
             return self.stations[self._station_index[name]]
@@ -325,28 +527,11 @@ class DenseDeployment:
                                 for index in np.flatnonzero(members)))
         return tuple(groups)
 
-    @staticmethod
-    def random_home(station_count: int = 6, seed: int = 7,
-                    metasurface: Optional[Metasurface] = None) -> "DenseDeployment":
-        """A reproducible random smart-home deployment.
 
-        Stations are scattered 2-8 m from the AP with arbitrary antenna
-        orientations, mimicking how end users actually deploy devices.
-        """
-        if station_count < 1:
-            raise ValueError("need at least one station")
-        rng = np.random.default_rng(seed)
-        stations = [
-            StationPlacement(
-                name=f"station-{index}",
-                distance_m=float(rng.uniform(2.0, 8.0)),
-                orientation_deg=float(rng.uniform(0.0, 180.0)),
-                tx_power_dbm=14.0,
-                traffic_demand_mbps=float(rng.uniform(2.0, 20.0)),
-            )
-            for index in range(station_count)
-        ]
-        return DenseDeployment(stations, metasurface=metasurface, environment_seed=seed)
-
-
-__all__ = ["StationPlacement", "DenseDeployment"]
+__all__ = [
+    "SURFACE_DESIGNS",
+    "StationSpec",
+    "TopologySpec",
+    "FleetSpec",
+    "DenseDeployment",
+]

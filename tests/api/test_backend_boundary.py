@@ -106,13 +106,13 @@ class TestPublicEntryPointsImportable:
         )
 
     def test_scheduler_constructors_functional(self):
-        from repro.network.deployment import DenseDeployment
+        from repro.network.deployment import FleetSpec
         from repro.network.scheduler import (
             FixedBiasScheduler,
             PerStationScheduler,
             PolarizationReuseScheduler,
         )
-        deployment = DenseDeployment.random_home(station_count=3, seed=5)
+        deployment = FleetSpec.random_home(station_count=3, seed=5).build()
         for scheduler_cls in (FixedBiasScheduler, PerStationScheduler,
                               PolarizationReuseScheduler):
             result = scheduler_cls(deployment,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     SCHEDULE_STRATEGIES,
+    SURFACE_DESIGNS,
     FleetSession,
     FleetSpec,
     LinkSession,
@@ -21,7 +22,6 @@ from repro.api import (
     StationSpec,
 )
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
-from repro.network.deployment import DenseDeployment, StationPlacement
 from repro.network.scheduler import (
     FixedBiasScheduler,
     PerStationScheduler,
@@ -262,13 +262,10 @@ class TestFleetSpec:
         rebuilt = FleetSession(twin).schedule("polarization-reuse")
         assert original == rebuilt
 
-    def test_station_spec_round_trip_and_placement_bridge(self):
+    def test_station_spec_round_trip(self):
         spec = StationSpec("sensor", 4.5, 30.0, tx_power_dbm=2.0,
                            traffic_demand_mbps=1.5)
         assert StationSpec.from_dict(spec.to_dict()) == spec
-        placement = spec.to_placement()
-        assert isinstance(placement, StationPlacement)
-        assert StationSpec.from_placement(placement) == spec
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one station"):
@@ -327,38 +324,12 @@ class TestFleetSpec:
         with pytest.raises(ValueError):
             FleetSpec.office(0)
 
-    def test_from_deployment_lifts_placements(self):
-        deployment = DenseDeployment.random_home(station_count=3, seed=5)
-        spec = FleetSpec.from_deployment(deployment)
-        assert spec.station_names == deployment.station_names
-        assert spec.environment_seed == deployment.environment_seed
-
-    def test_from_deployment_detects_named_surfaces(self):
-        from repro.metasurface.design import rogers_reference_design
-        rogers = DenseDeployment.random_home(
-            station_count=2, seed=5,
-            metasurface=rogers_reference_design().build())
-        assert FleetSpec.from_deployment(rogers).surface == "rogers"
-        default = DenseDeployment.random_home(station_count=2, seed=5)
-        assert FleetSpec.from_deployment(default).surface == "llama"
-
-    def test_from_deployment_warns_on_unknown_surface(self):
-        from dataclasses import replace
-        from repro.metasurface.design import llama_design
-        custom = llama_design()
-        custom = replace(custom, name="bespoke prototype")
-        deployment = DenseDeployment.random_home(
-            station_count=2, seed=5, metasurface=custom.build())
-        if deployment.metasurface.name == llama_design().build().name:
-            pytest.skip("design name does not propagate to the surface")
-        with pytest.warns(UserWarning, match="matches no named design"):
-            spec = FleetSpec.from_deployment(deployment)
-        assert spec.surface == "llama"
-
-    def test_random_home_matches_deployment_factory(self):
-        spec = FleetSpec.random_home(station_count=4, seed=9)
-        deployment = DenseDeployment.random_home(station_count=4, seed=9)
-        assert spec == FleetSpec.from_deployment(deployment)
+    @pytest.mark.parametrize("surface", sorted(SURFACE_DESIGNS))
+    def test_build_uses_the_named_surface(self, surface):
+        spec = FleetSpec.random_home(station_count=2, seed=5,
+                                     surface=surface)
+        assert (spec.build().metasurface
+                == SURFACE_DESIGNS[surface]().build())
 
     def test_best_bias_plan_accepts_an_iterator_of_names(self, fleet):
         plan = fleet.best_bias_plan(step_v=10.0,
@@ -371,26 +342,23 @@ class TestFleetSpec:
     def test_build_materializes_the_described_deployment(self):
         spec = cliff_spec()
         deployment = spec.build()
+        assert deployment.spec is spec
         assert deployment.station_names == spec.station_names
-        assert deployment.frequency_hz == spec.frequency_hz
 
 
 class TestSessionConstruction:
-    def test_from_spec_station_list_and_deployment(self):
+    def test_builds_its_deployment_from_the_spec(self):
         spec = cliff_spec()
-        placements = [station.to_placement() for station in spec.stations]
-        deployment = DenseDeployment(placements)
-        by_spec = FleetSession(spec)
-        by_list = FleetSession(spec.stations)
-        by_placements = FleetSession(placements)
-        adopted = FleetSession(deployment)
-        assert (by_spec.station_names == by_list.station_names ==
-                by_placements.station_names == adopted.station_names)
-        assert adopted.deployment is deployment
-        probe = by_spec.measure_aligned(7.0, 22.0)
-        for other in (by_list, by_placements, adopted):
-            assert np.allclose(other.measure_aligned(7.0, 22.0), probe,
-                               atol=TOLERANCE_DB, rtol=0.0)
+        fleet = FleetSession(spec)
+        assert fleet.spec is spec
+        assert fleet.deployment.spec is spec
+        assert fleet.station_names == spec.station_names
+
+    def test_takes_only_a_fleet_spec(self):
+        spec = cliff_spec()
+        for other in (spec.stations, list(spec.stations), spec.build()):
+            with pytest.raises(TypeError, match="FleetSpec"):
+                FleetSession(other)
 
     def test_session_for_is_cached_and_probes_the_same_link(self, fleet):
         session = fleet.session_for("aligned")

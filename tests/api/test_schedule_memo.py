@@ -83,7 +83,7 @@ class TestHits:
         count, result = passes(fleet, **kwargs)
         assert count == 1
         assert result is not default
-        assert result == FleetSession(fleet.deployment).schedule(
+        assert result == FleetSession(fleet.spec).schedule(
             "polarization-reuse", **kwargs)
         # Both entries stay memoized.
         assert passes(fleet)[0] == 0
@@ -123,7 +123,7 @@ class TestSurvivorChanges:
         assert count == 1
         assert ([allocation.station for allocation in result.allocations]
                 == list(fleet.active_stations))
-        fresh = FleetSession(fleet.deployment)
+        fresh = FleetSession(fleet.spec)
         fresh.apply_churn(fleet.active_stations)
         assert result == fresh.schedule()
         assert passes(fleet)[0] == 0

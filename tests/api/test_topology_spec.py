@@ -62,9 +62,10 @@ class TestFleetSpecCarry:
         assert FleetSpec.from_json(spec.to_json()) == spec
         assert spec.topology is None
 
-    def test_from_deployment_passes_topology_through(self):
-        deployment = FleetSession(FleetSpec.office(station_count=2)).deployment
+    def test_session_and_deployment_keep_the_tagged_spec(self):
         topology = TopologySpec.of("office", station_count=2)
-        spec = FleetSpec.from_deployment(deployment, topology=topology)
-        assert spec.topology == topology
-        assert FleetSpec.from_json(spec.to_json()).topology == topology
+        spec = FleetSpec(FleetSpec.office(station_count=2).stations,
+                         topology=topology)
+        session = FleetSession(spec)
+        assert session.spec is spec
+        assert session.deployment.spec.topology == topology

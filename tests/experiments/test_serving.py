@@ -81,6 +81,12 @@ class TestServeDegradation:
     def test_check_passes(self, degradation):
         degradation.check()
 
+    def test_fault_digests_are_pinned(self, degradation):
+        # A replay of the same code would agree with any reordering of
+        # the faulty fleet's probes; recorded values do not.
+        assert degradation.payload.fault_digests == (0, 1988795182,
+                                                     3850703140)
+
     def test_replay_is_bit_identical(self, degradation):
         replay = run_experiment("serve_degradation", smoke=True)
         assert payload_equal(replay.payload, degradation.payload,

@@ -7,7 +7,6 @@ from repro.metasurface.design import (
     MetasurfaceDesign,
     design_cost_usd,
     fr4_naive_design,
-    fr4_optimized_design,
     llama_design,
     rogers_reference_design,
     scaled_design,
@@ -36,9 +35,6 @@ class TestDesignFactories:
 
     def test_llama_stack_thinner_than_reference(self):
         assert llama_design().total_thickness_m < rogers_reference_design().total_thickness_m
-
-    def test_fr4_optimized_alias(self):
-        assert fr4_optimized_design is llama_design
 
     def test_validation(self):
         with pytest.raises(ValueError):

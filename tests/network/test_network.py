@@ -7,7 +7,7 @@ import pytest
 
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.network.access_control import polarization_access_control
-from repro.network.deployment import DenseDeployment, StationPlacement
+from repro.network.deployment import DenseDeployment, FleetSpec, StationSpec
 from repro.network.scheduler import (
     FixedBiasScheduler,
     PerStationScheduler,
@@ -26,15 +26,20 @@ def small_deployment(seed=7):
     stations sit on the 802.11g rate cliff: that is the regime where the
     surface's polarization correction translates into throughput.
     """
-    stations = [
-        StationPlacement("aligned", distance_m=10.0, orientation_deg=0.0,
-                         tx_power_dbm=0.0),
-        StationPlacement("tilted", distance_m=14.0, orientation_deg=80.0,
-                         tx_power_dbm=0.0),
-        StationPlacement("orthogonal", distance_m=12.0, orientation_deg=90.0,
-                         tx_power_dbm=0.0),
-    ]
-    return DenseDeployment(stations, environment_seed=seed)
+    stations = (
+        StationSpec("aligned", distance_m=10.0, orientation_deg=0.0,
+                    tx_power_dbm=0.0),
+        StationSpec("tilted", distance_m=14.0, orientation_deg=80.0,
+                    tx_power_dbm=0.0),
+        StationSpec("orthogonal", distance_m=12.0, orientation_deg=90.0,
+                    tx_power_dbm=0.0),
+    )
+    return DenseDeployment(FleetSpec(stations, environment_seed=seed))
+
+
+def deployment_of(stations):
+    """The default-field deployment of a station list."""
+    return FleetSpec(stations).build()
 
 
 @pytest.fixture(scope="module")
@@ -44,33 +49,40 @@ def deployment():
 
 class TestDeployment:
     def test_requires_stations(self):
-        with pytest.raises(ValueError):
-            DenseDeployment([])
+        with pytest.raises(ValueError, match="at least one station"):
+            FleetSpec(stations=())
 
     def test_requires_unique_names(self):
-        station = StationPlacement("dup", 3.0, 0.0)
-        with pytest.raises(ValueError):
-            DenseDeployment([station, station])
+        station = StationSpec("dup", 3.0, 0.0)
+        with pytest.raises(ValueError, match="unique"):
+            FleetSpec(stations=(station, station))
+
+    @pytest.mark.parametrize("fleet", (
+        (), [StationSpec("solo", 3.0, 0.0)],
+        {"stations": [StationSpec("solo", 3.0, 0.0).to_dict()]}))
+    def test_takes_only_a_fleet_spec(self, fleet):
+        with pytest.raises(TypeError, match="FleetSpec"):
+            DenseDeployment(fleet)
 
     def test_station_lookup(self, deployment):
         assert deployment.station("tilted").orientation_deg == 80.0
         with pytest.raises(KeyError):
             deployment.station("missing")
 
-    def test_placement_validation(self):
+    def test_station_validation(self):
         with pytest.raises(ValueError):
-            StationPlacement("bad", 0.0, 0.0)
+            StationSpec("bad", 0.0, 0.0)
         with pytest.raises(ValueError):
-            StationPlacement("bad", 1.0, 0.0, traffic_demand_mbps=0.0)
+            StationSpec("bad", 1.0, 0.0, traffic_demand_mbps=0.0)
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="distance"):
-                StationPlacement("bad", value, 0.0)
+                StationSpec("bad", value, 0.0)
             with pytest.raises(ValueError, match="transmit power"):
-                StationPlacement("bad", 1.0, 0.0, tx_power_dbm=value)
+                StationSpec("bad", 1.0, 0.0, tx_power_dbm=value)
             with pytest.raises(ValueError, match="traffic demand"):
-                StationPlacement("bad", 1.0, 0.0, traffic_demand_mbps=value)
+                StationSpec("bad", 1.0, 0.0, traffic_demand_mbps=value)
         with pytest.raises(ValueError, match="transmit power"):
-            StationPlacement("bad", 1.0, 0.0, tx_power_dbm=float("-inf"))
+            StationSpec("bad", 1.0, 0.0, tx_power_dbm=float("-inf"))
 
     @pytest.mark.parametrize("field, value, message", (
         ("ap_orientation_deg", float("nan"), "AP orientation"),
@@ -87,15 +99,15 @@ class TestDeployment:
     ))
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            DenseDeployment([StationPlacement("solo", 3.0, 0.0)],
-                            **{field: value})
+            FleetSpec((StationSpec("solo", 3.0, 0.0),), **{field: value})
 
     def test_field_edges_stay_valid(self):
-        deployment = DenseDeployment([StationPlacement("solo", 3.0, 0.0)],
-                                     ap_orientation_deg=-90.0,
-                                     environment_seed=np.int64(0))
-        assert deployment.environment_seed == 0
-        assert deployment.ap_orientation_deg == -90.0
+        deployment = FleetSpec((StationSpec("solo", 3.0, 0.0),),
+                               ap_orientation_deg=-90.0,
+                               environment_seed=np.int64(0)).build()
+        assert deployment.spec.environment_seed == 0
+        assert type(deployment.spec.environment_seed) is int
+        assert deployment.spec.ap_orientation_deg == -90.0
 
     def test_rssi_depends_on_bias(self, deployment):
         link = deployment.link_for("orthogonal")
@@ -122,25 +134,25 @@ class TestDeployment:
 
     def test_orientation_groups_cluster_similar_antennas(self):
         stations = [
-            StationPlacement("a", 3.0, 0.0),
-            StationPlacement("b", 3.0, 10.0),
-            StationPlacement("c", 3.0, 90.0),
-            StationPlacement("d", 3.0, 100.0),
+            StationSpec("a", 3.0, 0.0),
+            StationSpec("b", 3.0, 10.0),
+            StationSpec("c", 3.0, 90.0),
+            StationSpec("d", 3.0, 100.0),
         ]
-        groups = DenseDeployment(stations).orientation_groups(tolerance_deg=20.0)
+        groups = deployment_of(stations).orientation_groups(tolerance_deg=20.0)
         assert sorted(map(sorted, groups)) == [["a", "b"], ["c", "d"]]
 
     def test_orientation_groups_wrap_around_180(self):
         stations = [
-            StationPlacement("a", 3.0, 5.0),
-            StationPlacement("b", 3.0, 175.0),
+            StationSpec("a", 3.0, 5.0),
+            StationSpec("b", 3.0, 175.0),
         ]
-        groups = DenseDeployment(stations).orientation_groups(tolerance_deg=15.0)
+        groups = deployment_of(stations).orientation_groups(tolerance_deg=15.0)
         assert len(groups) == 1
 
     def test_random_home_reproducible(self):
-        first = DenseDeployment.random_home(station_count=4, seed=3)
-        second = DenseDeployment.random_home(station_count=4, seed=3)
+        first = FleetSpec.random_home(station_count=4, seed=3).build()
+        second = FleetSpec.random_home(station_count=4, seed=3).build()
         assert [s.orientation_deg for s in first.stations] == [
             s.orientation_deg for s in second.stations]
 
@@ -311,9 +323,9 @@ class TestOrientationGroupBoundaries:
 
     @staticmethod
     def _groups(orientations, tolerance_deg):
-        stations = [StationPlacement(f"s{i}", 3.0, orientation)
+        stations = [StationSpec(f"s{i}", 3.0, orientation)
                     for i, orientation in enumerate(orientations)]
-        return DenseDeployment(stations).orientation_groups(tolerance_deg)
+        return deployment_of(stations).orientation_groups(tolerance_deg)
 
     def test_difference_exactly_at_tolerance_shares_a_group(self):
         assert self._groups([0.0, 20.0], tolerance_deg=20.0) == [["s0", "s1"]]

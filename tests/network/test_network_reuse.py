@@ -10,7 +10,7 @@ Sec. 7 deployment figure.
 """
 
 from repro.experiments.figures import deployment_scheduling_comparison
-from repro.network.deployment import DenseDeployment, StationPlacement
+from repro.network.deployment import FleetSpec, StationSpec
 from repro.network.scheduler import (
     PerStationScheduler,
     PolarizationReuseScheduler,
@@ -26,14 +26,14 @@ def test_network_reuse():
     # Distances and transmit powers put the badly oriented stations on
     # the 802.11g rate cliff, where polarization correction changes the
     # rate.
-    deployment = DenseDeployment([
-        StationPlacement("thermostat", 22.0, 0.0, tx_power_dbm=-5.0),
-        StationPlacement("door-sensor", 28.0, 85.0, tx_power_dbm=-5.0),
-        StationPlacement("camera", 20.0, 90.0, tx_power_dbm=-5.0),
-        StationPlacement("smart-plug", 25.0, 10.0, tx_power_dbm=-5.0),
-        StationPlacement("wearable-hub", 30.0, 75.0, tx_power_dbm=-5.0),
-        StationPlacement("soil-sensor", 32.0, 40.0, tx_power_dbm=-5.0),
-    ])
+    deployment = FleetSpec([
+        StationSpec("thermostat", 22.0, 0.0, tx_power_dbm=-5.0),
+        StationSpec("door-sensor", 28.0, 85.0, tx_power_dbm=-5.0),
+        StationSpec("camera", 20.0, 90.0, tx_power_dbm=-5.0),
+        StationSpec("smart-plug", 25.0, 10.0, tx_power_dbm=-5.0),
+        StationSpec("wearable-hub", 30.0, 75.0, tx_power_dbm=-5.0),
+        StationSpec("soil-sensor", 32.0, 40.0, tx_power_dbm=-5.0),
+    ]).build()
     baseline = baseline_without_surface(deployment)
     reuse = PolarizationReuseScheduler(
         deployment, epoch_duration_s=EPOCH_S).schedule()

@@ -12,7 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.deployment import DenseDeployment, StationPlacement
+from repro.network.deployment import DenseDeployment, FleetSpec, StationSpec
 
 
 def reference_groups(orientations, tolerance_deg):
@@ -32,9 +32,9 @@ def reference_groups(orientations, tolerance_deg):
 
 
 def deployment_groups(orientations, tolerance_deg):
-    stations = [StationPlacement(f"s{index}", 3.0, orientation)
+    stations = [StationSpec(f"s{index}", 3.0, orientation)
                 for index, orientation in enumerate(orientations)]
-    return DenseDeployment(stations).orientation_groups(tolerance_deg)
+    return FleetSpec(stations).build().orientation_groups(tolerance_deg)
 
 
 #: Arbitrary angles (negative, beyond 180°, tiny negatives that wrap to
@@ -88,7 +88,7 @@ class TestClusteredOncePerTolerance:
     are clustered once; callers get fresh lists every time."""
 
     def test_each_tolerance_clusters_once(self, monkeypatch):
-        deployment = DenseDeployment.random_home(8, seed=3)
+        deployment = FleetSpec.random_home(8, seed=3).build()
         calls = []
         cluster = DenseDeployment._cluster_orientations
 
@@ -105,7 +105,7 @@ class TestClusteredOncePerTolerance:
         assert calls == [20.0, 45.0]
 
     def test_returned_lists_cannot_corrupt_the_cache(self):
-        deployment = DenseDeployment.random_home(8, seed=3)
+        deployment = FleetSpec.random_home(8, seed=3).build()
         groups = deployment.orientation_groups(20.0)
         expected = [list(group) for group in groups]
         groups[0].append("intruder")

@@ -142,8 +142,12 @@ class TestOnePassPerEpoch:
         # Several orientation groups, so a per-group search would show.
         assert len(session.orientation_groups(20.0)) > 1
         assert self._passes(session, strategy) == 1
-        # A warm deployment (ensembles cached) is still exactly one pass.
-        assert self._passes(FleetSession(session.deployment), strategy) == 1
+        # A warm deployment (ensembles cached) is still exactly one pass
+        # once a survivor change has cleared the epoch memo.
+        name = session.station_names[0]
+        session.quarantine(name)
+        session.reinstate(name)
+        assert self._passes(session, strategy) == 1
 
     @pytest.mark.parametrize("strategy", SURFACE_STRATEGIES)
     def test_repeat_on_one_session_is_memoized(self, strategy):
