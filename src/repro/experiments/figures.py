@@ -232,10 +232,11 @@ def _efficiency_curve(design: MetasurfaceDesign,
                       vx: float = 8.0, vy: float = 8.0) -> EfficiencyCurve:
     # Figs. 8-10 are HFSS simulations of the idealised structure.
     surface = design.build(prototype=False)
-    eff_x = tuple(surface.transmission_efficiency_db(f, vx, vy, "x")
-                  for f in frequencies_hz)
-    eff_y = tuple(surface.transmission_efficiency_db(f, vx, vy, "y")
-                  for f in frequencies_hz)
+    sweep = np.asarray(frequencies_hz)
+    eff_x, eff_y = (
+        tuple(surface.transmission_efficiency_db(sweep, vx, vy,
+                                                 excitation).tolist())
+        for excitation in ("x", "y"))
     return EfficiencyCurve(design_name=design.name,
                            frequencies_hz=tuple(frequencies_hz),
                            efficiency_x_db=eff_x, efficiency_y_db=eff_y)
@@ -376,13 +377,11 @@ def _run_fig11(vx: float, vy_v: Tuple[float, ...],
                frequency_count: int) -> VoltageEfficiencyResult:
     # Like Figs. 8-10 this is a simulation of the idealised structure.
     surface = llama_design().build(prototype=False)
-    frequencies = tuple(np.linspace(2.0e9, 2.8e9, frequency_count))
-    curves: Dict[float, Tuple[float, ...]] = {}
-    for vy in vy_v:
-        curves[float(vy)] = tuple(
-            surface.transmission_efficiency_db(f, vx, float(vy), "x")
-            for f in frequencies)
-    return VoltageEfficiencyResult(vx=vx, frequencies_hz=frequencies,
+    sweep = np.linspace(2.0e9, 2.8e9, frequency_count)
+    curves = {float(vy): tuple(surface.transmission_efficiency_db(
+                  sweep, vx, float(vy), "x").tolist())
+              for vy in vy_v}
+    return VoltageEfficiencyResult(vx=vx, frequencies_hz=tuple(sweep),
                                    curves_db=curves)
 
 

@@ -2,8 +2,9 @@
 
 :class:`ResultStore` is the disk tier of the runner's two-tier cache:
 every :class:`~repro.experiments.runner.ExperimentResult` is archived
-as one JSON file (the lossless tagged codec of
-:mod:`repro.experiments.artifacts`) under a **content key** derived
+as one compact JSON file (the lossless tagged codec of
+:mod:`repro.experiments.artifacts`, written by ``json.dumps`` with no
+indent so the C encoder serializes it) under a **content key** derived
 from
 
 * the experiment's registry name,
@@ -17,7 +18,8 @@ entry counts as a miss (and is recorded in :meth:`ResultStore.stats`),
 never an exception, so the caller simply recomputes.
 
 Writes are atomic (temp file + ``os.replace``) and therefore safe under
-the parallel executor's concurrent workers.
+the parallel executor's concurrent workers.  Reads parse any JSON
+layout, so entries written indented by older code are still hits.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class ResultStore:
             dir=self.directory, prefix=f".{path.stem}-", suffix=".tmp")
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(entry, stream, indent=2)
+                stream.write(json.dumps(entry))
             os.replace(temp_name, path)
         except BaseException:
             Path(temp_name).unlink(missing_ok=True)

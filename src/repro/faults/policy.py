@@ -14,7 +14,6 @@ bit-identical to the pre-resilience pipeline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +59,29 @@ class ProbePolicy:
         NaN repeats (dropped probes) are excluded from each element's
         vote; an element is NaN only when every repeat dropped.  The
         median rejects any minority of corrupted repeats outright.
+
+        Sort-based: NaN sorts last, so each element's ``c`` valid
+        repeats come first, and the median is the middle one (``c``
+        odd) or the mean of the two middle ones (``c`` even).  That
+        equals ``np.nanmedian(samples, axis=0)`` exactly, without its
+        ``numpy.ma`` route for short repeat axes, except that an odd
+        middle above ~9e307 stays finite (``numpy.ma`` averages it with
+        itself and overflows to inf).
         """
         samples = np.asarray(samples, dtype=float)
         if samples.shape[0] == 1:
             return samples[0]
-        with warnings.catch_warnings():
-            # All-NaN columns legitimately reduce to NaN (total dropout).
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            return np.nanmedian(samples, axis=0)
+        ordered = np.sort(samples, axis=0)
+        valid = np.count_nonzero(~np.isnan(samples), axis=0)
+        low, high = np.take_along_axis(
+            ordered, np.stack([(valid - 1) // 2, valid // 2]), axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # -inf and +inf middles average to NaN, as in np.nanmedian,
+            # and a total dropout reads only NaN entries.  The mean is
+            # also taken (and discarded) where ``c`` is odd, so its
+            # overflow must not warn either.
+            median = np.where(valid % 2 == 1, high, (low + high) / 2.0)
+        return median[()]
 
 
 __all__ = ["ProbePolicy"]

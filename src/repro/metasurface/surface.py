@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -338,26 +338,55 @@ class Metasurface:
             self._effective_voltages(vy))
         return math.degrees(delta) / 2.0
 
-    def transmission_efficiency(self, frequency_hz: float, vx: float,
-                                vy: float, excitation: str = "x") -> float:
+    def transmission_efficiency(self, frequency_hz, vx: float, vy: float,
+                                excitation: str = "x"):
         """Power transmission efficiency for a linearly polarized excitation.
 
         Implements paper Eq. 11: the sum of co- and cross-polarized
         transmitted power fractions for a unit-power incident wave.
+        ``frequency_hz`` may be a scalar (returns a float) or a NumPy
+        array (returns the element-wise efficiency with the same shape,
+        one point per frequency); either way the sweep is one
+        :meth:`jones_matrix_batch` call (see :meth:`_efficiencies`).
+        """
+        return _per_frequency(frequency_hz, self._efficiencies(
+            self.jones_matrix_batch, frequency_hz, vx, vy, excitation))
+
+    def transmission_efficiency_db(self, frequency_hz, vx: float, vy: float,
+                                   excitation: str = "x"):
+        """Transmission efficiency in dB (paper Figs. 8-11 y-axis).
+
+        Takes a scalar or array ``frequency_hz`` like
+        :meth:`transmission_efficiency`, so a whole efficiency curve is
+        one Jones batch.
+        """
+        efficiencies = self._efficiencies(self.jones_matrix_batch,
+                                          frequency_hz, vx, vy, excitation)
+        return _per_frequency(frequency_hz, [
+            10.0 * math.log10(max(efficiency, 1e-20))
+            for efficiency in efficiencies])
+
+    def _efficiencies(self, jones_batch, frequency_hz, vx: float, vy: float,
+                      excitation: str) -> List[float]:
+        """Eq. 11 efficiency of ``jones_batch`` at every frequency, flat.
+
+        The voltages are validated like the scalar :meth:`jones_matrix`
+        (same ``ValueError``), the Jones matrices of the whole frequency
+        array come from one ``jones_batch`` call, and the incident field
+        is applied to all of them at once.  The power sum stays the
+        per-point :attr:`JonesVector.intensity` arithmetic, so an array
+        call equals the loop of scalar calls exactly.
         """
         if excitation not in ("x", "y"):
             raise ValueError("excitation must be 'x' or 'y'")
-        jones = self.jones_matrix(frequency_hz, vx, vy)
+        self._validate_voltages(vx, vy)
+        # Not (1, 0) / (0, 1): the y excitation is linear(90 deg), whose
+        # x component is cos(pi / 2) = 6.1e-17.
         incident = (JonesVector.horizontal() if excitation == "x"
                     else JonesVector.vertical())
-        return float(min(1.0, jones.apply(incident).intensity))
-
-    def transmission_efficiency_db(self, frequency_hz: float, vx: float,
-                                   vy: float, excitation: str = "x") -> float:
-        """Transmission efficiency in dB (paper Figs. 8-11 y-axis)."""
-        efficiency = self.transmission_efficiency(frequency_hz, vx, vy,
-                                                  excitation)
-        return 10.0 * math.log10(max(efficiency, 1e-20))
+        fields = jones_batch(frequency_hz, vx, vy) @ incident.as_array()
+        return [min(1.0, JonesVector(*field).intensity)
+                for field in fields.reshape(-1, 2).tolist()]
 
     # ------------------------------------------------------------------ #
     # Reflective response
@@ -410,15 +439,14 @@ class Metasurface:
         reflected[..., 1, 0] = reflected[..., 0, 1]
         return reflected
 
-    def reflection_efficiency(self, frequency_hz: float, vx: float,
-                              vy: float, excitation: str = "x") -> float:
-        """Power reflection efficiency for a linearly polarized excitation."""
-        if excitation not in ("x", "y"):
-            raise ValueError("excitation must be 'x' or 'y'")
-        jones = self.reflection_jones_matrix(frequency_hz, vx, vy)
-        incident = (JonesVector.horizontal() if excitation == "x"
-                    else JonesVector.vertical())
-        return float(min(1.0, jones.apply(incident).intensity))
+    def reflection_efficiency(self, frequency_hz, vx: float, vy: float,
+                              excitation: str = "x"):
+        """Power reflection efficiency for a linearly polarized excitation
+        (scalar or array ``frequency_hz``, like
+        :meth:`transmission_efficiency`)."""
+        return _per_frequency(frequency_hz, self._efficiencies(
+            self.reflection_jones_matrix_batch, frequency_hz, vx, vy,
+            excitation))
 
     # ------------------------------------------------------------------ #
     # Mode dispatch and bookkeeping
@@ -472,6 +500,14 @@ class Metasurface:
         if bias_voltage_v < 0:
             raise ValueError("bias voltage must be non-negative")
         return self.leakage_current_a * bias_voltage_v
+
+
+def _per_frequency(frequency_hz, values: List[float]):
+    """Flat per-point ``values`` in the shape of ``frequency_hz``: a float
+    for a scalar frequency, else an array of the frequency's shape."""
+    if np.isscalar(frequency_hz):
+        return values[0]
+    return np.array(values).reshape(np.shape(frequency_hz))
 
 
 __all__ = ["Metasurface", "SurfaceMode", "SurfaceResponse"]

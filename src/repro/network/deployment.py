@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -112,8 +112,17 @@ class StationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "StationSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**dict(data))
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        A key that is not a station field raises ``ValueError`` naming
+        it.
+        """
+        data = dict(data)
+        unknown = sorted(set(data) - {field.name for field in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown station field(s) {unknown} in "
+                             f"{data!r}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,12 @@ class FleetSpec:
         object.__setattr__(self, "stations", tuple(self.stations))
         if not self.stations:
             raise ValueError("a fleet needs at least one station")
+        for station in self.stations:
+            if not isinstance(station, StationSpec):
+                raise TypeError(
+                    f"fleet stations must be StationSpec records (use "
+                    f"StationSpec.from_dict for the dict form), got "
+                    f"{station!r}")
         names = [station.name for station in self.stations]
         if len(set(names)) != len(names):
             raise ValueError("station names must be unique")

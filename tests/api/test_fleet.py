@@ -290,6 +290,21 @@ class TestFleetSpec:
                 with pytest.raises(ValueError, match=message):
                     FleetSpec.from_dict({"stations": [data]})
 
+    @pytest.mark.parametrize("record", [
+        {"name": "a", "distance_m": 3.0, "orientation_deg": 0.0}, "a", None])
+    def test_station_record_must_be_a_station_spec(self, record):
+        good = StationSpec("b", 3.0, 0.0)
+        with pytest.raises(TypeError, match="StationSpec") as raised:
+            FleetSpec(stations=(good, record))
+        assert repr(record) in str(raised.value)
+
+    def test_unknown_station_key_is_named(self):
+        data = {**StationSpec("a", 3.0, 0.0).to_dict(), "gain_dbi": 2.0}
+        with pytest.raises(ValueError, match="gain_dbi"):
+            StationSpec.from_dict(data)
+        with pytest.raises(ValueError, match="unknown station field"):
+            FleetSpec.from_json(json.dumps({"stations": [data]}))
+
     @pytest.mark.parametrize("field, value, message", BAD_DEPLOYMENT_FIELDS)
     def test_bad_deployment_field_rejected(self, field, value, message):
         # At construction and from JSON, never first at ``build()``.

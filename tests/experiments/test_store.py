@@ -67,6 +67,22 @@ class TestRoundTrip:
         assert len(store) == 1
         assert store.keys() == [f"{NAME}--{store.key_for(NAME, result.params)}"]
 
+    def test_entry_is_one_compact_json_value(self, store, result):
+        path = store.put(result)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        entry = json.loads(text)
+        assert entry["format"] == STORE_FORMAT
+        assert text == json.dumps(entry)
+
+    def test_indented_entry_is_still_a_hit(self, store, result):
+        path = store.put(result)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(entry, indent=2), encoding="utf-8")
+        restored = store.get(NAME, result.params)
+        assert restored is not None and restored.equal(result)
+        assert store.stats.hits == 1 and store.stats.corrupt == 0
+
     def test_missing_entry_is_a_plain_miss(self, store, result):
         assert store.get(NAME, result.params) is None
         stats = store.stats
