@@ -976,21 +976,42 @@ class IoTDeviceResult:
         return float(with_rate - without_rate)
 
 
+def _optimized_pair(with_config, without_config):
+    """Optimize the surface link; return both receiver operating points."""
+    with_link = WirelessLink(with_config)
+    _best_power, best_vx, best_vy = optimize_link(with_link)
+    return (with_link, best_vx, best_vy), (WirelessLink(without_config),
+                                           0.0, 0.0)
+
+
+def _device_pdfs(config_pairs, sample_count: int,
+                 seed: int) -> List[IoTDeviceResult]:
+    """Optimize every pair's surface, then sample all their RSSI.
+
+    Every with-surface receiver is seeded ``seed`` and every baseline
+    receiver ``seed + 1``, so each side is one shared-seed series.
+    """
+    pairs = [_optimized_pair(with_config, without_config)
+             for with_config, without_config in config_pairs]
+    with_rssi = SimulatedReceiver.shared_seed_series(
+        [with_point for with_point, _ in pairs], sample_count, seed,
+        duration_s=0.002)
+    without_rssi = SimulatedReceiver.shared_seed_series(
+        [without_point for _, without_point in pairs], sample_count,
+        seed + 1, duration_s=0.002)
+    return [IoTDeviceResult(
+                with_surface_rssi_dbm=tuple(with_row.tolist()),
+                without_surface_rssi_dbm=tuple(without_row.tolist()),
+                optimal_bias_v=(best_vx, best_vy))
+            for ((_link, best_vx, best_vy), _), with_row, without_row
+            in zip(pairs, with_rssi, without_rssi)]
+
+
 def _device_pdf(with_config, without_config, sample_count: int,
                 seed: int) -> IoTDeviceResult:
     """Optimize the surface, then sample both configurations' RSSI."""
-    with_link = WirelessLink(with_config)
-    best_power, best_vx, best_vy = optimize_link(with_link)
-    receiver_with = SimulatedReceiver(with_link, seed=seed)
-    receiver_without = SimulatedReceiver(WirelessLink(without_config),
-                                         seed=seed + 1)
-    with_samples = tuple(receiver_with.measure_power_dbm_series(
-        sample_count, vx=best_vx, vy=best_vy, duration_s=0.002).tolist())
-    without_samples = tuple(receiver_without.measure_power_dbm_series(
-        sample_count, duration_s=0.002).tolist())
-    return IoTDeviceResult(with_surface_rssi_dbm=with_samples,
-                           without_surface_rssi_dbm=without_samples,
-                           optimal_bias_v=(best_vx, best_vy))
+    return _device_pdfs([(with_config, without_config)], sample_count,
+                        seed)[0]
 
 
 def _summary_fig20(payload, params) -> str:
@@ -1081,15 +1102,15 @@ def _check_iot_families(payload, params) -> None:
     summarize=_summary_iot_families, check=_check_iot_families)
 def _run_iot_families(sample_count: int,
                       seed: int) -> Dict[str, IoTDeviceResult]:
-    results: Dict[str, IoTDeviceResult] = {}
-    for family, factory in IOT_SCENARIOS.items():
+    config_pairs = []
+    for factory in IOT_SCENARIOS.values():
         with_config, _tx, _rx = factory(mismatched=True, with_surface=True,
                                         seed=seed)
         without_config, _tx, _rx = factory(mismatched=True,
                                            with_surface=False, seed=seed)
-        results[family] = _device_pdf(with_config, without_config,
-                                      sample_count, seed)
-    return results
+        config_pairs.append((with_config, without_config))
+    return dict(zip(IOT_SCENARIOS,
+                    _device_pdfs(config_pairs, sample_count, seed)))
 
 
 # ---------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,12 +65,30 @@ SURFACE_DESIGNS: Dict[str, Callable] = {
 }
 
 
+def _record_fields(cls, data: Mapping, record: str) -> Dict:
+    """``data`` as keyword arguments of the dataclass ``cls``.
+
+    A key that is not a field of ``cls``, or a field without a default
+    that ``data`` lacks, raises ``ValueError`` naming it.
+    """
+    data = dict(data)
+    unknown = sorted(set(data) - {field.name for field in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {record} field(s) {unknown} in {data!r}")
+    missing = [field.name for field in fields(cls)
+               if field.name not in data and field.default is MISSING
+               and field.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {record} field(s) {missing} in {data!r}")
+    return data
+
+
 @dataclass(frozen=True)
 class StationSpec:
     """One IoT station in the deployment.
 
-    The orientation stays free: a non-finite one anchors its own
-    orientation group.
+    The name must be a string and the orientation a finite real number
+    (any angle; grouping takes it modulo 180 degrees).
 
     Attributes
     ----------
@@ -95,6 +113,20 @@ class StationSpec:
     traffic_demand_mbps: float = 10.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(f"station name must be a string, got "
+                            f"{self.name!r}")
+        orientation = self.orientation_deg
+        # A plain float skips the ABC check, which costs more than the
+        # rest of a station's validation.
+        if type(orientation) is not float and (
+                isinstance(orientation, bool)
+                or not isinstance(orientation, numbers.Real)):
+            raise TypeError(f"station orientation must be a real number, "
+                            f"got {orientation!r}")
+        if not math.isfinite(orientation):
+            raise ValueError(f"station orientation must be finite, got "
+                             f"{orientation!r}")
         if not (math.isfinite(self.distance_m) and self.distance_m > 0):
             raise ValueError(f"distance must be positive and finite, got "
                              f"{self.distance_m!r}")
@@ -114,15 +146,10 @@ class StationSpec:
     def from_dict(cls, data: Mapping) -> "StationSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        A key that is not a station field raises ``ValueError`` naming
-        it.
+        An unknown key or a missing required field raises ``ValueError``
+        naming it.
         """
-        data = dict(data)
-        unknown = sorted(set(data) - {field.name for field in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown station field(s) {unknown} in "
-                             f"{data!r}")
-        return cls(**data)
+        return cls(**_record_fields(cls, data, "station"))
 
 
 @dataclass(frozen=True)
@@ -263,8 +290,12 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        payload = dict(data)
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        An unknown key or a missing ``stations`` list raises
+        ``ValueError`` naming it, as does a bad station record.
+        """
+        payload = _record_fields(cls, data, "fleet")
         stations = tuple(StationSpec.from_dict(station)
                          for station in payload.pop("stations"))
         topology = payload.pop("topology", None)

@@ -23,6 +23,7 @@ lattice, from which it picks one lattice index per station.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -72,9 +73,13 @@ class ScheduleResult:
     retune_count: int
     retune_overhead_fraction: float
 
-    @property
+    @functools.cached_property
     def total_throughput_mbps(self) -> float:
-        """Aggregate network throughput after retuning overhead."""
+        """Aggregate network throughput after retuning overhead.
+
+        Summed once per result: the fleet memo hands the same result to
+        every schedule request of an epoch.
+        """
         raw = sum(allocation.throughput_mbps for allocation in self.allocations)
         return raw * (1.0 - self.retune_overhead_fraction)
 

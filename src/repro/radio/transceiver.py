@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +28,65 @@ from repro.radio.signal import (
 from repro.units import db_to_amplitude, dbm_to_milliwatts, milliwatts_to_dbm
 
 # Captures whose noise one generator call draws in a power series.  The
-# series is fast because it hoists the budget pass and the clean tone;
-# wider blocks only raise peak memory.
+# standard-normal draw is most of a series' time (the budget pass and
+# the clean tone are hoisted); wider blocks did not draw faster and only
+# raise peak memory.
 _NOISE_BLOCK = 4
 # The paper's baseband tone (Sec. 4), which power reports sample.
 _TONE_FREQUENCY_HZ = 500e3
+
+#: One receiver operating point: the link it samples and the bias pair.
+ReceiverPoint = Tuple[WirelessLink, float, float]
+
+
+def _power_series_dbm(rng: np.random.Generator,
+                      points: Sequence[ReceiverPoint], count: int,
+                      sample_rate_hz: float, duration_s: float) -> np.ndarray:
+    """The receiver's sampling kernel: ``count`` power reports per point.
+
+    Returns a ``(len(points), count)`` array.  Each point gets one budget
+    pass and one clean tone; then every block of captures draws its
+    standard normals from ``rng`` once (each capture's real, then its
+    imaginary samples) and every point scales that block by its own
+    noise amplitude (``normal(0, s)`` is ``s * standard_normal()``), so
+    row ``i`` is exactly the series a receiver on ``points[i]`` with
+    ``rng``'s state alone would report.  The noisy capture is formed in
+    preallocated buffers as ``clean + noise`` and reduced with
+    ``np.abs``, which a per-capture ``np.hypot`` would not match to the
+    last bit.
+    """
+    if count < 0:
+        raise ValueError("capture count must be non-negative")
+    length = _sample_count(_TONE_FREQUENCY_HZ, sample_rate_hz, duration_s)
+    powers_mw = np.empty((len(points), count))
+    if count == 0 or not points:
+        return powers_mw
+    cleans = [cosine_tone(frequency_hz=_TONE_FREQUENCY_HZ,
+                          sample_rate_hz=sample_rate_hz,
+                          duration_s=duration_s,
+                          power_dbm=link.received_power_dbm(vx, vy)).samples
+              for link, vx, vy in points]
+    scales = [math.sqrt(float(dbm_to_milliwatts(link.noise_power_dbm()))
+                        / 2.0)
+              for link, _vx, _vy in points]
+    rows = min(_NOISE_BLOCK, count)
+    normals = np.empty((rows, 2, length))
+    noisy = np.empty((rows, length), dtype=complex)
+    sample_power = np.empty((rows, length))
+    for start in range(0, count, _NOISE_BLOCK):
+        block = min(_NOISE_BLOCK, count - start)
+        draw = normals[:block]
+        rng.standard_normal(out=draw)
+        field, power = noisy[:block], sample_power[:block]
+        for row, (clean, scale) in enumerate(zip(cleans, scales)):
+            np.multiply(draw[:, 0], scale, out=field.real)
+            np.add(clean.real, field.real, out=field.real)
+            np.multiply(draw[:, 1], scale, out=field.imag)
+            np.add(clean.imag, field.imag, out=field.imag)
+            np.abs(field, out=power)
+            np.square(power, out=power)
+            powers_mw[row, start:start + block] = np.mean(power, axis=-1)
+    return milliwatts_to_dbm(powers_mw)
 
 
 @dataclass(frozen=True)
@@ -82,13 +137,17 @@ class ReceivedCapture:
 class SimulatedReceiver:
     """A sampling receiver attached to a :class:`WirelessLink`.
 
-    Every power report comes from one sampling kernel,
-    :meth:`measure_power_dbm_series`: one budget pass and one clean tone
-    per series, then noise drawn from the receiver's generator capture
-    by capture.  The series is bit-identical to a loop of per-capture
+    Every power report comes from one sampling kernel: one budget pass
+    and one clean tone per operating point, then standard-normal noise
+    drawn a block of captures at a time and scaled to the link's noise
+    floor.  :meth:`measure_power_dbm_series` is the kernel's
+    one-receiver view; it is bit-identical to a loop of per-capture
     reports and leaves the generator in the same state, so
     :meth:`measure_power_dbm` (its one-capture view) and
     :meth:`measure_average_dbm` (its chunk average) replay exactly.
+    :meth:`shared_seed_series` runs the kernel once for many receivers
+    seeded alike: it draws their common noise stream once and fans it
+    out to every link.
 
     Parameters
     ----------
@@ -147,31 +206,31 @@ class SimulatedReceiver:
 
         Returns a ``(count,)`` array bit-identical to ``count`` successive
         :meth:`measure_power_dbm` calls on this receiver, and leaves the
-        generator in the state those calls would.  The series runs one
-        budget pass and builds one clean tone; each capture then draws
-        its real and then its imaginary noise samples, as the
-        per-capture loop does, a few captures per generator call.
+        generator in the state those calls would.  The one-receiver view
+        of the sampling kernel: one budget pass, one clean tone, and each
+        capture's real and then imaginary noise samples drawn a few
+        captures per generator call, as the per-capture loop draws them.
         """
-        if count < 0:
-            raise ValueError("capture count must be non-negative")
-        length = _sample_count(_TONE_FREQUENCY_HZ, self.sample_rate_hz,
-                               duration_s)
-        if count == 0:
-            return np.empty(0)
-        clean = cosine_tone(frequency_hz=_TONE_FREQUENCY_HZ,
-                            sample_rate_hz=self.sample_rate_hz,
-                            duration_s=duration_s,
-                            power_dbm=self.link.received_power_dbm(vx, vy))
-        noise_mw = float(dbm_to_milliwatts(self.link.noise_power_dbm()))
-        scale = math.sqrt(noise_mw / 2.0)
-        powers_mw = np.empty(count)
-        for start in range(0, count, _NOISE_BLOCK):
-            block = min(_NOISE_BLOCK, count - start)
-            noise = self._rng.normal(0.0, scale, (block, 2, length))
-            noisy = clean.samples + (noise[:, 0] + 1j * noise[:, 1])
-            powers_mw[start:start + block] = np.mean(np.abs(noisy) ** 2,
-                                                     axis=-1)
-        return milliwatts_to_dbm(powers_mw)
+        return _power_series_dbm(self._rng, [(self.link, vx, vy)], count,
+                                 self.sample_rate_hz, duration_s)[0]
+
+    @staticmethod
+    def shared_seed_series(points: Sequence[ReceiverPoint], count: int,
+                           seed: int, sample_rate_hz: float = 1e6,
+                           duration_s: float = 0.005) -> np.ndarray:
+        """Power series of one fresh receiver per point, all seeded alike.
+
+        ``points`` are ``(link, vx, vy)`` operating points.  Row ``i`` of
+        the returned ``(len(points), count)`` array equals
+        ``SimulatedReceiver(link_i, sample_rate_hz, seed)
+        .measure_power_dbm_series(count, vx_i, vy_i, duration_s)``
+        exactly: the receivers would all draw the same standard-normal
+        stream, so the kernel draws it once and scales it per link.  One
+        budget pass per point, one generator per call.
+        """
+        _check_positive_finite("sample rate", sample_rate_hz)
+        return _power_series_dbm(np.random.default_rng(seed), points, count,
+                                 sample_rate_hz, duration_s)
 
     def measure_power_dbm_grid(self, grid: ProbeGrid,
                                duration_s: float = 0.005,

@@ -164,7 +164,11 @@ def generate_trace(profile: LoadProfile,
 
     Each station's arrivals, request kinds and probe voltages come
     from its own named seed stream, merged by ``(arrival time, station,
-    per-station index)`` and numbered in that global order.
+    per-station index)`` and numbered in that global order.  A request's
+    kind is one ``random()`` draw looked up in the mix's cumulative
+    distribution, built once per trace: the same kind and generator
+    state ``Generator.choice(4, p=mix.probabilities())`` gives, without
+    its per-call checks.
 
     ``stream_prefix`` names the stream family (default ``"loadgen"``,
     the historical streams — existing trace digests are unchanged).
@@ -179,15 +183,18 @@ def generate_trace(profile: LoadProfile,
         raise ValueError("station names must be unique")
     rate = profile.rate_rps / len(names)
     low_v, high_v = BIAS_SAMPLE_RANGE_V
-    probabilities = profile.mix.probabilities()
+    # ``Generator.choice(p=...)`` normalizes this CDF on every call and
+    # then makes exactly this draw; build it once per trace.
+    kind_cdf = profile.mix.probabilities().cumsum()
+    kind_cdf /= kind_cdf[-1]
 
     drafts: List[Tuple[float, str, int, str, float, float]] = []
     for station in names:
         rng = np.random.default_rng(
             stream_seed(profile.seed, f"{stream_prefix}.{station}"))
         for index, at in enumerate(_arrival_times(profile, rate, rng)):
-            kind = REQUEST_KINDS[int(rng.choice(len(REQUEST_KINDS),
-                                                p=probabilities))]
+            kind = REQUEST_KINDS[int(kind_cdf.searchsorted(
+                rng.random(), side="right"))]
             vx = float(rng.uniform(low_v, high_v))
             vy = float(rng.uniform(low_v, high_v))
             drafts.append((at, station, index, kind, vx, vy))

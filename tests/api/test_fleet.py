@@ -8,6 +8,7 @@ round-tripped specs producing identical ``ScheduleResult``s).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -304,6 +305,59 @@ class TestFleetSpec:
             StationSpec.from_dict(data)
         with pytest.raises(ValueError, match="unknown station field"):
             FleetSpec.from_json(json.dumps({"stations": [data]}))
+
+    @pytest.mark.parametrize("name, orientation, error, message", [
+        (5, "north", TypeError, "station name must be a string"),
+        (5, 0.0, TypeError, "station name must be a string"),
+        (None, 0.0, TypeError, "station name must be a string"),
+        ("a", "north", TypeError, "orientation must be a real number"),
+        ("a", None, TypeError, "orientation must be a real number"),
+        ("a", True, TypeError, "orientation must be a real number"),
+    ])
+    def test_bad_station_name_or_orientation_rejected(self, name, orientation,
+                                                      error, message):
+        with pytest.raises(error, match=message):
+            StationSpec(name, 3.0, orientation)
+        document = json.dumps({"stations": [
+            {"name": name, "distance_m": 3.0, "orientation_deg": orientation}]})
+        with pytest.raises(error, match=message):
+            FleetSpec.from_json(document)
+
+    def test_non_finite_orientation_rejected(self):
+        """A station's orientation is finite, like the AP's."""
+        for orientation in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="orientation must be finite"):
+                StationSpec("a", 3.0, orientation)
+            document = json.dumps({"stations": [
+                {"name": "a", "distance_m": 3.0,
+                 "orientation_deg": orientation}]})
+            with pytest.raises(ValueError, match="orientation must be finite"):
+                FleetSpec.from_json(document)
+
+    @pytest.mark.parametrize("orientation", [
+        -720.5, 0, 179.99, 1e6, np.float32(45.0), np.int64(90)])
+    def test_any_finite_real_orientation_stays_valid(self, orientation):
+        station = StationSpec("a", 3.0, orientation)
+        assert station.orientation_deg == orientation
+
+    def test_misspelt_fleet_key_is_named(self):
+        document = json.loads(
+            FleetSpec(stations=(StationSpec("a", 3.0, 0.0),)).to_json())
+        document["surfce"] = document.pop("surface")
+        with pytest.raises(ValueError, match=r"unknown fleet field.*surfce"):
+            FleetSpec.from_json(json.dumps(document))
+
+    def test_missing_required_key_is_named(self):
+        data = StationSpec("a", 3.0, 0.0).to_dict()
+        del data["orientation_deg"]
+        with pytest.raises(ValueError,
+                           match=r"missing station field.*orientation_deg"):
+            StationSpec.from_dict(data)
+        with pytest.raises(ValueError,
+                           match=r"missing station field.*orientation_deg"):
+            FleetSpec.from_dict({"stations": [data]})
+        with pytest.raises(ValueError, match=r"missing fleet field.*stations"):
+            FleetSpec.from_dict({"surface": "llama"})
 
     @pytest.mark.parametrize("field, value, message", BAD_DEPLOYMENT_FIELDS)
     def test_bad_deployment_field_rejected(self, field, value, message):

@@ -1,11 +1,13 @@
 """Tests for the dense-deployment / polarization-reuse extension."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
+from repro.experiments.artifacts import encode
 from repro.network.access_control import polarization_access_control
 from repro.network.deployment import DenseDeployment, FleetSpec, StationSpec
 from repro.network.scheduler import (
@@ -215,6 +217,19 @@ class TestScheduleResultEdges:
         assert result.total_throughput_mbps == 0.0
         assert result.fairness == 1.0
         assert result.worst_station_rate_mbps == 0.0
+
+    def test_total_throughput_is_the_fresh_sum_computed_once(self):
+        result = PolarizationReuseScheduler(small_deployment()).schedule()
+        fresh = (sum(allocation.throughput_mbps
+                     for allocation in result.allocations)
+                 * (1.0 - result.retune_overhead_fraction))
+        encoded = encode(result)
+        total = result.total_throughput_mbps
+        assert total == fresh
+        assert result.total_throughput_mbps is total
+        # The cached total is not a field: equality and artifacts ignore it.
+        assert encode(result) == encoded
+        assert result == dataclasses.replace(result)
 
     def test_allocation_for_miss_raises_clear_key_error(self):
         result = ScheduleResult(scheduler_name="solo",

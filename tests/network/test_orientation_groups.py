@@ -7,8 +7,6 @@ station; :meth:`DenseDeployment.orientation_groups` must reproduce its
 groups and member order exactly.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,12 +73,6 @@ class TestAnchorMajorGroups:
         groups = deployment_groups(orientations, tolerance)
         assert groups == reference_groups(orientations, tolerance)
         assert groups == [[f"s{index}" for index in range(len(orientations))]]
-
-    def test_non_finite_orientations_anchor_their_own_groups(self):
-        orientations = [0.0, math.nan, 10.0, math.inf, 5.0]
-        assert (deployment_groups(orientations, 20.0)
-                == reference_groups(orientations, 20.0)
-                == [["s0", "s2", "s4"], ["s1"], ["s3"]])
 
 
 class TestClusteredOncePerTolerance:

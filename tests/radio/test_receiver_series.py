@@ -6,11 +6,14 @@ generator where that loop would, while running one budget pass per
 series.  The references below are the per-capture formulation written
 out: ``capture()`` (budget pass, clean tone, ``with_noise``, mean power)
 once per report, and the per-chunk loop of ``measure_average_dbm``.
-Every entry point that sizes a capture rejects the same invalid inputs
-before it runs a budget pass.
+:meth:`SimulatedReceiver.shared_seed_series` must equal one fresh
+receiver per point, row by row, while drawing the shared noise stream
+once.  Every entry point that sizes a capture rejects the same invalid
+inputs before it runs a budget pass.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -18,10 +21,16 @@ import pytest
 
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink, probe_evaluations
-from repro.experiments.figures import _device_pdf, _rssi_samples
+from repro.experiments import figures
+from repro.experiments.figures import (
+    _device_pdf,
+    _run_iot_families,
+    _rssi_samples,
+)
 from repro.experiments.scenarios import IOT_SCENARIOS, iot_wifi_scenario
 from repro.experiments.sweeps import optimize_link
 from repro.radio.signal import cosine_tone
+from repro.radio import transceiver
 from repro.radio.transceiver import (
     _NOISE_BLOCK,
     SimulatedReceiver,
@@ -54,6 +63,26 @@ def link_and_bias(request, surface_link, baseline_link):
     if request.param == "surface":
         return surface_link, SURFACE_BIAS
     return baseline_link, (0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def family_points():
+    """Per surface side, one ``(link, vx, vy)`` point per IoT family."""
+    points = {}
+    for with_surface, bias in ((True, SURFACE_BIAS), (False, (0.0, 0.0))):
+        points[with_surface] = []
+        for factory in IOT_SCENARIOS.values():
+            config, _tx, _rx = factory(mismatched=True,
+                                       with_surface=with_surface, seed=2021)
+            points[with_surface].append((WirelessLink(config), *bias))
+    return points
+
+
+def per_receiver_rows(points, count, seed, duration_s=0.002):
+    """One fresh receiver per point, each seeded ``seed``."""
+    return [SimulatedReceiver(link, seed=seed).measure_power_dbm_series(
+                count, vx=vx, vy=vy, duration_s=duration_s).tolist()
+            for link, vx, vy in points]
 
 
 def next_draw(receiver):
@@ -126,6 +155,93 @@ class TestSeriesParity:
         assert averaged == reference_average_dbm(reference_rx, seconds, vx=vx,
                                                  vy=vy, chunk_s=chunk_s)
         assert np.array_equal(next_draw(receiver), next_draw(reference_rx))
+
+
+class TestSharedSeedSeries:
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("with_surface", [True, False],
+                             ids=["surface", "baseline"])
+    def test_rows_equal_per_receiver_series(self, family_points,
+                                            with_surface, size, count):
+        points = family_points[with_surface][:size]
+        shared = SimulatedReceiver.shared_seed_series(points, count, 2021,
+                                                      duration_s=0.002)
+        assert shared.shape == (size, count)
+        assert shared.dtype == np.float64
+        assert shared.tolist() == per_receiver_rows(points, count, 2021)
+
+    @pytest.mark.parametrize("duration_s", DURATIONS_S)
+    def test_mixed_surface_and_baseline_points(self, family_points,
+                                               duration_s):
+        points = [point for pair in zip(family_points[True],
+                                        family_points[False])
+                  for point in pair]
+        shared = SimulatedReceiver.shared_seed_series(
+            points, 2 * B + 1, 7, duration_s=duration_s)
+        assert shared.tolist() == per_receiver_rows(points, 2 * B + 1, 7,
+                                                    duration_s)
+
+    def test_one_pass_per_point(self, family_points):
+        points = family_points[True] + family_points[False]
+        _, delta = passes(SimulatedReceiver.shared_seed_series, points,
+                          B + 1, 3, duration_s=0.002)
+        assert delta == len(points)
+
+    def test_empty_shapes_run_no_pass(self, family_points):
+        points = family_points[True]
+        empty, delta = passes(SimulatedReceiver.shared_seed_series, points,
+                              0, 3)
+        assert empty.shape == (3, 0) and delta == 0
+        empty, delta = passes(SimulatedReceiver.shared_seed_series, [], 5, 3)
+        assert empty.shape == (0, 5) and delta == 0
+
+    def test_invalid_arguments_rejected(self, family_points):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            SimulatedReceiver.shared_seed_series(family_points[True], -1, 3)
+        with pytest.raises(ValueError, match="^sample rate must be positive"):
+            SimulatedReceiver.shared_seed_series(family_points[True], 2, 3,
+                                                 sample_rate_hz=math.nan)
+        with pytest.raises(ValueError, match="at least one sample"):
+            SimulatedReceiver.shared_seed_series(family_points[True], 2, 3,
+                                                 duration_s=TOO_SHORT_S)
+
+    @pytest.mark.parametrize("scale", [1e-9, 3.2e-6, 0.37, 1.0, 41.5])
+    @pytest.mark.parametrize("shape", [(7,), (B, 2, 2000), (1, 2, 5)])
+    def test_normal_is_scaled_standard_normal(self, scale, shape):
+        """The kernel scales one standard-normal block per link."""
+        normal = np.random.default_rng(2021).normal(0.0, scale, shape)
+        standard = np.random.default_rng(2021).standard_normal(shape)
+        assert np.array_equal(normal, scale * standard)
+
+    def test_iot_families_work(self, monkeypatch):
+        """3 optimizes, 6 budget passes and 2 generators (one per side)."""
+        optimize_passes = 0
+        for factory in IOT_SCENARIOS.values():
+            config, _tx, _rx = factory(mismatched=True, with_surface=True,
+                                       seed=2021)
+            optimize_passes += passes(optimize_link,
+                                      WirelessLink(config))[1]
+        optimized, seeds = [], []
+        real_optimize = figures.optimize_link
+        real_default_rng = np.random.default_rng
+
+        def optimize_spy(link):
+            optimized.append(link)
+            return real_optimize(link)
+
+        def default_rng_spy(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == transceiver.__name__:
+                seeds.append(args)
+            return real_default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(figures, "optimize_link", optimize_spy)
+        monkeypatch.setattr(np.random, "default_rng", default_rng_spy)
+        result, delta = passes(_run_iot_families, 10, 2021)
+        assert list(result) == list(IOT_SCENARIOS)
+        assert len(optimized) == 3
+        assert delta == optimize_passes + 6
+        assert seeds == [(2021,), (2022,)]
 
 
 class TestWorkCounts:

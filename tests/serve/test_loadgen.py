@@ -2,18 +2,22 @@
 
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import stream_seed
 from repro.serve.loadgen import (
+    ARRIVAL_PROCESSES,
     BIAS_SAMPLE_RANGE_V,
     MEASURE_ONLY,
     LoadProfile,
     RequestMix,
+    _arrival_times,
     generate_trace,
     station_names,
 )
-from repro.serve.requests import Request
+from repro.serve.requests import REQUEST_KINDS, Request
 
 STATIONS = station_names(4)
 
@@ -51,6 +55,62 @@ class TestDeterministicReplay:
         profile = LoadProfile(rate_rps=120.0, duration_s=0.3, seed=seed)
         assert (generate_trace(profile, STATIONS).digest()
                 == generate_trace(profile, STATIONS).digest())
+
+
+#: Mixes with zero-probability kinds, the measurement-only mix and the
+#: default mix.
+weights = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=50.0))
+mixes = st.one_of(
+    st.just(MEASURE_ONLY), st.just(RequestMix()),
+    st.tuples(weights, weights, weights, weights)
+    .filter(lambda four: sum(four) > 0.0)
+    .map(lambda four: RequestMix(*four)))
+
+
+def reference_kinds(profile, station):
+    """One station's request kinds drawn with ``Generator.choice``."""
+    rng = np.random.default_rng(stream_seed(profile.seed,
+                                            f"loadgen.{station}"))
+    probabilities = profile.mix.probabilities()
+    kinds = []
+    for _at in _arrival_times(profile, profile.rate_rps, rng):
+        kinds.append(REQUEST_KINDS[int(rng.choice(len(REQUEST_KINDS),
+                                                  p=probabilities))])
+        rng.uniform(*BIAS_SAMPLE_RANGE_V)
+        rng.uniform(*BIAS_SAMPLE_RANGE_V)
+    return kinds
+
+
+class TestKindDraw:
+    """A request's kind is one ``random()`` looked up in the mix's CDF,
+    which must equal ``Generator.choice(4, p=...)`` draw for draw."""
+
+    @given(mix=mixes, seed=st.integers(min_value=0, max_value=2**32 - 1),
+           draws=st.integers(min_value=1, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_draw_equals_choice(self, mix, seed, draws):
+        cdf = mix.probabilities().cumsum()
+        cdf /= cdf[-1]
+        drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        kinds = [int(cdf.searchsorted(drawn.random(), side="right"))
+                 for _ in range(draws)]
+        expected = [int(chosen.choice(len(REQUEST_KINDS),
+                                      p=mix.probabilities()))
+                    for _ in range(draws)]
+        assert kinds == expected
+        assert drawn.bit_generator.state == chosen.bit_generator.state
+        assert all(mix.weights()[kind] > 0.0 for kind in kinds)
+
+    @given(mix=mixes, seed=st.integers(min_value=0, max_value=2**31 - 1),
+           arrival=st.sampled_from(ARRIVAL_PROCESSES))
+    @settings(max_examples=40, deadline=None)
+    def test_trace_kinds_equal_choice_per_station(self, mix, seed, arrival):
+        station = "sta-000"
+        profile = LoadProfile(rate_rps=150.0, duration_s=0.3,
+                              arrival=arrival, mix=mix, seed=seed)
+        trace = generate_trace(profile, (station,))
+        assert ([request.kind for request in trace.requests]
+                == reference_kinds(profile, station))
 
 
 class TestPerStationStreams:
