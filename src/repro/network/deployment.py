@@ -567,7 +567,6 @@ class DenseDeployment:
             difference = np.abs(orientations - orientations[anchor]) % 180.0
             difference = np.minimum(difference, 180.0 - difference)
             members = unassigned & (difference <= tolerance_deg)
-            members[anchor] = True
             unassigned &= ~members
             groups.append(tuple(names[index]
                                 for index in np.flatnonzero(members)))

@@ -34,6 +34,8 @@ from repro.units import db_to_amplitude, dbm_to_milliwatts, milliwatts_to_dbm
 _NOISE_BLOCK = 4
 # The paper's baseband tone (Sec. 4), which power reports sample.
 _TONE_FREQUENCY_HZ = 500e3
+# The paper's ADC sample rate (1 MHz), a receiver's default.
+_SAMPLE_RATE_HZ = 1e6
 
 #: One receiver operating point: the link it samples and the bias pair.
 ReceiverPoint = Tuple[WirelessLink, float, float]
@@ -160,8 +162,8 @@ class SimulatedReceiver:
         reproducible given the seed.
     """
 
-    def __init__(self, link: WirelessLink, sample_rate_hz: float = 1e6,
-                 seed: int = 7):
+    def __init__(self, link: WirelessLink,
+                 sample_rate_hz: float = _SAMPLE_RATE_HZ, seed: int = 7):
         _check_positive_finite("sample rate", sample_rate_hz)
         self.link = link
         self.sample_rate_hz = sample_rate_hz
@@ -216,21 +218,19 @@ class SimulatedReceiver:
 
     @staticmethod
     def shared_seed_series(points: Sequence[ReceiverPoint], count: int,
-                           seed: int, sample_rate_hz: float = 1e6,
-                           duration_s: float = 0.005) -> np.ndarray:
+                           seed: int, *, duration_s: float) -> np.ndarray:
         """Power series of one fresh receiver per point, all seeded alike.
 
         ``points`` are ``(link, vx, vy)`` operating points.  Row ``i`` of
         the returned ``(len(points), count)`` array equals
-        ``SimulatedReceiver(link_i, sample_rate_hz, seed)
+        ``SimulatedReceiver(link_i, seed=seed)
         .measure_power_dbm_series(count, vx_i, vy_i, duration_s)``
         exactly: the receivers would all draw the same standard-normal
         stream, so the kernel draws it once and scales it per link.  One
         budget pass per point, one generator per call.
         """
-        _check_positive_finite("sample rate", sample_rate_hz)
         return _power_series_dbm(np.random.default_rng(seed), points, count,
-                                 sample_rate_hz, duration_s)
+                                 _SAMPLE_RATE_HZ, duration_s)
 
     def measure_power_dbm_grid(self, grid: ProbeGrid,
                                duration_s: float = 0.005,

@@ -191,17 +191,16 @@ class TestSharedSeedSeries:
     def test_empty_shapes_run_no_pass(self, family_points):
         points = family_points[True]
         empty, delta = passes(SimulatedReceiver.shared_seed_series, points,
-                              0, 3)
+                              0, 3, duration_s=0.002)
         assert empty.shape == (3, 0) and delta == 0
-        empty, delta = passes(SimulatedReceiver.shared_seed_series, [], 5, 3)
+        empty, delta = passes(SimulatedReceiver.shared_seed_series, [], 5, 3,
+                              duration_s=0.002)
         assert empty.shape == (0, 5) and delta == 0
 
     def test_invalid_arguments_rejected(self, family_points):
         with pytest.raises(ValueError, match="count must be non-negative"):
-            SimulatedReceiver.shared_seed_series(family_points[True], -1, 3)
-        with pytest.raises(ValueError, match="^sample rate must be positive"):
-            SimulatedReceiver.shared_seed_series(family_points[True], 2, 3,
-                                                 sample_rate_hz=math.nan)
+            SimulatedReceiver.shared_seed_series(family_points[True], -1, 3,
+                                                 duration_s=0.002)
         with pytest.raises(ValueError, match="at least one sample"):
             SimulatedReceiver.shared_seed_series(family_points[True], 2, 3,
                                                  duration_s=TOO_SHORT_S)
