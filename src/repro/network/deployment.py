@@ -170,6 +170,9 @@ class TopologySpec:
     params: Tuple[Tuple[str, Union[str, int, float, bool]], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise TypeError(f"topology family must be a string, got "
+                            f"{self.family!r}")
         if not self.family:
             raise ValueError("topology family must be non-empty")
         pairs = []
@@ -199,9 +202,17 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TopologySpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(family=data["family"],
-                   params=tuple(dict(data.get("params", {})).items()))
+        """Rebuild from :meth:`to_dict` output.
+
+        An unknown key or a missing ``family`` raises ``ValueError``
+        naming it; ``params`` must be a mapping (``TypeError``).
+        """
+        payload = _record_fields(cls, data, "topology")
+        params = payload.get("params", {})
+        if not isinstance(params, Mapping):
+            raise TypeError(f"topology params must be a mapping, got "
+                            f"{params!r}")
+        return cls(family=payload["family"], params=tuple(params.items()))
 
 
 @dataclass(frozen=True)

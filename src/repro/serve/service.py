@@ -35,6 +35,17 @@ Either way a response carries its batch's completion time and live
 batch size, so the responses and metrics of the two cadences are
 equal.
 
+The event loop handles plain rows, not response objects: every answer
+is one ``(request, status, value, completed_s, batch_size, detail)``
+tuple appended to the run's row list, and the queue-depth samples are
+two lists (times and depths).  When the clock stops, the rows are
+sorted by request id once and the frozen
+:class:`~repro.serve.requests.Response` records are built in one
+positional pass; the metrics are computed from the same rows' columns
+(:meth:`~repro.serve.metrics.ServiceMetrics.from_columns`).  Arrivals
+enter through :meth:`SurfaceService.submit` alone, which admits or
+sheds, samples the queue and wakes the worker only when it is parked.
+
 Three properties the experiments gate:
 
 * **Admission control** — a queue at ``queue_capacity`` sheds new
@@ -81,6 +92,11 @@ _SENTINEL = None
 #: with the virtual time the batch completed (their ``batch_size`` is
 #: their count).
 _Queued = Tuple[float, List[Request]]
+
+#: One answer: ``(request, status, value, completed_s, batch_size,
+#: detail)``, the positional fields a :class:`Response` adds to its
+#: request.
+_Row = Tuple[Request, str, float, float, int, str]
 
 
 @dataclass(frozen=True)
@@ -160,10 +176,12 @@ class SurfaceService:
         self.clock = VirtualClock()
         self._queue: Deque[Optional[Request]] = deque()
         self._worker: Optional[Actor] = None
-        self._responses: List[Response] = []
+        self._worker_parked = False
+        self._rows: List[_Row] = []
         self._measures: List[_Queued] = []
         self._optimizes: List[_Queued] = []
-        self._queue_samples: List[Tuple[float, int]] = []
+        self._queue_times: List[float] = []
+        self._queue_depths: List[int] = []
         self.shed_count = 0
 
     # ------------------------------------------------------------------ #
@@ -175,22 +193,26 @@ class SurfaceService:
         Admission is depth-based: a queue already holding
         ``queue_capacity`` requests refuses the arrival immediately —
         the station gets its ``rejected``/``queue-full`` response at
-        submit time rather than a silently growing backlog.
+        submit time rather than a silently growing backlog.  An admitted
+        request is queued, the queue depth sampled, and the worker
+        woken if it is parked on an empty queue.
         """
-        if len(self._queue) >= self.config.queue_capacity:
+        queue = self._queue
+        if len(queue) >= self.config.queue_capacity:
             self.shed_count += 1
-            self._respond(request, status="rejected", value=math.nan,
-                          batch_size=0, detail="queue-full")
+            self._respond(request, "rejected", math.nan, 0, "queue-full")
             return False
-        self._put(request)
-        self._sample_queue()
+        queue.append(request)
+        if self._worker_parked:
+            self._wake_worker()
+        self._queue_times.append(self.clock.now)
+        self._queue_depths.append(len(queue))
         return True
 
-    def _put(self, item: Optional[Request]) -> None:
-        """Enqueue one item and wake the worker if it waits for one."""
-        self._queue.append(item)
-        if self._worker is not None:
-            self.clock.wake(self._worker)
+    def _wake_worker(self) -> None:
+        """Ready the worker parked on an empty queue."""
+        self._worker_parked = False
+        self.clock.wake(self._worker)
 
     # ------------------------------------------------------------------ #
     # Service plane
@@ -205,35 +227,50 @@ class SurfaceService:
         trace's own time origin.
         """
         self.clock = VirtualClock()
-        self._responses = []
+        self._rows = rows = []
         self._measures = []
         self._optimizes = []
-        self._queue_samples = []
+        self._queue_times = []
+        self._queue_depths = []
         self.shed_count = 0
         self._queue = deque()
         self._worker = self._serve_loop()
+        self._worker_parked = False
         self.clock.run(self._worker, self._dispatch(trace))
         self._resolve()
-        responses = tuple(sorted(self._responses,
-                                 key=lambda response: response.request_id))
-        if len(responses) != len(trace):
+        if len(rows) != len(trace):
             raise RuntimeError(
-                f"service answered {len(responses)} of {len(trace)} "
+                f"service answered {len(rows)} of {len(trace)} "
                 "requests — every submitted request must get a response")
+        rows.sort(key=lambda row: row[0].request_id)
+        responses = tuple([
+            Response(request.request_id, request.kind, request.station,
+                     status, value, request.arrival_s, completed_s,
+                     batch_size, detail)
+            for request, status, value, completed_s, batch_size, detail
+            in rows])
+        requests, statuses, _, completed, sizes, _ = (
+            tuple(zip(*rows)) if rows else ((),) * 6)
         return ServiceRunResult(
             responses=responses,
-            metrics=ServiceMetrics.from_responses(
-                responses, self._queue_samples),
+            metrics=ServiceMetrics.from_columns(
+                statuses, [request.arrival_s for request in requests],
+                completed, sizes, self._queue_times, self._queue_depths),
             trace_digest=trace.digest())
 
     def _dispatch(self, trace: RequestTrace) -> Actor:
-        """Open-loop arrivals: submit each request at its own instant."""
+        """Open-loop arrivals: submit each request at its own instant,
+        then close the queue."""
+        clock = self.clock
+        submit = self.submit
         for request in trace.requests:
-            delay = request.arrival_s - self.clock.now
+            delay = request.arrival_s - clock.now
             if delay > 0.0:
                 yield delay
-            self.submit(request)
-        self._put(_SENTINEL)
+            submit(request)
+        self._queue.append(_SENTINEL)
+        if self._worker_parked:
+            self._wake_worker()
 
     def _serve_loop(self) -> Actor:
         """Drain the queue in coalescing windows until it closes."""
@@ -241,7 +278,8 @@ class SurfaceService:
         queue = self._queue
         while True:
             while not queue:
-                yield None  # parked until _put wakes it
+                self._worker_parked = True
+                yield None  # parked until an arrival wakes it
             first = queue.popleft()
             if first is _SENTINEL:
                 return
@@ -253,7 +291,8 @@ class SurfaceService:
                        and queue[0] is not _SENTINEL):
                     batch.append(queue.popleft())
             yield from self._serve_batch(batch)
-            self._sample_queue()
+            self._queue_times.append(self.clock.now)
+            self._queue_depths.append(len(queue))
 
     def _serve_batch(self, batch: List[Request]) -> Actor:
         """Serve one coalesced batch: model its cost, then execute it.
@@ -397,36 +436,25 @@ class SurfaceService:
                 failure: str = "probe-dropout") -> None:
         """Respond to the queued requests with their powers, in order.
 
-        A NaN power fails its request with ``failure``; the response
+        A NaN power fails its request with ``failure``; the row
         carries its batch's completion time and live size.
         """
+        rows = self._rows
         values = iter(powers)
         for completed_s, live in queued:
-            for request in live:
-                power = next(values)
+            size = len(live)
+            for request, power in zip(live, values):
                 if math.isnan(power):
-                    self._respond(request, status="failed", value=math.nan,
-                                  batch_size=len(live), detail=failure,
-                                  completed_s=completed_s)
+                    rows.append((request, "failed", math.nan, completed_s,
+                                 size, failure))
                 else:
-                    self._respond(request, status="ok", value=power,
-                                  batch_size=len(live),
-                                  completed_s=completed_s)
+                    rows.append((request, "ok", power, completed_s, size, ""))
 
     def _respond(self, request: Request, status: str, value: float,
-                 batch_size: int, detail: str = "",
-                 completed_s: Optional[float] = None) -> None:
-        """Record one response, completed now unless told otherwise."""
-        self._responses.append(Response(
-            request_id=request.request_id, kind=request.kind,
-            station=request.station, status=status, value=value,
-            arrival_s=request.arrival_s,
-            completed_s=(self.clock.now if completed_s is None
-                         else completed_s),
-            batch_size=batch_size, detail=detail))
-
-    def _sample_queue(self) -> None:
-        self._queue_samples.append((self.clock.now, len(self._queue)))
+                 batch_size: int, detail: str = "") -> None:
+        """Record one answer, completed now."""
+        self._rows.append((request, status, value, self.clock.now,
+                           batch_size, detail))
 
 
 def serve_trace(fleet: FleetSession, trace: RequestTrace,

@@ -21,6 +21,7 @@ from repro.api import (
     LinkSession,
     ProbeGrid,
     StationSpec,
+    TopologySpec,
 )
 from repro.devices.wifi import wifi_rate_for_rssi_mbps
 from repro.network.scheduler import (
@@ -358,6 +359,36 @@ class TestFleetSpec:
             FleetSpec.from_dict({"stations": [data]})
         with pytest.raises(ValueError, match=r"missing fleet field.*stations"):
             FleetSpec.from_dict({"surface": "llama"})
+
+    @pytest.mark.parametrize("topology, error, message", [
+        ({"params": {"rows": 2}}, ValueError,
+         r"missing topology field.*family"),
+        ({"family": "grid", "parms": {"rows": 2}}, ValueError,
+         r"unknown topology field.*parms"),
+        ({"family": 5}, TypeError, "topology family must be a string"),
+        ({"family": None, "params": {}}, TypeError,
+         "topology family must be a string"),
+        ({"family": "grid", "params": [("rows", 2)]}, TypeError,
+         "topology params must be a mapping"),
+    ])
+    def test_bad_topology_record_is_named(self, topology, error, message):
+        with pytest.raises(error, match=message):
+            TopologySpec.from_dict(topology)
+        document = json.loads(
+            FleetSpec(stations=(StationSpec("a", 3.0, 0.0),)).to_json())
+        document["topology"] = topology
+        with pytest.raises(error, match=message):
+            FleetSpec.from_json(json.dumps(document))
+
+    def test_topology_round_trips_with_and_without_params(self):
+        for topology in (TopologySpec.of("grid", rows=2, jitter=0.5),
+                         TopologySpec("corridor")):
+            spec = FleetSpec(stations=(StationSpec("a", 3.0, 0.0),),
+                             topology=topology)
+            assert TopologySpec.from_dict(topology.to_dict()) == topology
+            assert FleetSpec.from_json(spec.to_json()) == spec
+        assert TopologySpec.from_dict({"family": "corridor"}) == \
+            TopologySpec("corridor")
 
     @pytest.mark.parametrize("field, value, message", BAD_DEPLOYMENT_FIELDS)
     def test_bad_deployment_field_rejected(self, field, value, message):

@@ -119,12 +119,11 @@ class TestSchedulingOrder:
                                station=SPEC.station_names[index],
                                arrival_s=arrival)
                        for index, arrival in enumerate(arrivals))
-        service = SurfaceService(FleetSession(SPEC),
-                                 ServiceConfig(batch_window_s=0.01))
-        result = service.serve_trace(trace)
+        result = serve_trace(FleetSession(SPEC), trace,
+                             ServiceConfig(batch_window_s=0.01))
         return (tuple(r.batch_size for r in result.responses),
                 tuple(r.completed_s for r in result.responses),
-                tuple(depth for _, depth in service._queue_samples))
+                result.metrics.queue_depths)
 
     def test_arrival_at_the_window_end_joins_the_window(self):
         sizes, completed, _ = self.serve((0.0, 0.01))
